@@ -718,7 +718,7 @@ fn engine_report(test_mode: bool) {
     // partition can ever do (5 shards). > 1.0 means the ceiling is broken.
     let sub_isp_speedup = (shard_threads > 1).then(|| five_wall / eight_wall);
 
-    // Asymmetric-window and rate-balance accounting on the Paper10x
+    // Window-round and rate-balance accounting on the Paper10x
     // 8-shard plan. These are plan-derived (topology + session plan, no
     // simulation), so they stay deterministic and cheap even though the
     // full Paper10x run takes minutes — and unlike the speedup ratios
@@ -730,12 +730,7 @@ fn engine_report(test_mode: bool) {
         partition_preview(&scenario.world_config())
     };
     let window_rounds_8x = paper10x_plan.as_ref().map(|r| r.window_rounds);
-    let window_rounds_8x_global = paper10x_plan.as_ref().map(|r| r.window_rounds_global);
-    let window_rounds_saved = paper10x_plan
-        .as_ref()
-        .map(|r| r.window_rounds_global.saturating_sub(r.window_rounds));
     let rate_imbalance = paper10x_plan.as_ref().map(|r| r.rate_imbalance);
-    let rate_imbalance_hostcount = paper10x_plan.as_ref().map(|r| r.rate_imbalance_hostcount);
 
     // Steady state of the cross-shard exchange: 512 publish/drain rounds
     // over a warmed 4-shard grid with the same batch shapes every round,
@@ -817,10 +812,7 @@ fn engine_report(test_mode: bool) {
         sharded_events_per_sec_8x,
         sub_isp_speedup,
         window_rounds_8x,
-        window_rounds_8x_global,
-        window_rounds_saved,
         rate_imbalance,
-        rate_imbalance_hostcount,
         outbox_steady_state_allocs,
         shard_threads,
         shard_warning,
@@ -839,8 +831,8 @@ fn engine_report(test_mode: bool) {
              gossip {:.0} ticks/sec, \
              sharded {:.0} events/sec ({} over 1 shard, {} threads), \
              sub-ISP {:.0} events/sec at 8 shards ({} over the 5-shard ceiling), \
-             Paper10x pairwise windows {} rounds vs {} global (saved {}), \
-             rate imbalance {} vs {} host-count, outbox steady-state allocs {}, \
+             Paper10x windows {} rounds, rate imbalance {}, \
+             outbox steady-state allocs {}, \
              frontier smoke sweep {:.2}s, \
              budgeted capture peak {} B, streaming analysis {:.0} rows/sec -> {}",
             report.events_per_sec_calendar,
@@ -866,10 +858,7 @@ fn engine_report(test_mode: bool) {
             report.sharded_events_per_sec_8x,
             fmt_ratio(report.sub_isp_speedup),
             fmt_count(report.window_rounds_8x),
-            fmt_count(report.window_rounds_8x_global),
-            fmt_count(report.window_rounds_saved),
             fmt_ratio(report.rate_imbalance),
-            fmt_ratio(report.rate_imbalance_hostcount),
             report.outbox_steady_state_allocs,
             report.frontier_sweep_secs,
             report.capture_peak_rss_bytes,

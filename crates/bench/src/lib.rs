@@ -123,26 +123,15 @@ pub struct EngineReport {
     /// sharding beats the best the ISP-granular partition could ever do.
     /// `None` on a single-core host, as for `sharded_speedup_4x`.
     pub sub_isp_speedup: Option<f64>,
-    /// Windowed advancement rounds the asymmetric (pairwise-lookahead)
-    /// window protocol executes across the Paper10x 8-shard fleet —
-    /// per-shard rounds until each crosses the horizon, summed over
-    /// shards, computed from the partition plan without running the
+    /// Windowed advancement rounds the fixed-stride window executes
+    /// across the Paper10x 8-shard fleet (`shards × ceil(horizon /
+    /// lookahead)`), computed from the partition plan without running the
     /// simulation. `None` when the plan degenerates to a single shard.
     pub window_rounds_8x: Option<u64>,
-    /// The same total under the old fleet-wide global window, where every
-    /// shard steps every round.
-    pub window_rounds_8x_global: Option<u64>,
-    /// `window_rounds_8x_global - window_rounds_8x`: window slices the
-    /// pairwise matrix saves on the Paper10x plan. Gated with a floor of
-    /// 1 — the paper's delay asymmetry must buy something.
-    pub window_rounds_saved: Option<u64>,
     /// Rate imbalance of the Paper10x 8-shard partition actually chosen:
     /// heaviest shard's summed expected event rate over the ideal.
     /// `None` when the plan degenerates.
     pub rate_imbalance: Option<f64>,
-    /// The same metric for the historical host-count split of the same
-    /// world; `rate_imbalance` never exceeds it (by construction).
-    pub rate_imbalance_hostcount: Option<f64>,
     /// Heap allocations in the cross-shard exchange's steady state: 512
     /// publish/drain rounds over a warmed 4-shard `ShardExchange`
     /// (batches cross by buffer swap, so this must be 0).
@@ -195,10 +184,7 @@ impl EngineReport {
         let sharded_speedup_4x = ratio_opt(&self.sharded_speedup_4x);
         let sub_isp_speedup = ratio_opt(&self.sub_isp_speedup);
         let window_rounds_8x = count_opt(&self.window_rounds_8x);
-        let window_rounds_8x_global = count_opt(&self.window_rounds_8x_global);
-        let window_rounds_saved = count_opt(&self.window_rounds_saved);
         let rate_imbalance = imbalance_opt(&self.rate_imbalance);
-        let rate_imbalance_hostcount = imbalance_opt(&self.rate_imbalance_hostcount);
         format!(
             concat!(
                 "{{\n",
@@ -232,10 +218,7 @@ impl EngineReport {
                 "  \"sharded_events_per_sec_8x\": {:.1},\n",
                 "  \"sub_isp_speedup\": {},\n",
                 "  \"window_rounds_8x\": {},\n",
-                "  \"window_rounds_8x_global\": {},\n",
-                "  \"window_rounds_saved\": {},\n",
                 "  \"rate_imbalance\": {},\n",
-                "  \"rate_imbalance_hostcount\": {},\n",
                 "  \"outbox_steady_state_allocs\": {},\n",
                 "  \"shard_threads\": {},\n",
                 "  \"shard_warning\": {},\n",
@@ -274,10 +257,7 @@ impl EngineReport {
             self.sharded_events_per_sec_8x,
             sub_isp_speedup,
             window_rounds_8x,
-            window_rounds_8x_global,
-            window_rounds_saved,
             rate_imbalance,
-            rate_imbalance_hostcount,
             self.outbox_steady_state_allocs,
             self.shard_threads,
             shard_warning,
@@ -342,10 +322,7 @@ mod tests {
             sharded_events_per_sec_8x: 3.5e6,
             sub_isp_speedup: Some(1.4),
             window_rounds_8x: Some(118),
-            window_rounds_8x_global: Some(160),
-            window_rounds_saved: Some(42),
             rate_imbalance: Some(1.08),
-            rate_imbalance_hostcount: Some(1.21),
             outbox_steady_state_allocs: 0,
             shard_threads: 4,
             shard_warning: None,
@@ -377,10 +354,7 @@ mod tests {
         assert!(json.contains("\"sub_isp_speedup\": 1.400"));
         assert!(json.contains("\"columnar_note\": null,"));
         assert!(json.contains("\"window_rounds_8x\": 118,"));
-        assert!(json.contains("\"window_rounds_8x_global\": 160,"));
-        assert!(json.contains("\"window_rounds_saved\": 42,"));
         assert!(json.contains("\"rate_imbalance\": 1.0800,"));
-        assert!(json.contains("\"rate_imbalance_hostcount\": 1.2100,"));
         assert!(json.contains("\"outbox_steady_state_allocs\": 0,"));
         assert!(json.contains("\"shard_threads\": 4"));
         assert!(json.contains("\"shard_warning\": null,"));
@@ -422,10 +396,7 @@ mod tests {
             sharded_events_per_sec_8x: 1.0,
             sub_isp_speedup: None,
             window_rounds_8x: None,
-            window_rounds_8x_global: None,
-            window_rounds_saved: None,
             rate_imbalance: None,
-            rate_imbalance_hostcount: None,
             outbox_steady_state_allocs: 0,
             shard_threads: 1,
             shard_warning: None,
@@ -448,7 +419,6 @@ mod tests {
         assert!(json.contains("\"sharded_speedup_4x\": null,"));
         assert!(json.contains("\"sub_isp_speedup\": null,"));
         assert!(json.contains("\"window_rounds_8x\": null,"));
-        assert!(json.contains("\"window_rounds_saved\": null,"));
         assert!(json.contains("\"rate_imbalance\": null,"));
         assert!(json.contains("\"outbox_steady_state_allocs\": 0,"));
     }

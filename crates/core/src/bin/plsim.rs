@@ -31,17 +31,54 @@ use pplive_locality::{
     suite_metrics_json, underlay_ablation, workload_round_trip, ProbeSite, Scale, Scenario, Suite,
 };
 
-fn parse_scale(s: Option<&str>) -> Scale {
+// The positional parsers default only an *absent* token; a token that is
+// present but unrecognised is an error, never a silent fallback (which
+// would print a table for a different run than the one asked for).
+
+fn parse_class(s: Option<&str>) -> Result<ChannelClass, String> {
     match s {
-        Some("paper") => Scale::Paper,
-        Some("paper10x") => Scale::Paper10x,
-        Some("reduced") => Scale::Reduced,
-        _ => Scale::Tiny,
+        None | Some("popular") => Ok(ChannelClass::Popular),
+        Some("unpopular") => Ok(ChannelClass::Unpopular),
+        Some(other) => Err(format!(
+            "unrecognised channel class {other:?} (expected popular|unpopular)"
+        )),
     }
 }
 
-fn parse_seed(s: Option<&str>) -> u64 {
-    s.and_then(|x| x.parse().ok()).unwrap_or(42)
+fn parse_scale(s: Option<&str>) -> Result<Scale, String> {
+    match s {
+        None | Some("tiny") => Ok(Scale::Tiny),
+        Some("reduced") => Ok(Scale::Reduced),
+        Some("paper") => Ok(Scale::Paper),
+        Some("paper10x") => Ok(Scale::Paper10x),
+        Some(other) => Err(format!(
+            "unrecognised scale {other:?} (expected tiny|reduced|paper|paper10x)"
+        )),
+    }
+}
+
+fn parse_seed(s: Option<&str>) -> Result<u64, String> {
+    s.map_or(Ok(42), |x| {
+        x.parse()
+            .map_err(|_| format!("unrecognised seed {x:?} (expected a non-negative integer)"))
+    })
+}
+
+/// Unwraps a positional-argument parse, or exits 2 naming the bad token.
+fn or_usage<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("plsim: {e}");
+        std::process::exit(2);
+    })
+}
+
+/// The `[scale] [seed]` pair every simulating command ends with, starting
+/// at `args[at]`.
+fn scale_and_seed(args: &[String], at: usize) -> (Scale, u64) {
+    (
+        or_usage(parse_scale(args.get(at).map(String::as_str))),
+        or_usage(parse_seed(args.get(at + 1).map(String::as_str))),
+    )
 }
 
 /// Removes `--metrics-json <path>` from `args`, returning the path.
@@ -99,12 +136,8 @@ fn cmd_run(args: &[String], metrics_json: Option<&str>) {
             path
         })
     };
-    let class = match args.first().map(String::as_str) {
-        Some("unpopular") => ChannelClass::Unpopular,
-        _ => ChannelClass::Popular,
-    };
-    let scale = parse_scale(args.get(1).map(String::as_str));
-    let seed = parse_seed(args.get(2).map(String::as_str));
+    let class = or_usage(parse_class(args.first().map(String::as_str)));
+    let (scale, seed) = scale_and_seed(&args, 1);
     println!(
         "simulating {} channel at {scale:?} scale, seed {seed}...",
         class.label()
@@ -176,8 +209,7 @@ fn cmd_run(args: &[String], metrics_json: Option<&str>) {
 }
 
 fn cmd_figures(args: &[String], metrics_json: Option<&str>) {
-    let scale = parse_scale(args.first().map(String::as_str));
-    let seed = parse_seed(args.get(1).map(String::as_str));
+    let (scale, seed) = scale_and_seed(args, 0);
     let suite = Suite::run(scale, seed);
     if let Some(path) = metrics_json {
         write_metrics(path, &suite_metrics_json(&suite));
@@ -194,14 +226,12 @@ fn cmd_figures(args: &[String], metrics_json: Option<&str>) {
 
 fn cmd_fig6(args: &[String]) {
     let days: u32 = args.first().and_then(|s| s.parse().ok()).unwrap_or(7);
-    let scale = parse_scale(args.get(1).map(String::as_str));
-    let seed = parse_seed(args.get(2).map(String::as_str));
+    let (scale, seed) = scale_and_seed(args, 1);
     println!("{}", fig_6(days, scale, seed).render());
 }
 
 fn cmd_ablation(args: &[String]) {
-    let scale = parse_scale(args.first().map(String::as_str));
-    let seed = parse_seed(args.get(1).map(String::as_str));
+    let (scale, seed) = scale_and_seed(args, 0);
     println!("{}", render_ablation(&ablation(scale, seed)));
     println!(
         "{}",
@@ -232,8 +262,7 @@ fn cmd_export(args: &[String], metrics_json: Option<&str>) {
         eprintln!("usage: plsim export <dir> [scale] [seed]");
         std::process::exit(2);
     };
-    let scale = parse_scale(args.get(1).map(String::as_str));
-    let seed = parse_seed(args.get(2).map(String::as_str));
+    let (scale, seed) = scale_and_seed(args, 1);
     let suite = Suite::run(scale, seed);
     if let Some(path) = metrics_json {
         write_metrics(path, &suite_metrics_json(&suite));
@@ -285,8 +314,7 @@ fn cmd_frontier(args: &[String]) {
                 })
         })
     };
-    let scale = parse_scale(args.first().map(String::as_str));
-    let seed = parse_seed(args.get(1).map(String::as_str));
+    let (scale, seed) = scale_and_seed(&args, 0);
     let write_csv = |path: &str, csv: String| match std::fs::write(path, csv) {
         Ok(()) => println!("frontier CSV written to {path}"),
         Err(e) => {
@@ -348,5 +376,39 @@ fn main() {
             );
             std::process::exit(2);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn class_defaults_when_absent_and_rejects_unknown_tokens() {
+        assert_eq!(parse_class(None), Ok(ChannelClass::Popular));
+        assert_eq!(parse_class(Some("popular")), Ok(ChannelClass::Popular));
+        assert_eq!(parse_class(Some("unpopular")), Ok(ChannelClass::Unpopular));
+        let err = parse_class(Some("Unpopular")).unwrap_err();
+        assert!(err.contains("\"Unpopular\""), "{err}");
+    }
+
+    #[test]
+    fn scale_defaults_when_absent_and_rejects_unknown_tokens() {
+        assert_eq!(parse_scale(None), Ok(Scale::Tiny));
+        assert_eq!(parse_scale(Some("tiny")), Ok(Scale::Tiny));
+        assert_eq!(parse_scale(Some("reduced")), Ok(Scale::Reduced));
+        assert_eq!(parse_scale(Some("paper")), Ok(Scale::Paper));
+        assert_eq!(parse_scale(Some("paper10x")), Ok(Scale::Paper10x));
+        let err = parse_scale(Some("Paper")).unwrap_err();
+        assert!(err.contains("\"Paper\""), "{err}");
+    }
+
+    #[test]
+    fn seed_defaults_when_absent_and_rejects_unknown_tokens() {
+        assert_eq!(parse_seed(None), Ok(42));
+        assert_eq!(parse_seed(Some("7")), Ok(7));
+        let err = parse_seed(Some("4x2")).unwrap_err();
+        assert!(err.contains("\"4x2\""), "{err}");
+        assert!(parse_seed(Some("-1")).is_err());
     }
 }

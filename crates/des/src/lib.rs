@@ -55,7 +55,6 @@
 mod sched;
 mod sim;
 mod time;
-mod window;
 
 pub use sched::{CalendarScheduler, EventKey, HeapScheduler, Scheduler, SchedulerKind};
 pub use sim::{
@@ -63,4 +62,3 @@ pub use sim::{
     NullMonitor, PopRecord, QueueIntent, RemoteEvent, SimStats, Simulation,
 };
 pub use time::SimTime;
-pub use window::WindowPlan;

@@ -97,20 +97,6 @@ pub enum SchedulerKind {
 }
 
 impl SchedulerKind {
-    /// Environment variable overriding the scheduler choice
-    /// (`heap` or `calendar`).
-    pub const ENV: &'static str = "PLSIM_SCHED";
-
-    /// Reads [`SchedulerKind::ENV`], defaulting to `Calendar` when unset
-    /// or unrecognised.
-    #[must_use]
-    pub fn from_env() -> SchedulerKind {
-        match std::env::var(Self::ENV).as_deref() {
-            Ok("heap") => SchedulerKind::Heap,
-            _ => SchedulerKind::Calendar,
-        }
-    }
-
     /// Display label (`"heap"` / `"calendar"`).
     #[must_use]
     pub const fn label(self) -> &'static str {
@@ -625,7 +611,7 @@ mod tests {
     }
 
     #[test]
-    fn kind_from_env_labels() {
+    fn kind_labels_and_default() {
         assert_eq!(SchedulerKind::Heap.label(), "heap");
         assert_eq!(SchedulerKind::Calendar.label(), "calendar");
         assert_eq!(SchedulerKind::default(), SchedulerKind::Calendar);

@@ -47,5 +47,5 @@ mod topology;
 
 pub use bandwidth::{transfer_time, Bandwidth, BandwidthClass};
 pub use isp::{Asn, AsnDirectory, AsnRecord, IpAllocator, Isp, IspGroup};
-pub use medium::{LinkFault, LinkModel, LookaheadMatrix, Underlay};
+pub use medium::{LinkFault, LinkModel, Underlay};
 pub use topology::{congestion_extra_ms, core_one_way_ms, HostInfo, Topology, TopologyBuilder};

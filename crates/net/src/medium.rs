@@ -522,50 +522,8 @@ impl Underlay {
     ///
     /// Computed from per-`(shard, ISP)` minimum edge delays rather than
     /// all host pairs, so it is O(hosts + shards² · ISPs²).
-    ///
-    /// This is exactly the minimum finite entry of
-    /// [`Underlay::conservative_lookahead_matrix`] — the global window the
-    /// pre-pairwise protocol stepped every shard by. `min` distributes
-    /// over the per-shard edge minima, so the identity is structural, and
-    /// a pinned test holds the two implementations together.
     #[must_use]
     pub fn conservative_lookahead(&self, shard_of: &[usize], shards: usize) -> Option<SimTime> {
-        self.conservative_lookahead_matrix(shard_of, shards)
-            .and_then(|m| m.min())
-    }
-
-    /// The pairwise conservative-lookahead matrix for a space-partitioned
-    /// world: `entry(s, t)` lower-bounds the base one-way delay of
-    /// *anything shard `s` emits that shard `t` must ingest at a window
-    /// barrier*, or is `None` when no such traffic can exist. Off the
-    /// diagonal that covers ordinary outbox messages (minimum
-    /// edge + core + edge path between the shards' ISP populations); for
-    /// every pair — the diagonal included — it also covers deferred-queue
-    /// intents, whose owner-replayed arrivals cross a barrier even
-    /// between same-shard hosts, via the sender→owner→destination detour
-    /// bound `edge_min(s, src ISP) + core + edge_min(t, dst ISP)` over the
-    /// deferred directed queues ([`Underlay::deferred_sources`]).
-    ///
-    /// Every delay this medium adds on top of base propagation — jitter,
-    /// interconnect wait, serialization — is non-negative, and latency
-    /// disturbances never *shrink* propagation, so a message shard `s`
-    /// sends at `t₀` toward shard `t` can never arrive before
-    /// `t₀ + entry(s, t)`.
-    ///
-    /// Returns `None` for single-shard worlds (no barrier ever orders a
-    /// delivery). A returned matrix can still be all-`None` only when no
-    /// qualifying pair exists, in which case
-    /// [`Underlay::conservative_lookahead`] is also `None` and sharding
-    /// falls back to the monolithic run.
-    #[must_use]
-    pub fn conservative_lookahead_matrix(
-        &self,
-        shard_of: &[usize],
-        shards: usize,
-    ) -> Option<LookaheadMatrix> {
-        if shards < 2 {
-            return None;
-        }
         let n_isp = Isp::ALL.len();
         let mut edge_min = vec![vec![SimTime::MAX; n_isp]; shards];
         for (id, host) in self.topology.iter() {
@@ -574,55 +532,9 @@ impl Underlay {
             edge_min[s][i] = edge_min[s][i].min(host.edge_delay);
         }
         let deferred = self.deferred_sources(shard_of);
-        let mut entries = vec![None; shards * shards];
-        // Emitter groups by union-find: all shards hosting hosts of one
-        // deferred ISP feed the same owner-replayed queues and must share
-        // a window; shards hosting several deferred ISPs merge those
-        // ISPs' groups (a shard has exactly one window). An owner always
-        // hosts its ISP's lowest-id host, so same-owner ISPs merge too.
-        let mut root: Vec<usize> = (0..shards).collect();
-        fn find(root: &mut [usize], mut s: usize) -> usize {
-            while root[s] != s {
-                root[s] = root[root[s]];
-                s = root[s];
-            }
-            s
-        }
-        for i in 0..n_isp {
-            if !deferred[i] {
-                continue;
-            }
-            let mut first: Option<usize> = None;
-            for (s, mins) in edge_min.iter().enumerate() {
-                if mins[i] == SimTime::MAX {
-                    continue;
-                }
-                match first {
-                    None => first = Some(s),
-                    Some(f) => {
-                        let (a, b) = (find(&mut root, f), find(&mut root, s));
-                        root[a.max(b)] = a.min(b);
-                    }
-                }
-            }
-        }
-        let mut groups = vec![None; shards];
-        let mut next_group = 0usize;
-        let mut group_of_root = vec![usize::MAX; shards];
-        for s in 0..shards {
-            if !(0..n_isp).any(|i| deferred[i] && edge_min[s][i] != SimTime::MAX) {
-                continue;
-            }
-            let r = find(&mut root, s);
-            if group_of_root[r] == usize::MAX {
-                group_of_root[r] = next_group;
-                next_group += 1;
-            }
-            groups[s] = Some(group_of_root[r]);
-        }
+        let mut best: Option<SimTime> = None;
         for s in 0..shards {
             for t in 0..shards {
-                let mut best: Option<SimTime> = None;
                 for (ia, &a) in Isp::ALL.iter().enumerate() {
                     if edge_min[s][ia] == SimTime::MAX {
                         continue;
@@ -634,7 +546,7 @@ impl Underlay {
                         // Ordinary outbox traffic only crosses a barrier
                         // between distinct shards; deferred-queue intents
                         // cross one on every (source, destination) shard
-                        // pair, the diagonal included.
+                        // pair, same-shard pairs included.
                         if s == t && !(deferred[ia] && self.has_queue(a, b)) {
                             continue;
                         }
@@ -643,14 +555,9 @@ impl Underlay {
                         best = Some(best.map_or(d, |x| x.min(d)));
                     }
                 }
-                entries[s * shards + t] = best;
             }
         }
-        Some(LookaheadMatrix {
-            shards,
-            entries,
-            groups,
-        })
+        best
     }
 
     /// The topology this medium routes over.
@@ -663,73 +570,6 @@ impl Underlay {
     #[must_use]
     pub fn link_model(&self) -> LinkModel {
         self.link
-    }
-}
-
-/// Pairwise conservative lookahead for a sharded world — the output of
-/// [`Underlay::conservative_lookahead_matrix`]. Row `s`, column `t`
-/// lower-bounds the delay of anything shard `s` emits that shard `t`
-/// ingests at a window barrier; `None` means no such traffic can exist.
-/// The minimum finite entry is exactly the old fleet-wide scalar window.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LookaheadMatrix {
-    shards: usize,
-    entries: Vec<Option<SimTime>>,
-    groups: Vec<Option<usize>>,
-}
-
-impl LookaheadMatrix {
-    /// Number of shards the matrix was built for.
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// The `s → t` lookahead bound, or `None` when shard `s` can emit
-    /// nothing that shard `t` must barrier-order.
-    #[must_use]
-    pub fn entry(&self, s: usize, t: usize) -> Option<SimTime> {
-        self.entries[s * self.shards + t]
-    }
-
-    /// The minimum finite entry — the fleet-wide global window the
-    /// pre-pairwise protocol advanced every shard by. `None` when no pair
-    /// qualifies (sharding then falls back to the monolithic run).
-    #[must_use]
-    pub fn min(&self) -> Option<SimTime> {
-        self.entries.iter().flatten().copied().reduce(SimTime::min)
-    }
-
-    /// The maximum finite entry — how loose the slackest coupling is; the
-    /// `max / min` spread is what the asymmetric window protocol exploits.
-    #[must_use]
-    pub fn max(&self) -> Option<SimTime> {
-        self.entries.iter().flatten().copied().reduce(SimTime::max)
-    }
-
-    /// Emitter group of each shard: `Some(g)` when the shard hosts at
-    /// least one host of a deferred-source ISP and therefore emits
-    /// owner-replayed queue intents, `None` otherwise. Shards feeding the
-    /// same owner's replay (transitively, through any shared deferred
-    /// ISP) carry the same group id and must advance on a shared window;
-    /// shards in *different* groups feed disjoint owners and float
-    /// independently (see the per-group collapse in
-    /// `plsim_des::WindowPlan`).
-    #[must_use]
-    pub fn emitter_groups(&self) -> &[Option<usize>] {
-        &self.groups
-    }
-
-    /// The row-major entries in whole microseconds, floored, for feeding
-    /// a `plsim_des::WindowPlan`. Entries that floor to zero are reported
-    /// as `Some(0)` so the caller can reject sub-microsecond lookahead
-    /// (the same guard the scalar path applies).
-    #[must_use]
-    pub fn window_entries_micros(&self) -> Vec<Option<u64>> {
-        self.entries
-            .iter()
-            .map(|e| e.map(SimTime::as_micros))
-            .collect()
     }
 }
 
@@ -1348,73 +1188,6 @@ mod tests {
         // All hosts in one shard: no cross-shard pair, unbounded lookahead.
         let one = vec![0usize; u.topology().len()];
         assert_eq!(u.conservative_lookahead(&one, 1), None);
-        assert!(u.conservative_lookahead_matrix(&one, 1).is_none());
-    }
-
-    #[test]
-    fn lookahead_matrix_entries_lower_bound_the_global_scalar_on_every_pair() {
-        // A topology with a split Tele (deferred queues live), an intact
-        // Cnc, and a Foreign shard coupled only over transoceanic paths:
-        // the shape the asymmetric window protocol exploits.
-        let mut rng = SmallRng::seed_from_u64(33);
-        let mut b = TopologyBuilder::new();
-        let mut ids = Vec::new();
-        for isp in [
-            Isp::Tele,
-            Isp::Tele,
-            Isp::Tele,
-            Isp::Cnc,
-            Isp::Cnc,
-            Isp::Cer,
-            Isp::Foreign,
-            Isp::Foreign,
-        ] {
-            ids.push(b.add_host(isp, BandwidthClass::Adsl, &mut rng));
-        }
-        let u = Underlay::new(Arc::new(b.build()), LinkModel::default());
-        let shard_of = vec![0, 0, 1, 1, 1, 0, 2, 2];
-        let shards = 3;
-        let m = u.conservative_lookahead_matrix(&shard_of, shards).unwrap();
-        let scalar = u.conservative_lookahead(&shard_of, shards).unwrap();
-        let topo = u.topology();
-
-        // Brute-force reference per (s, t): the minimum base one-way delay
-        // over host pairs whose delivery shard t must barrier-order when
-        // shard s sends — cross-shard pairs, plus deferred-queue pairs in
-        // any shard combination.
-        let deferred = u.deferred_sources(&shard_of);
-        for s in 0..shards {
-            for t in 0..shards {
-                let brute = ids
-                    .iter()
-                    .flat_map(|&a| ids.iter().map(move |&b| (a, b)))
-                    .filter(|&(a, b)| shard_of[a.index()] == s && shard_of[b.index()] == t)
-                    .filter(|&(a, b)| {
-                        let (ia, ib) = (topo.host(a).isp, topo.host(b).isp);
-                        s != t
-                            || (deferred[Isp::ALL.iter().position(|&x| x == ia).unwrap()]
-                                && u.has_queue(ia, ib))
-                    })
-                    .map(|(a, b)| topo.base_one_way(a, b))
-                    .min();
-                assert_eq!(m.entry(s, t), brute, "entry ({s}, {t})");
-                if let Some(e) = m.entry(s, t) {
-                    assert!(e >= scalar, "entry ({s}, {t}) below the global scalar");
-                }
-            }
-        }
-        // The scalar is exactly the matrix minimum, and the Foreign shard's
-        // couplings are strictly looser — the asymmetry the window exploits.
-        assert_eq!(m.min(), Some(scalar));
-        assert!(m.max().unwrap() > scalar);
-        assert!(m.entry(2, 0).unwrap() > scalar);
-        assert!(m.entry(0, 2).unwrap() > scalar);
-        // Tele is split, so both Tele-hosting shards emit deferred intents
-        // and share one group; the Foreign-only shard does not and carries
-        // no diagonal bound.
-        assert_eq!(m.emitter_groups(), &[Some(0), Some(0), None]);
-        assert!(m.entry(2, 2).is_none());
-        assert!(m.entry(0, 0).is_some());
     }
 
     #[test]

@@ -124,9 +124,8 @@ pub struct WorldConfig {
     /// inbound traffic). Probes are never NATed, matching the study's
     /// directly-connected measurement hosts.
     pub nat_fraction: f64,
-    /// Which kernel event scheduler the run uses. Defaults to the
-    /// `PLSIM_SCHED` environment variable (i.e. the calendar queue unless
-    /// `PLSIM_SCHED=heap`); either choice produces bit-identical output.
+    /// Which kernel event scheduler the run uses. Defaults to the calendar
+    /// queue; either choice produces bit-identical output.
     pub scheduler: SchedulerKind,
     /// How many space-partition shards drive the run (see
     /// [`crate::shard`]). Defaults to `PLSIM_SHARDS` (or 1). Output is
@@ -162,7 +161,7 @@ impl WorldConfig {
             policy: PolicySpec::from_env(),
             faults: FaultPlan::new(),
             nat_fraction: 0.0,
-            scheduler: SchedulerKind::from_env(),
+            scheduler: SchedulerKind::default(),
             shards: shards_from_env(),
             shard_threads: shard_threads_from_env(),
             capture: CaptureConfig::from_env(),

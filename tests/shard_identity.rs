@@ -1,0 +1,74 @@
+//! Integration test: the sharded window loop, where Tier-1 runs.
+//!
+//! One `Scale::Tiny` unpopular session over a grid of shard and thread
+//! counts — past the five-ISP ceiling at 8, so the sub-ISP partition and
+//! owner replay run too — plus one faulted session at 8 shards. Every
+//! output must equal the `shards = 1` run at the same seed. The
+//! property-based version of this contract lives in
+//! `crates/node/tests/shard_equivalence.rs`; this file exists so that the
+//! root package's `cargo test` notices a broken window loop.
+
+use plsim_node::{run_world, WorldConfig, WorldOutput};
+use plsim_workload::ChannelClass;
+use pplive_locality::{combined_chaos, FaultPlan, Scale, Scenario};
+
+fn world(faults: FaultPlan, shards: usize, threads: usize) -> WorldConfig {
+    let mut cfg = Scenario::new(ChannelClass::Unpopular, Scale::Tiny, 42)
+        .with_faults(faults)
+        .world_config();
+    cfg.shards = shards;
+    cfg.shard_threads = threads;
+    cfg
+}
+
+fn assert_identical(sharded: &WorldOutput, reference: &WorldOutput, what: &str) {
+    assert_eq!(sharded.sim, reference.sim, "{what}: sim");
+    assert_eq!(sharded.metrics, reference.metrics, "{what}: metrics");
+    assert_eq!(sharded.records, reference.records, "{what}: records");
+    assert_eq!(
+        sharded.peer_stats, reference.peer_stats,
+        "{what}: peer_stats"
+    );
+    assert_eq!(
+        sharded.fault_marks, reference.fault_marks,
+        "{what}: fault_marks"
+    );
+}
+
+#[test]
+fn sharded_session_is_byte_equal_to_the_single_shard_run() {
+    let reference = run_world(&world(FaultPlan::new(), 1, 1));
+    assert!(reference.partition.is_none());
+    assert!(reference.sim.events_processed > 0);
+    for shards in [2, 5, 8] {
+        for threads in [1, 2] {
+            let cfg = world(FaultPlan::new(), shards, threads);
+            let sharded = run_world(&cfg);
+            let what = format!("{shards} shards / {threads} threads");
+            assert_identical(&sharded, &reference, &what);
+
+            let report = sharded.partition.as_ref().expect("sharded run reports");
+            assert_eq!(report.shards, shards, "{what}");
+            if shards == 8 {
+                assert!(report.split_isps > 0, "{what}: no ISP split");
+                assert!(report.deferred_queues > 0, "{what}: no deferred queue");
+                let rounds = 8 * cfg
+                    .duration
+                    .as_micros()
+                    .div_ceil(report.lookahead.as_micros());
+                assert_eq!(report.window_rounds, rounds, "{what}");
+                assert_eq!(report.window_rounds_global, rounds, "{what}");
+            }
+        }
+    }
+}
+
+#[test]
+fn faulted_sharded_session_is_byte_equal_to_the_single_shard_run() {
+    let faults = combined_chaos(Scale::Tiny);
+    let reference = run_world(&world(faults.clone(), 1, 1));
+    assert!(!reference.fault_marks.is_empty());
+    let sharded = run_world(&world(faults, 8, 2));
+    assert!(sharded.partition.is_some());
+    assert_identical(&sharded, &reference, "combined-chaos, 8 shards / 2 threads");
+}
