@@ -509,23 +509,6 @@ fn sharded_world(c: &mut Criterion) {
     g.finish();
 }
 
-fn parallel_engine(c: &mut Criterion) {
-    let mut g = c.benchmark_group("engine");
-    g.sample_size(10);
-    // The JobPool's dispatch machinery on micro jobs: with the work-size
-    // probe this should resolve inline, so the measurement is the probe
-    // cost, not thread spawns.
-    g.bench_function("job_pool_dispatch_64", |b| {
-        let pool = JobPool::from_env();
-        b.iter(|| {
-            black_box(pool.map((0u64..64).collect(), |x| {
-                (0..200u64).fold(x, |acc, i| acc.wrapping_mul(31).wrapping_add(i))
-            }))
-        })
-    });
-    g.finish();
-}
-
 /// Best-of-`n` deep-queue wall clock for one scheduler.
 fn best_deep_wall(kind: SchedulerKind, n: usize) -> (SimStats, f64) {
     let mut best = f64::INFINITY;
@@ -582,7 +565,7 @@ fn engine_report(test_mode: bool) {
     } else {
         (Scale::Reduced, "reduced")
     };
-    let pool = JobPool::from_env();
+    let pool = JobPool::default();
 
     let start = Instant::now();
     let seq = Suite::run_on(&JobPool::sequential(), scale, 42);
@@ -607,11 +590,9 @@ fn engine_report(test_mode: bool) {
     let threads = pool.effective_workers(2);
     let inline_fallback = dispatch_after.threaded_runs == dispatch_before.threaded_runs;
     let threads_warning = (pool.threads() == 1).then(|| {
-        format!(
-            "thread pool collapsed to 1 ({} unset or 1, single-core host): \
-             seq and par walls time identical inline runs, speedup is noise",
-            pplive_locality::THREADS_ENV
-        )
+        "thread pool collapsed to 1 (single-core host): seq and par walls \
+         time identical inline runs, speedup is noise"
+            .to_string()
     });
 
     let (row_bytes, columnar_bytes, row_analysis_s, columnar_analysis_s, rows_streamed) =
@@ -945,13 +926,7 @@ fn columnar_vs_row(suite: &Suite) -> (u64, u64, f64, f64, u64) {
     )
 }
 
-criterion_group!(
-    benches,
-    des_throughput,
-    node_layer,
-    sharded_world,
-    parallel_engine
-);
+criterion_group!(benches, des_throughput, node_layer, sharded_world);
 
 fn main() {
     let mut c = Criterion::from_args();

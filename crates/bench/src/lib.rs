@@ -48,19 +48,19 @@ pub struct EngineReport {
     /// the calendar width learned, before the end-of-run drain) — the hot
     /// loop's steady-state allocation count.
     pub steady_state_allocs: u64,
-    /// Pool size the parallel suite run was configured with
-    /// (`PLSIM_THREADS` or available parallelism).
+    /// Pool size the parallel suite run was configured with (the
+    /// machine's available parallelism).
     pub threads_configured: usize,
     /// Workers the parallel suite run could actually occupy:
     /// `min(threads_configured, jobs)`, 1 when the pool is sequential.
     pub threads: usize,
-    /// Set when the thread count collapsed to 1 (single-core host or
-    /// `PLSIM_THREADS=1`): the seq and par walls then time identical code
-    /// paths and `speedup` is pure noise, so gates must not compare it
-    /// against a multi-threaded baseline.
+    /// Set when the thread count collapsed to 1 (single-core host): the
+    /// seq and par walls then time identical code paths and `speedup` is
+    /// pure noise, so gates must not compare it against a multi-threaded
+    /// baseline.
     pub threads_warning: Option<String>,
-    /// Whether the parallel suite run dispatched inline (work-size-aware
-    /// fallback or a sequential pool) instead of fanning out.
+    /// Whether the parallel suite run dispatched inline (a sequential
+    /// pool) instead of fanning out.
     pub inline_fallback: bool,
     /// Scale label of the sequential-vs-parallel suite comparison.
     pub suite_scale: String,

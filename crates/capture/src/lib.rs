@@ -22,10 +22,10 @@
 //! [`ProbeTap::drain`] (which is `Send`), never through the tap itself.
 //!
 //! Capture is bounded-memory by configuration ([`CaptureConfig`]): a byte
-//! budget makes the store spill sealed pages to disk (usually via
-//! `PLSIM_CAPTURE_BUDGET`), and an aggregation window replaces row capture
-//! entirely with per-probe per-window counters and wire-byte sketches
-//! ([`CaptureAggregates`]) for runs where even a spilled trace is too much.
+//! budget makes the store spill sealed pages to disk, and an aggregation
+//! window replaces row capture entirely with per-probe per-window counters
+//! and wire-byte sketches ([`CaptureAggregates`]) for runs where even a
+//! spilled trace is too much.
 //!
 //! # Examples
 //!
@@ -197,16 +197,6 @@ pub struct CaptureConfig {
 }
 
 impl CaptureConfig {
-    /// Row capture with the byte budget from `PLSIM_CAPTURE_BUDGET`
-    /// (unbounded when unset or malformed).
-    #[must_use]
-    pub fn from_env() -> CaptureConfig {
-        CaptureConfig {
-            budget: plsim_telemetry::capture_budget_from_env(),
-            aggregate_window: None,
-        }
-    }
-
     /// The per-shard slice of this config when capture is split over
     /// `shards` stores: the byte budget divides evenly (floor, min 1 byte)
     /// so the shards together stay within the original budget.

@@ -14,10 +14,9 @@
 //! * analysis streams typed [`RecordRef`] cursors ([`TraceStore::rows`],
 //!   [`TraceStore::rows_for`]) instead of cloning row subsets.
 //!
-//! **Spill tier.** Under a byte budget ([`TraceStore::with_budget`],
-//! usually from `PLSIM_CAPTURE_BUDGET`), sealing a page checks the
-//! resident heap; while it exceeds the budget the oldest resident sealed
-//! page is serialized as one fixed-layout frame (eleven column blocks,
+//! **Spill tier.** Under a byte budget ([`TraceStore::with_budget`]),
+//! sealing a page checks the resident heap; while it exceeds the budget
+//! the oldest resident sealed page is serialized as one fixed-layout frame (eleven column blocks,
 //! 47 bytes/row) into a shared [`SpillFile`] and its heap is released.
 //! Spilled pages form a strict prefix — capture appends at the tail,
 //! analysis replays from the head, so oldest-first is both the cheapest

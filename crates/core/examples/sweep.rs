@@ -1,5 +1,5 @@
 //! Developer tool: seed sweep of locality per cell, fanned out through the
-//! parallel experiment engine (`PLSIM_THREADS` controls the pool size).
+//! parallel experiment engine on all available cores.
 use plsim_workload::ChannelClass;
 use pplive_locality::{JobPool, ProbeSite, Scale, Scenario};
 
@@ -13,7 +13,7 @@ fn main() {
         .nth(2)
         .map(|s| s.split(',').map(|x| x.parse().unwrap()).collect())
         .unwrap_or_else(|| vec![1, 2, 3, 4, 5]);
-    let pool = JobPool::from_env();
+    let pool = JobPool::default();
     for class in [ChannelClass::Popular, ChannelClass::Unpopular] {
         println!("== {:?} ==", class);
         let runs = pool.map(seeds.clone(), |seed| {

@@ -1,39 +1,53 @@
 //! `plsim` — command-line front end for the PPLive traffic-locality
-//! reproduction.
+//! reproduction; [`USAGE`] lists the commands and flags.
 //!
-//! ```text
-//! plsim run [popular|unpopular] [tiny|reduced|paper|paper10x] [seed] [--shards N] [--partition-json <path>]
-//! plsim figures [tiny|reduced|paper] [seed]
-//! plsim fig6 [days] [tiny|reduced|paper] [seed]
-//! plsim ablation [tiny|reduced|paper] [seed]
-//! plsim locality_frontier [--smoke] [--csv <path>] [--seeds N] [tiny|reduced|paper] [seed]
-//! plsim workload [n] [c] [a] [noise]
-//! plsim export <dir> [tiny|reduced|paper] [seed]
-//! ```
+//! This file is the only place user configuration enters the program:
+//! the library reads no environment variable, and every flag is parsed and
+//! validated once, into [`Options`], before any command runs.
 //!
-//! The global `--metrics-json <path>` flag additionally dumps the
-//! end-of-run metrics-registry snapshot (with invariant tallies) for the
-//! commands that simulate sessions (`run`, `figures`, `export`).
+//! `--threads N` sizes the job pool the multi-session commands fan out
+//! over and the shard-driver threads of `run`; output never depends on it.
+//! `--metrics-json <path>` dumps the end-of-run metrics-registry snapshot
+//! (with invariant tallies) for `run`, `figures` and `export`.
 //!
 //! `run --shards N` space-partitions the session across `N` shard
 //! schedulers (sub-ISP host groups once `N` exceeds the populated ISP
-//! count) and prints the partition-quality report — per-shard host/ISP
-//! counts, split-ISP and owner-replayed-queue counts, load imbalance,
-//! lookahead — in `DispatchStats`' honest-reporting style;
-//! `--partition-json <path>` archives the same report as JSON.
+//! count) and prints the partition-quality report in `DispatchStats`'
+//! honest-reporting style; `--partition-json <path>` archives it as JSON.
+//! `run --capture-budget N[K|M|G]` bounds the resident trace: sealed pages
+//! past the budget spill to a per-run temporary file.
 
-use plsim_workload::ChannelClass;
+use plsim_telemetry::parse_byte_budget;
+use plsim_workload::{ChannelClass, SeWorkloadSpec};
 use pplive_locality::{
-    ablation, export_suite, fig_6, figs_11_to_14, figs_15_to_18, figs_2_to_5, frontier_bands,
-    frontier_bands_csv, frontier_csv, locality_frontier, locality_frontier_seeds, pct,
+    ablation_on, export_suite, fig_6_on, figs_11_to_14, figs_15_to_18, figs_2_to_5, frontier_bands,
+    frontier_bands_csv, frontier_csv, locality_frontier_on, locality_frontier_seeds, pct,
     render_ablation, render_fig11_14, render_fig15_18, render_fig7_10, render_frontier,
     render_frontier_bands, render_table1, render_underlay_ablation, response_times,
-    suite_metrics_json, underlay_ablation, workload_round_trip, ProbeSite, Scale, Scenario, Suite,
+    suite_metrics_json, underlay_ablation_on, workload_round_trip, JobPool, ProbeSite, Scale,
+    Scenario, Suite,
 };
 
-// The positional parsers default only an *absent* token; a token that is
-// present but unrecognised is an error, never a silent fallback (which
-// would print a table for a different run than the one asked for).
+const USAGE: &str = "\
+usage: plsim [--threads N] [--metrics-json <path>] <command>
+commands:
+  run [popular|unpopular] [tiny|reduced|paper|paper10x] [seed]   one session, probe summaries
+      [--shards N] [--partition-json <path>]            space-partitioned run + quality report
+      [--capture-budget N[K|M|G]]                       resident trace bytes before spilling to disk
+  figures [scale] [seed]                                Figures 2-5, 7-18 and Table 1
+  fig6 [days] [scale] [seed]                            the locality-over-days series
+  ablation [scale] [seed]                               protocol-variant comparison
+  locality_frontier [--smoke] [--csv <path>] [--seeds N] [scale] [seed]  policy transit-savings frontier
+                    (--seeds N > 1 reports cross-seed mean and min/max bands)
+  workload [n] [c] [a] [noise]                          SE workload generator round trip
+  export <dir> [scale] [seed]                           dump figure data as CSV
+flags:
+  --threads N             worker threads (job pool; shard drivers of run); default: all cores
+  --metrics-json <path>   dump the end-of-run metrics snapshot (run/figures/export)";
+
+// The parsers default only an *absent* token; a token that is present but
+// unrecognised is an error, never a silent fallback (which would print a
+// table for a different run than the one asked for).
 
 fn parse_class(s: Option<&str>) -> Result<ChannelClass, String> {
     match s {
@@ -57,14 +71,60 @@ fn parse_scale(s: Option<&str>) -> Result<Scale, String> {
     }
 }
 
-fn parse_seed(s: Option<&str>) -> Result<u64, String> {
-    s.map_or(Ok(42), |x| {
-        x.parse()
-            .map_err(|_| format!("unrecognised seed {x:?} (expected a non-negative integer)"))
+/// A numeric token: `default` when absent, an error naming the token when
+/// it does not parse or fails `in_range`.
+fn parse_num<T: std::str::FromStr>(
+    s: Option<&str>,
+    default: T,
+    what: &str,
+    in_range: impl Fn(&T) -> bool,
+) -> Result<T, String> {
+    s.map_or(Ok(default), |x| {
+        (x.parse().ok().filter(in_range)).ok_or_else(|| format!("unrecognised {what}, got {x:?}"))
     })
 }
 
-/// Unwraps a positional-argument parse, or exits 2 naming the bad token.
+fn parse_seed(s: Option<&str>) -> Result<u64, String> {
+    parse_num(s, 42, "seed (a non-negative integer)", |_| true)
+}
+
+fn parse_days(s: Option<&str>) -> Result<u32, String> {
+    parse_num(s, 7, "day count (a non-negative integer)", |_| true)
+}
+
+/// The value of `--threads`, `--shards` or `--seeds`.
+fn parse_count(flag: &str, v: &str) -> Result<usize, String> {
+    v.parse()
+        .ok()
+        .filter(|&n| n >= 1)
+        .ok_or_else(|| format!("{flag} requires a positive integer, got {v:?}"))
+}
+
+fn parse_budget(v: &str) -> Result<u64, String> {
+    parse_byte_budget(v)
+        .ok_or_else(|| format!("--capture-budget requires N[K|M|G] bytes, got {v:?}"))
+}
+
+/// `workload [n] [c] [a] [noise]`: absent tokens keep the Figure 11(b)
+/// fit and 0.25 noise. The bounds keep every generated value finite and
+/// positive (the largest is (1 + a·log10 n)^(1/c) · e^(8.6·noise)) over at
+/// least the three ranks a refit needs, so no user input fails the fits.
+fn parse_workload(args: &[String]) -> Result<SeWorkloadSpec, String> {
+    let token = |i: usize| args.get(i).map(String::as_str);
+    let fig11 = SeWorkloadSpec::fig11();
+    let ranks = |n: &usize| (3..=1_000_000).contains(n);
+    let stretch = |c: &f64| (0.05..=10.0).contains(c);
+    let slope = |a: &f64| *a > 0.0 && *a <= 1e6;
+    let sigma = |x: &f64| (0.0..=10.0).contains(x);
+    Ok(SeWorkloadSpec {
+        n: parse_num(token(0), fig11.n, "workload n (3..=1000000)", ranks)?,
+        c: parse_num(token(1), fig11.c, "workload c (0.05..=10)", stretch)?,
+        a: parse_num(token(2), fig11.a, "workload a (> 0, <= 1e6)", slope)?,
+        noise_sigma: parse_num(token(3), 0.25, "workload noise (0..=10)", sigma)?,
+    })
+}
+
+/// Unwraps a command-line parse, or exits 2 naming the bad token.
 fn or_usage<T>(parsed: Result<T, String>) -> T {
     parsed.unwrap_or_else(|e| {
         eprintln!("plsim: {e}");
@@ -81,69 +141,77 @@ fn scale_and_seed(args: &[String], at: usize) -> (Scale, u64) {
     )
 }
 
-/// Removes `--metrics-json <path>` from `args`, returning the path.
-/// Exits with usage when the flag is present but the path is missing.
-fn take_metrics_json(args: &mut Vec<String>) -> Option<String> {
-    let i = args.iter().position(|a| a == "--metrics-json")?;
+/// Removes `flag <value>` from `args`, returning the value. Exits 2 when
+/// the flag is present but its value is missing.
+fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
+    let i = args.iter().position(|a| a == flag)?;
     if i + 1 >= args.len() {
-        eprintln!("--metrics-json requires a path argument");
-        std::process::exit(2);
+        or_usage::<()>(Err(format!("{flag} requires a value")));
     }
-    let path = args.remove(i + 1);
     args.remove(i);
-    Some(path)
+    Some(args.remove(i))
 }
 
-fn write_metrics(path: &str, json: &str) {
-    match std::fs::write(path, json) {
-        Ok(()) => println!("metrics snapshot written to {path}"),
+/// Every value the user can set, parsed and validated once in `main`.
+struct Options {
+    threads: Option<usize>, // --threads (global): pool size, shard-driver threads
+    metrics_json: Option<String>, // --metrics-json (global)
+    shards: Option<usize>,  // run --shards
+    capture_budget: Option<u64>, // run --capture-budget, in bytes
+    partition_json: Option<String>, // run --partition-json
+    smoke: bool,            // locality_frontier --smoke
+    csv: Option<String>,    // locality_frontier --csv
+    seeds: u64,             // locality_frontier --seeds
+}
+
+impl Options {
+    /// Removes every flag from `args`, leaving the command and its
+    /// positional tokens. A command's flags are taken only for that
+    /// command; anywhere else they stay behind and fail the strict
+    /// positional parsers instead of being silently ignored.
+    fn take(args: &mut Vec<String>) -> Options {
+        let count = |flag: &str, v: String| or_usage(parse_count(flag, &v));
+        let threads = take_value(args, "--threads").map(|v| count("--threads", v));
+        let metrics_json = take_value(args, "--metrics-json");
+        let run = args.first().is_some_and(|c| c == "run");
+        let frontier = args.first().is_some_and(|c| c == "locality_frontier");
+        let smoke_at = args.iter().position(|a| frontier && a == "--smoke");
+        let smoke = smoke_at.map(|i| args.remove(i)).is_some();
+        let mut take_for = |on: bool, flag: &str| on.then(|| take_value(args, flag)).flatten();
+        Options {
+            threads,
+            metrics_json,
+            shards: take_for(run, "--shards").map(|v| count("--shards", v)),
+            capture_budget: take_for(run, "--capture-budget").map(|v| or_usage(parse_budget(&v))),
+            partition_json: take_for(run, "--partition-json"),
+            smoke,
+            csv: take_for(frontier, "--csv"),
+            seeds: take_for(frontier, "--seeds").map_or(1, |v| count("--seeds", v) as u64),
+        }
+    }
+}
+
+fn write_file(what: &str, path: &str, contents: &str) {
+    match std::fs::write(path, contents) {
+        Ok(()) => println!("{what} written to {path}"),
         Err(e) => {
-            eprintln!("writing metrics snapshot to {path} failed: {e}");
+            eprintln!("writing {what} to {path} failed: {e}");
             std::process::exit(1);
         }
     }
 }
 
-fn cmd_run(args: &[String], metrics_json: Option<&str>) {
-    let mut args: Vec<String> = args.to_vec();
-    let shards = {
-        let i = args.iter().position(|a| a == "--shards");
-        i.map(|i| {
-            if i + 1 >= args.len() {
-                eprintln!("--shards requires a count argument");
-                std::process::exit(2);
-            }
-            let n = args.remove(i + 1);
-            args.remove(i);
-            n.parse::<usize>()
-                .ok()
-                .filter(|&n| n >= 1)
-                .unwrap_or_else(|| {
-                    eprintln!("--shards requires a positive integer, got {n:?}");
-                    std::process::exit(2);
-                })
-        })
-    };
-    let partition_json = {
-        let i = args.iter().position(|a| a == "--partition-json");
-        i.map(|i| {
-            if i + 1 >= args.len() {
-                eprintln!("--partition-json requires a path argument");
-                std::process::exit(2);
-            }
-            let path = args.remove(i + 1);
-            args.remove(i);
-            path
-        })
-    };
+fn cmd_run(args: &[String], opts: &Options) {
     let class = or_usage(parse_class(args.first().map(String::as_str)));
-    let (scale, seed) = scale_and_seed(&args, 1);
+    let (scale, seed) = scale_and_seed(args, 1);
     println!(
         "simulating {} channel at {scale:?} scale, seed {seed}...",
         class.label()
     );
     let mut scenario = Scenario::new(class, scale, seed);
-    scenario.shards = shards;
+    scenario.shards = opts.shards;
+    scenario.shard_threads = opts.threads;
+    scenario.capture.budget = opts.capture_budget;
     let run = scenario.run();
     // Honest partition reporting, mirroring DispatchStats: print what the
     // partitioner actually did (clamping, splits, imbalance), not what was
@@ -161,18 +229,12 @@ fn cmd_run(args: &[String], metrics_json: Option<&str>) {
                 report.shards
             );
         }
-    } else if shards.is_some_and(|n| n > 1) {
+    } else if opts.shards.is_some_and(|n| n > 1) {
         println!("partition: degenerated to the single-shard path (tiny world or zero lookahead)");
     }
-    if let Some(path) = &partition_json {
+    if let Some(path) = &opts.partition_json {
         match &run.output.partition {
-            Some(report) => match std::fs::write(path, report.to_json()) {
-                Ok(()) => println!("partition report written to {path}"),
-                Err(e) => {
-                    eprintln!("writing partition report to {path} failed: {e}");
-                    std::process::exit(1);
-                }
-            },
+            Some(report) => write_file("partition report", path, &report.to_json()),
             None => eprintln!("--partition-json: run was not sharded, no report written"),
         }
     }
@@ -203,17 +265,27 @@ fn cmd_run(args: &[String], metrics_json: Option<&str>) {
             r.overlay.isp_assortativity,
         );
     }
-    if let Some(path) = metrics_json {
-        write_metrics(path, &run.metrics_with_invariants().to_json());
+    if let Some(path) = &opts.metrics_json {
+        write_file(
+            "metrics snapshot",
+            path,
+            &run.metrics_with_invariants().to_json(),
+        );
     }
 }
 
-fn cmd_figures(args: &[String], metrics_json: Option<&str>) {
-    let (scale, seed) = scale_and_seed(args, 0);
-    let suite = Suite::run(scale, seed);
-    if let Some(path) = metrics_json {
-        write_metrics(path, &suite_metrics_json(&suite));
+/// Simulates the figure suite, dumping its metrics snapshot when asked.
+fn run_suite(pool: &JobPool, scale: Scale, seed: u64, opts: &Options) -> Suite {
+    let suite = Suite::run_on(pool, scale, seed);
+    if let Some(path) = &opts.metrics_json {
+        write_file("metrics snapshot", path, &suite_metrics_json(&suite));
     }
+    suite
+}
+
+fn cmd_figures(args: &[String], pool: &JobPool, opts: &Options) {
+    let (scale, seed) = scale_and_seed(args, 0);
+    let suite = run_suite(pool, scale, seed, opts);
     for fig in figs_2_to_5(&suite) {
         println!("{}", fig.render());
     }
@@ -224,28 +296,24 @@ fn cmd_figures(args: &[String], metrics_json: Option<&str>) {
     println!("{}", render_fig15_18(&figs_15_to_18(&suite)));
 }
 
-fn cmd_fig6(args: &[String]) {
-    let days: u32 = args.first().and_then(|s| s.parse().ok()).unwrap_or(7);
+fn cmd_fig6(args: &[String], pool: &JobPool) {
+    let days = or_usage(parse_days(args.first().map(String::as_str)));
     let (scale, seed) = scale_and_seed(args, 1);
-    println!("{}", fig_6(days, scale, seed).render());
+    println!("{}", fig_6_on(pool, days, scale, seed).render());
 }
 
-fn cmd_ablation(args: &[String]) {
+fn cmd_ablation(args: &[String], pool: &JobPool) {
     let (scale, seed) = scale_and_seed(args, 0);
-    println!("{}", render_ablation(&ablation(scale, seed)));
-    println!(
-        "{}",
-        render_underlay_ablation(&underlay_ablation(scale, seed))
-    );
+    println!("{}", render_ablation(&ablation_on(pool, scale, seed)));
+    let underlay = underlay_ablation_on(pool, scale, seed);
+    println!("{}", render_underlay_ablation(&underlay));
 }
 
 fn cmd_workload(args: &[String]) {
-    let noise: f64 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(0.25);
-    let seed = 2008;
-    let rt = workload_round_trip(noise, seed);
+    let rt = workload_round_trip(or_usage(parse_workload(args)), 2008);
     println!(
-        "generated SE workload (c={:.2}, a={:.2}, n={}, noise={noise})",
-        rt.spec.c, rt.spec.a, rt.spec.n
+        "generated SE workload (c={:.2}, a={:.2}, n={}, noise={})",
+        rt.spec.c, rt.spec.a, rt.spec.n, rt.spec.noise_sigma
     );
     println!(
         "refit: c={:.2}, a={:.2}, R²={:.4}; zipf R²={:.4}; top-10% share {:.1}%",
@@ -257,16 +325,10 @@ fn cmd_workload(args: &[String]) {
     );
 }
 
-fn cmd_export(args: &[String], metrics_json: Option<&str>) {
-    let Some(dir) = args.first() else {
-        eprintln!("usage: plsim export <dir> [scale] [seed]");
-        std::process::exit(2);
-    };
+fn cmd_export(args: &[String], pool: &JobPool, opts: &Options) {
+    let dir = or_usage(args.first().ok_or("export requires a <dir>".to_string()));
     let (scale, seed) = scale_and_seed(args, 1);
-    let suite = Suite::run(scale, seed);
-    if let Some(path) = metrics_json {
-        write_metrics(path, &suite_metrics_json(&suite));
-    }
+    let suite = run_suite(pool, scale, seed, opts);
     match export_suite(&suite, std::path::Path::new(dir)) {
         Ok(()) => println!("figure data written to {dir}/"),
         Err(e) => {
@@ -276,104 +338,42 @@ fn cmd_export(args: &[String], metrics_json: Option<&str>) {
     }
 }
 
-fn cmd_frontier(args: &[String]) {
-    let mut args: Vec<String> = args.to_vec();
-    let smoke = if let Some(i) = args.iter().position(|a| a == "--smoke") {
-        args.remove(i);
-        true
-    } else {
-        false
-    };
-    let csv_path = {
-        let i = args.iter().position(|a| a == "--csv");
-        i.map(|i| {
-            if i + 1 >= args.len() {
-                eprintln!("--csv requires a path argument");
-                std::process::exit(2);
-            }
-            let path = args.remove(i + 1);
-            args.remove(i);
-            path
-        })
-    };
-    let seeds = {
-        let i = args.iter().position(|a| a == "--seeds");
-        i.map_or(1u64, |i| {
-            if i + 1 >= args.len() {
-                eprintln!("--seeds requires a count argument");
-                std::process::exit(2);
-            }
-            let n = args.remove(i + 1);
-            args.remove(i);
-            n.parse::<u64>()
-                .ok()
-                .filter(|&n| n >= 1)
-                .unwrap_or_else(|| {
-                    eprintln!("--seeds requires a positive integer, got {n:?}");
-                    std::process::exit(2);
-                })
-        })
-    };
-    let (scale, seed) = scale_and_seed(&args, 0);
-    let write_csv = |path: &str, csv: String| match std::fs::write(path, csv) {
-        Ok(()) => println!("frontier CSV written to {path}"),
-        Err(e) => {
-            eprintln!("writing frontier CSV to {path} failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    if seeds == 1 {
-        println!(
-            "sweeping {} selection policies at {scale:?} scale, seed {seed}...",
-            if smoke { "smoke" } else { "full" }
-        );
-        let points = locality_frontier(scale, seed, smoke);
-        println!("{}", render_frontier(&points));
-        if let Some(path) = csv_path {
-            write_csv(&path, frontier_csv(&points));
-        }
+fn cmd_frontier(args: &[String], pool: &JobPool, opts: &Options) {
+    let (scale, seed) = scale_and_seed(args, 0);
+    let &Options { smoke, seeds, .. } = opts;
+    let sweep = if smoke { "smoke" } else { "full" };
+    let (table, csv) = if seeds == 1 {
+        println!("sweeping {sweep} selection policies at {scale:?} scale, seed {seed}...");
+        let points = locality_frontier_on(pool, scale, seed, smoke);
+        (render_frontier(&points), frontier_csv(&points))
     } else {
         println!(
-            "sweeping {} selection policies at {scale:?} scale, seeds {seed}..{}...",
-            if smoke { "smoke" } else { "full" },
+            "sweeping {sweep} selection policies at {scale:?} scale, seeds {seed}..{}...",
             seed + seeds - 1
         );
-        let bands = frontier_bands(&locality_frontier_seeds(scale, seed, smoke, seeds));
-        println!("{}", render_frontier_bands(&bands));
-        if let Some(path) = csv_path {
-            write_csv(&path, frontier_bands_csv(&bands));
-        }
+        let bands = frontier_bands(&locality_frontier_seeds(pool, scale, seed, smoke, seeds));
+        (render_frontier_bands(&bands), frontier_bands_csv(&bands))
+    };
+    println!("{table}");
+    if let Some(path) = &opts.csv {
+        write_file("frontier CSV", path, &csv);
     }
 }
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let metrics_json = take_metrics_json(&mut args);
-    let metrics_json = metrics_json.as_deref();
+    let opts = Options::take(&mut args);
+    let pool = opts.threads.map_or_else(JobPool::default, JobPool::new);
     match args.first().map(String::as_str) {
-        Some("run") => cmd_run(&args[1..], metrics_json),
-        Some("figures") => cmd_figures(&args[1..], metrics_json),
-        Some("fig6") => cmd_fig6(&args[1..]),
-        Some("ablation") => cmd_ablation(&args[1..]),
-        Some("locality_frontier") => cmd_frontier(&args[1..]),
+        Some("run") => cmd_run(&args[1..], &opts),
+        Some("figures") => cmd_figures(&args[1..], &pool, &opts),
+        Some("fig6") => cmd_fig6(&args[1..], &pool),
+        Some("ablation") => cmd_ablation(&args[1..], &pool),
+        Some("locality_frontier") => cmd_frontier(&args[1..], &pool, &opts),
         Some("workload") => cmd_workload(&args[1..]),
-        Some("export") => cmd_export(&args[1..], metrics_json),
+        Some("export") => cmd_export(&args[1..], &pool, &opts),
         _ => {
-            eprintln!(
-                "usage: plsim [--metrics-json <path>] <command>\n\
-                 commands:\n\
-                 \x20 run [popular|unpopular] [tiny|reduced|paper|paper10x] [seed]   one session, probe summaries\n\
-                 \x20     [--shards N] [--partition-json <path>]            space-partitioned run + quality report\n\
-                 \x20 figures [scale] [seed]                                Figures 2-5, 7-18 and Table 1\n\
-                 \x20 fig6 [days] [scale] [seed]                            the locality-over-days series\n\
-                 \x20 ablation [scale] [seed]                               protocol-variant comparison\n\
-                 \x20 locality_frontier [--smoke] [--csv <path>] [--seeds N] [scale] [seed]  policy transit-savings frontier\n\
-                 \x20                   (--seeds N > 1 reports cross-seed mean and min/max bands)\n\
-                 \x20 workload [n] [c] [a] [noise]                          SE workload generator round trip\n\
-                 \x20 export <dir> [scale] [seed]                           dump figure data as CSV\n\
-                 flags:\n\
-                 \x20 --metrics-json <path>   dump the end-of-run metrics snapshot (run/figures/export)"
-            );
+            eprintln!("{USAGE}");
             std::process::exit(2);
         }
     }
@@ -410,5 +410,100 @@ mod tests {
         let err = parse_seed(Some("4x2")).unwrap_err();
         assert!(err.contains("\"4x2\""), "{err}");
         assert!(parse_seed(Some("-1")).is_err());
+    }
+
+    #[test]
+    fn days_default_when_absent_and_reject_unknown_tokens() {
+        assert_eq!(parse_days(None), Ok(7));
+        assert_eq!(parse_days(Some("28")), Ok(28));
+        let err = parse_days(Some("abc")).unwrap_err();
+        assert!(err.contains("\"abc\""), "{err}");
+        assert!(parse_days(Some("-1")).is_err());
+    }
+
+    #[test]
+    fn workload_reads_all_four_tokens_and_rejects_bad_ones() {
+        let strings = |v: &[&str]| v.iter().map(ToString::to_string).collect::<Vec<_>>();
+        let fig11 = SeWorkloadSpec {
+            noise_sigma: 0.25,
+            ..SeWorkloadSpec::fig11()
+        };
+        assert_eq!(parse_workload(&[]), Ok(fig11));
+        assert_eq!(
+            parse_workload(&strings(&["5000"])),
+            Ok(SeWorkloadSpec { n: 5000, ..fig11 })
+        );
+        assert_eq!(
+            parse_workload(&strings(&["5000", "0.3", "0.5", "0.1"])),
+            Ok(SeWorkloadSpec {
+                n: 5000,
+                c: 0.3,
+                a: 0.5,
+                noise_sigma: 0.1
+            })
+        );
+        for (args, bad) in [
+            (&["2"][..], "2"),
+            (&["50x"], "50x"),
+            (&["500", "0.001"], "0.001"),
+            (&["500", "0.3", "inf"], "inf"),
+            (&["500", "0.3", "0"], "0"),
+            (&["500", "0.3", "0.5", "-0.1"], "-0.1"),
+            (&["500", "0.3", "0.5", "NaN"], "NaN"),
+            (&["500", "0.3", "0.5", "loud"], "loud"),
+        ] {
+            let err = parse_workload(&strings(args)).unwrap_err();
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+        }
+    }
+
+    #[test]
+    fn flag_values_are_validated() {
+        assert_eq!(parse_count("--threads", "3"), Ok(3));
+        for bad in ["0", "-2", "two", ""] {
+            let err = parse_count("--threads", bad).unwrap_err();
+            assert!(
+                err.contains("--threads") && err.contains(&format!("{bad:?}")),
+                "{err}"
+            );
+        }
+        assert_eq!(parse_budget("256k"), Ok(262_144));
+        let err = parse_budget("12q").unwrap_err();
+        assert!(err.contains("\"12q\""), "{err}");
+        assert!(parse_budget("0").is_err());
+    }
+
+    #[test]
+    fn flags_are_taken_only_for_their_command() {
+        let strings = |v: &[&str]| v.iter().map(ToString::to_string).collect::<Vec<_>>();
+        let mut args = strings(&[
+            "--threads",
+            "2",
+            "run",
+            "unpopular",
+            "--shards",
+            "8",
+            "tiny",
+            "--capture-budget",
+            "1m",
+            "42",
+        ]);
+        let opts = Options::take(&mut args);
+        assert_eq!(args, strings(&["run", "unpopular", "tiny", "42"]));
+        assert_eq!((opts.threads, opts.shards), (Some(2), Some(8)));
+        assert_eq!(opts.capture_budget, Some(1 << 20));
+        assert_eq!((opts.smoke, opts.seeds), (false, 1));
+
+        // `--shards` means nothing to `figures`: it stays in the
+        // positionals, where the scale parser rejects it.
+        let mut args = strings(&["figures", "--shards", "8"]);
+        let opts = Options::take(&mut args);
+        assert_eq!(opts.shards, None);
+        assert_eq!(args, strings(&["figures", "--shards", "8"]));
+
+        let mut args = strings(&["locality_frontier", "--smoke", "--seeds", "3", "reduced"]);
+        let opts = Options::take(&mut args);
+        assert_eq!(args, strings(&["locality_frontier", "reduced"]));
+        assert_eq!((opts.smoke, opts.seeds), (true, 3));
     }
 }

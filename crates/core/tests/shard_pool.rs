@@ -43,7 +43,7 @@ fn run_batch(pool: &JobPool, seeds: &[u64], shards: usize) -> Vec<WorldOutput> {
     pool.map(cfgs, |cfg| run_world(&cfg))
 }
 
-/// PLSIM_THREADS < PLSIM_SHARDS, expressed directly: a sequential pool
+/// Fewer threads than shards, expressed directly: a sequential pool
 /// (one thread) driving four-shard worlds. Nothing blocks — the shard
 /// barrier is between scoped threads the job owns, not pool workers —
 /// and the dispatch ledger records the batch as inline.

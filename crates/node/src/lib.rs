@@ -66,8 +66,8 @@ pub use invariants::{check_world, InvariantReport, InvariantViolation};
 pub use outbox::ShardExchange;
 pub use peer::{PeerNode, Role};
 pub use plsim_capture::{CaptureAggregates, CaptureConfig};
-pub use policy::{CandidateLink, PolicySpec, SelectionPolicy, POLICY_ENV};
+pub use policy::{CandidateLink, PolicySpec, SelectionPolicy};
 pub use shard::{partition_preview, PartitionReport};
 pub use stats::{PeerStats, PlaybackSummary, StatsSink};
 pub use tracker::TrackerServer;
-pub use world::{run_world, ProbeSpec, World, WorldConfig, WorldOutput, SHARDS_ENV};
+pub use world::{run_world, ProbeSpec, World, WorldConfig, WorldOutput};

@@ -11,7 +11,7 @@
 //! Determinism contract: every hook is a **pure function** of its inputs —
 //! no RNG, no interior state, no clocks. Policies therefore never perturb
 //! the per-actor random streams, which keeps every policy bit-identical
-//! across sequential, `JobPool` and `PLSIM_SHARDS` execution, and keeps the
+//! across sequential, `JobPool` and sharded execution, and keeps the
 //! default [`GossipRace`] policy bit-identical to the pre-policy code path
 //! (its hooks are the trait's admit-everything defaults).
 
@@ -20,22 +20,6 @@ use plsim_des::SimTime;
 use serde::{Deserialize, Serialize};
 use std::fmt::Debug;
 use std::sync::Arc;
-
-/// Environment variable selecting the neighbor-selection policy for runs
-/// that don't set one programmatically. Accepted values: `gossip_race`,
-/// `tracker_only`, `biased_locality[:QUOTA]`, `rtt_threshold[:MILLIS]`,
-/// `deep_diving`. Unset or unrecognized values fall back to `gossip_race`,
-/// the paper's emergent-locality behaviour.
-pub const POLICY_ENV: &str = "PLSIM_POLICY";
-
-/// Default cross-ISP neighbor quota for `biased_locality` when the env
-/// value carries no `:QUOTA` suffix.
-const DEFAULT_CROSS_ISP_QUOTA: usize = 2;
-
-/// Default RTT cutoff for `rtt_threshold` when the env value carries no
-/// `:MILLIS` suffix. 100 ms sits between the intra-China RTT band
-/// (~16–120 ms) and transcontinental paths (≥230 ms).
-const DEFAULT_RTT_CUTOFF: SimTime = SimTime::from_millis(100);
 
 /// Below this many connected neighbors an admission-gating policy accepts
 /// anyone: a starving peer must not refuse the only partners it can find.
@@ -76,49 +60,6 @@ pub enum PolicySpec {
 }
 
 impl PolicySpec {
-    /// Reads the policy from [`POLICY_ENV`], falling back to
-    /// [`PolicySpec::GossipRace`] when unset or unrecognized.
-    #[must_use]
-    pub fn from_env() -> Self {
-        std::env::var(POLICY_ENV)
-            .ok()
-            .and_then(|v| Self::parse(&v))
-            .unwrap_or_default()
-    }
-
-    /// Parses the `PLSIM_POLICY` syntax; `None` on unrecognized input.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        let s = s.trim();
-        let (name, arg) = match s.split_once(':') {
-            Some((n, a)) => (n, Some(a)),
-            None => (s, None),
-        };
-        match name {
-            "gossip_race" => Some(PolicySpec::GossipRace),
-            "tracker_only" => Some(PolicySpec::TrackerOnly),
-            "biased_locality" => {
-                let quota = match arg {
-                    None => DEFAULT_CROSS_ISP_QUOTA,
-                    Some("max") => usize::MAX,
-                    Some(a) => a.parse().ok()?,
-                };
-                Some(PolicySpec::BiasedLocality {
-                    cross_isp_quota: quota,
-                })
-            }
-            "rtt_threshold" => {
-                let cutoff = match arg {
-                    None => DEFAULT_RTT_CUTOFF,
-                    Some(a) => SimTime::from_millis(a.parse().ok()?),
-                };
-                Some(PolicySpec::RttThreshold { cutoff })
-            }
-            "deep_diving" => Some(PolicySpec::DeepDivingOracle),
-            _ => None,
-        }
-    }
-
     /// A short human-readable label for tables and CSV output.
     #[must_use]
     pub fn label(&self) -> String {
@@ -298,43 +239,6 @@ mod tests {
             cross_isp_neighbors: cross,
             neighbors: total,
         }
-    }
-
-    #[test]
-    fn parse_round_trips_every_label() {
-        let specs = [
-            PolicySpec::GossipRace,
-            PolicySpec::TrackerOnly,
-            PolicySpec::BiasedLocality { cross_isp_quota: 3 },
-            PolicySpec::BiasedLocality {
-                cross_isp_quota: usize::MAX,
-            },
-            PolicySpec::RttThreshold {
-                cutoff: SimTime::from_millis(80),
-            },
-            PolicySpec::DeepDivingOracle,
-        ];
-        for spec in specs {
-            assert_eq!(PolicySpec::parse(&spec.label()), Some(spec));
-        }
-    }
-
-    #[test]
-    fn parse_defaults_and_rejects() {
-        assert_eq!(
-            PolicySpec::parse("biased_locality"),
-            Some(PolicySpec::BiasedLocality {
-                cross_isp_quota: DEFAULT_CROSS_ISP_QUOTA
-            })
-        );
-        assert_eq!(
-            PolicySpec::parse("rtt_threshold"),
-            Some(PolicySpec::RttThreshold {
-                cutoff: DEFAULT_RTT_CUTOFF
-            })
-        );
-        assert_eq!(PolicySpec::parse("nonsense"), None);
-        assert_eq!(PolicySpec::parse("biased_locality:many"), None);
     }
 
     #[test]

@@ -30,36 +30,6 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// Environment variable selecting how many space-partition shards a world
-/// runs on (default `1` — the classic single-threaded path). Any value,
-/// including `1`, produces bit-identical output; shards only change how
-/// many cores participate.
-pub const SHARDS_ENV: &str = "PLSIM_SHARDS";
-
-/// The engine's thread-count variable (mirrored here so shard driving and
-/// experiment fan-out share one knob without a crate dependency).
-const THREADS_ENV: &str = "PLSIM_THREADS";
-
-fn shards_from_env() -> usize {
-    std::env::var(SHARDS_ENV)
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-}
-
-fn shard_threads_from_env() -> usize {
-    std::env::var(THREADS_ENV)
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        })
-}
-
 /// A measurement host: an ordinary client whose traffic is captured.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ProbeSpec {
@@ -114,8 +84,8 @@ pub struct WorldConfig {
     /// clients).
     pub peer_config: PeerConfig,
     /// Neighbor-selection policy for every peer (see [`crate::policy`]).
-    /// Defaults to `PLSIM_POLICY` (or [`PolicySpec::GossipRace`], the
-    /// paper's emergent-locality behaviour). Every policy is deterministic
+    /// Defaults to [`PolicySpec::GossipRace`], the paper's
+    /// emergent-locality behaviour. Every policy is deterministic
     /// and bit-identical across shard counts and thread pools.
     pub policy: PolicySpec,
     /// The deterministic fault schedule (empty = fault-free baseline).
@@ -128,19 +98,19 @@ pub struct WorldConfig {
     /// queue; either choice produces bit-identical output.
     pub scheduler: SchedulerKind,
     /// How many space-partition shards drive the run (see
-    /// [`crate::shard`]). Defaults to `PLSIM_SHARDS` (or 1). Output is
-    /// bit-identical for every value; > 1 runs the world on multiple cores
-    /// under conservative lookahead.
+    /// [`crate::shard`]). Defaults to 1, the classic single-threaded
+    /// path. Output is bit-identical for every value; > 1 runs the world
+    /// on multiple cores under conservative lookahead.
     pub shards: usize,
-    /// Worker threads available for shard driving. Defaults to
-    /// `PLSIM_THREADS` (or the machine's parallelism); the driver never
-    /// uses more threads than shards, and fewer threads than shards simply
-    /// round-robins shards over them.
+    /// Worker threads available for shard driving. Defaults to the
+    /// machine's parallelism; the driver never uses more threads than
+    /// shards, and fewer threads than shards simply round-robins shards
+    /// over them.
     pub shard_threads: usize,
     /// How capture bounds its memory: an optional resident-byte budget
     /// (sealed trace pages spill to disk past it) and an optional
-    /// capture-time aggregation window. Defaults to `PLSIM_CAPTURE_BUDGET`
-    /// for the budget and no aggregation. Sharded runs split the budget
+    /// capture-time aggregation window. Defaults to no budget and no
+    /// aggregation. Sharded runs split the budget
     /// evenly across shards ([`CaptureConfig::shard_share`]); every setting
     /// yields bit-identical analysis output — only peak memory changes.
     pub capture: CaptureConfig,
@@ -158,13 +128,15 @@ impl WorldConfig {
             probes: Vec::new(),
             link: LinkModel::default(),
             peer_config: PeerConfig::default(),
-            policy: PolicySpec::from_env(),
+            policy: PolicySpec::GossipRace,
             faults: FaultPlan::new(),
             nat_fraction: 0.0,
             scheduler: SchedulerKind::default(),
-            shards: shards_from_env(),
-            shard_threads: shard_threads_from_env(),
-            capture: CaptureConfig::from_env(),
+            shards: 1,
+            shard_threads: std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1),
+            capture: CaptureConfig::default(),
         }
     }
 }

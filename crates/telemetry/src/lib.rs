@@ -17,8 +17,8 @@
 //!   append-only fixed-size pages, so appends never reallocate-and-copy
 //!   (no transient 2× peak during growth) and per-column layout drops the
 //!   row-struct padding. Sealed pages can be evicted to a [`SpillFile`]
-//!   under a byte budget (`PLSIM_CAPTURE_BUDGET`), which is what lets a
-//!   capture-on run hold a bounded resident set however long the trace.
+//!   under a byte budget, which is what lets a capture-on run hold a
+//!   bounded resident set however long the trace.
 //! * **online sketches** ([`P2Quantile`], [`StreamingMoments`]) so
 //!   single-pass analysis folds can summarize distributions without
 //!   retaining samples.
@@ -57,6 +57,4 @@ pub use metrics::{
     Counter, Gauge, GaugeValue, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
 };
 pub use sketch::{P2Quantile, StreamingMoments};
-pub use spill::{
-    capture_budget_from_env, parse_byte_budget, SpillFile, SpillFrame, CAPTURE_BUDGET_ENV,
-};
+pub use spill::{parse_byte_budget, SpillFile, SpillFrame};

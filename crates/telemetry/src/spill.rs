@@ -10,20 +10,15 @@
 //! crash leaves at most one orphaned `plsim-spill-*.bin` for the OS
 //! tmp-reaper.
 //!
-//! The byte budget itself comes from the `PLSIM_CAPTURE_BUDGET`
-//! environment variable ([`CAPTURE_BUDGET_ENV`]): a plain byte count with
-//! an optional `k`/`m`/`g` suffix (×1024 steps). Parsing lives here so
-//! every layer (capture store, world config, CLI) agrees on the syntax.
+//! The byte budget is written as a plain byte count with an optional
+//! `k`/`m`/`g` suffix (×1024 steps); [`parse_byte_budget`] lives here so
+//! the CLI and any other front end agree on the syntax.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-
-/// Environment variable holding the capture byte budget
-/// (e.g. `PLSIM_CAPTURE_BUDGET=8m`).
-pub const CAPTURE_BUDGET_ENV: &str = "PLSIM_CAPTURE_BUDGET";
 
 /// Parses a byte budget: decimal digits with an optional `k`/`m`/`g`
 /// suffix (case-insensitive, ×1024 steps). Returns `None` for anything
@@ -39,14 +34,6 @@ pub fn parse_byte_budget(s: &str) -> Option<u64> {
     };
     let n: u64 = digits.trim().parse().ok()?;
     n.checked_mul(scale).filter(|&b| b > 0)
-}
-
-/// The capture byte budget from [`CAPTURE_BUDGET_ENV`], if set and valid.
-#[must_use]
-pub fn capture_budget_from_env() -> Option<u64> {
-    std::env::var(CAPTURE_BUDGET_ENV)
-        .ok()
-        .and_then(|v| parse_byte_budget(&v))
 }
 
 /// A frame handle: where one sealed page's bytes live in the spill file.

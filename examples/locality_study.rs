@@ -10,6 +10,7 @@
 //! `days` controls the Figure 6 series length (default 28, like the
 //! study's four weeks).
 
+use plsim_workload::SeWorkloadSpec;
 use pplive_locality::{
     ablation, fig_6, figs_11_to_14, figs_15_to_18, figs_2_to_5, render_ablation, render_fig11_14,
     render_fig15_18, render_fig7_10, render_table1, response_times, workload_round_trip, FourWeeks,
@@ -91,7 +92,11 @@ fn main() {
 
     println!("## W1: stretched-exponential workload generator round trip\n");
     for sigma in [0.0, 0.3] {
-        let rt = workload_round_trip(sigma, 42);
+        let spec = SeWorkloadSpec {
+            noise_sigma: sigma,
+            ..SeWorkloadSpec::fig11()
+        };
+        let rt = workload_round_trip(spec, 42);
         println!(
             "noise={sigma}: generated (c={:.2}, a={:.2}, n={}) -> refit c={:.2}, a={:.2}, R²={:.3}; zipf R²={:.3}; top10%={:.1}%",
             rt.spec.c,

@@ -115,7 +115,7 @@ proptest! {
     /// Any generated fault schedule — outages, storms, partitions, ramps,
     /// in any combination — leaves the engine deterministic: two
     /// sequential runs at the same seed are bit-identical, and so are runs
-    /// fanned out through a [`JobPool`].
+    /// fanned out through a [`JobPool`] and a run split over four shards.
     #[test]
     fn any_fault_plan_is_seed_stable_and_pool_invariant(
         seed in 0u64..1_000_000,
@@ -146,9 +146,17 @@ proptest! {
         let b = run_world(&cfg);
         assert_same_output(&a, &b, "sequential rerun");
 
-        let pooled = JobPool::new(2).map(vec![cfg.clone(), cfg], |c| run_world(&c));
+        let pooled = JobPool::new(2).map(vec![cfg.clone(), cfg.clone()], |c| run_world(&c));
         for out in &pooled {
             assert_same_output(&a, out, "pooled run");
         }
+
+        // Three ISPs are populated, so four shards split one of them.
+        let mut sharded = cfg;
+        sharded.shards = 4;
+        sharded.shard_threads = 1;
+        let out = run_world(&sharded);
+        prop_assert!(out.partition.is_some(), "4-shard run degenerated");
+        assert_same_output(&a, &out, "4-shard run");
     }
 }

@@ -5,13 +5,34 @@
 //! mere entry points, churn is survivable, locality orderings hold where
 //! the mesh survives — and (b) pass the runtime invariant checker, so a
 //! faulted run that silently corrupts the simulation fails loudly instead
-//! of producing quietly-wrong figures.
+//! of producing quietly-wrong figures. Every scenario also runs on eight
+//! shards — past the five populated ISPs, so on the sub-ISP partition with
+//! owner-replayed queues — and must come out byte-equal and just as clean.
 
 use plsim_capture::{Direction, KindRef};
 use plsim_des::SimTime;
 use plsim_net::{Isp, LinkFault};
 use plsim_workload::ChannelClass;
 use pplive_locality::{FaultPlan, ProbeSite, Scale, Scenario, ScenarioRun};
+
+/// Runs `scenario` unsharded and returns that run, after checking that
+/// the same scenario on eight shards reproduces it exactly and passes the
+/// invariant checker too.
+fn run_checked(scenario: &Scenario) -> ScenarioRun {
+    let run = scenario.run();
+    let mut sharded = scenario.clone();
+    sharded.shards = Some(8);
+    let sharded = sharded.run();
+    assert!(sharded.output.partition.is_some(), "8 shards: not sharded");
+    let (a, b) = (&sharded.output, &run.output);
+    assert_eq!(a.sim, b.sim, "8 shards: sim");
+    assert_eq!(a.metrics, b.metrics, "8 shards: metrics");
+    assert_eq!(a.records, b.records, "8 shards: records");
+    assert_eq!(a.peer_stats, b.peer_stats, "8 shards: peer_stats");
+    assert_eq!(a.fault_marks, b.fault_marks, "8 shards: fault_marks");
+    sharded.check_invariants().assert_clean();
+    run
+}
 
 /// Latest inbound data reply captured at `probe`.
 fn last_data_reply(run: &ScenarioRun, probe: plsim_des::NodeId) -> Option<SimTime> {
@@ -40,7 +61,7 @@ fn streaming_survives_tracker_blackout_and_recovery() {
     let scenario = Scenario::new(ChannelClass::Popular, Scale::Tiny, 21).with_faults(
         FaultPlan::new().tracker_blackout(SimTime::from_secs(150), SimTime::from_secs(250)),
     );
-    let run = scenario.run();
+    let run = run_checked(&scenario);
     let report = run.report(ProbeSite::Tele);
 
     let last_reply = last_data_reply(&run, report.probe).expect("probe received data");
@@ -80,7 +101,7 @@ fn tracker_only_baseline_collapses_without_trackers() {
     let mut scenario = Scenario::new(ChannelClass::Popular, Scale::Tiny, 21)
         .with_faults(FaultPlan::new().tracker_outage(SimTime::from_secs(30)));
     scenario.peer_config = PeerConfig::tracker_only_baseline();
-    let run = scenario.run();
+    let run = run_checked(&scenario);
     let report = run.report(ProbeSite::Tele);
     assert!(
         report.data.bytes.total() < 1_000_000,
@@ -98,7 +119,7 @@ fn mesh_survives_churn_storm_at_steady_state() {
     let scenario = Scenario::new(ChannelClass::Popular, Scale::Tiny, 7).with_faults(
         FaultPlan::new().churn_storm(SimTime::from_secs(240), 0.30, Some(SimTime::from_secs(30))),
     );
-    let run = scenario.run();
+    let run = run_checked(&scenario);
     let report = run.report(ProbeSite::Tele);
 
     let last_reply = last_data_reply(&run, report.probe).expect("probe received data");
@@ -138,7 +159,7 @@ fn tele_cnc_partition_cuts_cross_isp_traffic_and_streaming_survives() {
         Scenario::new(ChannelClass::Popular, Scale::Tiny, 11).with_faults(FaultPlan::new().link(
             LinkFault::partition(Isp::Tele, Isp::Cnc, partition_start, horizon),
         ));
-    let run = scenario.run();
+    let run = run_checked(&scenario);
     run.check_invariants().assert_clean();
 
     let report = run.report(ProbeSite::Tele);
@@ -168,7 +189,7 @@ fn combined_faults_run_clean() {
     // structurally sound and somebody must still be playing.
     let scenario = Scenario::new(ChannelClass::Popular, Scale::Tiny, 5)
         .with_faults(pplive_locality::combined_chaos(Scale::Tiny));
-    let run = scenario.run();
+    let run = run_checked(&scenario);
     run.check_invariants().assert_clean();
 
     let summary = pplive_locality::PlaybackSummary::summarize(&run.output.peer_stats);
@@ -185,7 +206,7 @@ fn loss_ramp_degrades_gracefully() {
     // rise, streaming must survive.
     let scenario = Scenario::new(ChannelClass::Popular, Scale::Tiny, 33)
         .with_faults(pplive_locality::loss_surge(Scale::Tiny));
-    let run = scenario.run();
+    let run = run_checked(&scenario);
     let report = run.report(ProbeSite::Tele);
     assert!(
         report.data.bytes.total() > 1_000_000,
@@ -207,7 +228,7 @@ fn lossy_network_still_streams() {
         loss_transoceanic: 0.12,
         ..LinkModel::default()
     };
-    let run = scenario.run();
+    let run = run_checked(&scenario);
     let report = run.report(ProbeSite::Tele);
     assert!(
         report.data.bytes.total() > 1_000_000,

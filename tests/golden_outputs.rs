@@ -9,9 +9,8 @@
 //! 28-day `studies/fig6_tiny_output.txt` (56 sessions — run it with
 //! `cargo test --release -- --ignored` when touching the protocol path).
 //!
-//! All tests assume the default environment (`PLSIM_POLICY` unset); the
-//! digest test additionally pins the policy explicitly so it stays valid
-//! under an overridden environment.
+//! Nothing here depends on the process environment: `Scenario::new` is a
+//! pure function of its arguments and defaults to the gossip race.
 
 use plsim_workload::ChannelClass;
 use pplive_locality::{fig_6, pct, PolicySpec, ProbeSite, Scale, Scenario};
