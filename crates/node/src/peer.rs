@@ -28,7 +28,6 @@ use plsim_proto::{
 use plsim_telemetry::MetricsRegistry;
 use rand::rngs::SmallRng;
 use rand::Rng;
-use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -60,11 +59,18 @@ struct Neighbor {
     /// advances one chunk per second. This plays the role of PPLive's
     /// buffer-map exchange.
     edge_hint: Option<(u64, SimTime)>,
+    /// The owning peer's `latency_bias`, kept here so the `observe_*`
+    /// writers can refresh `weight` without a detour through the config.
+    latency_bias: f64,
+    /// `fresh_weight()` as of the last `observe_*` call. Those three are
+    /// the only writers of its inputs, so the scheduler reads this field
+    /// instead of paying a `powf` per eligible neighbor per request.
+    weight: f64,
 }
 
 impl Neighbor {
-    fn new(entry: PeerEntry, now: SimTime) -> Self {
-        Neighbor {
+    fn new(entry: PeerEntry, now: SimTime, latency_bias: f64) -> Self {
+        let mut n = Neighbor {
             entry,
             connected_at: now,
             ewma_resp: None,
@@ -74,7 +80,11 @@ impl Neighbor {
             outstanding: 0,
             cooldown_until: SimTime::ZERO,
             edge_hint: None,
-        }
+            latency_bias,
+            weight: 0.0,
+        };
+        n.weight = n.fresh_weight();
+        n
     }
 
     /// Whether the neighbor plausibly holds `chunk` at time `now`.
@@ -108,11 +118,13 @@ impl Neighbor {
         });
         self.successes += 1;
         self.consecutive_failures = 0;
+        self.weight = self.fresh_weight();
     }
 
     fn observe_failure(&mut self) {
         self.failures += 1;
         self.consecutive_failures += 1;
+        self.weight = self.fresh_weight();
     }
 
     /// Folds a congestion signal (busy-reject, timeout) into the response
@@ -124,6 +136,7 @@ impl Neighbor {
             Some(prev) => 0.7 * prev + 0.3 * penalty_secs,
             None => penalty_secs,
         });
+        self.weight = self.fresh_weight();
     }
 
     /// Scheduling weight: inverse expected response time with a
@@ -131,10 +144,10 @@ impl Neighbor {
     /// hints, cooldowns and eviction rather than the weight itself —
     /// folding them in creates a rich-get-richer feedback that makes
     /// outcomes depend on early luck instead of actual latency.
-    fn weight(&self, latency_bias: f64) -> f64 {
+    fn fresh_weight(&self) -> f64 {
         let resp = self.ewma_resp.unwrap_or(0.8).max(0.05);
         let reliability = (self.successes + 1) as f64 / (self.successes + self.failures + 2) as f64;
-        reliability * resp.powf(-latency_bias)
+        reliability * resp.powf(-self.latency_bias)
     }
 }
 
@@ -178,17 +191,17 @@ impl NeighborTable {
 
     /// Inserts a new neighbor unless the node is already present (the
     /// old table's `entry().or_insert_with` semantics).
-    fn insert_new(&mut self, entry: PeerEntry, now: SimTime) {
+    fn insert_new(&mut self, entry: PeerEntry, now: SimTime, latency_bias: f64) {
         if self.by_node.contains_key(&entry.node) {
             return;
         }
         let slot = match self.free.pop() {
             Some(i) => {
-                self.slots[i as usize] = Neighbor::new(entry, now);
+                self.slots[i as usize] = Neighbor::new(entry, now, latency_bias);
                 i
             }
             None => {
-                self.slots.push(Neighbor::new(entry, now));
+                self.slots.push(Neighbor::new(entry, now, latency_bias));
                 (self.slots.len() - 1) as u32
             }
         };
@@ -261,6 +274,75 @@ impl NeighborTable {
     }
 }
 
+/// Sub-piece bitmasks for a run of consecutive chunk indices: `bits[i]`
+/// belongs to chunk `base + i`, and a chunk outside the run reads as 0 — a
+/// live viewer only ever touches the few dozen chunks between its serve
+/// window and the live edge, so every access is an index, not a tree walk.
+/// Writes grow the run at either end with zero fill: a late reply may land
+/// below `base` after a trim, and it must still be stored.
+#[derive(Debug, Default)]
+struct ChunkWindow {
+    base: u64,
+    bits: VecDeque<u64>,
+}
+
+impl ChunkWindow {
+    /// Position of `chunk` in `bits`, if it is at or above `base`.
+    fn index(&self, chunk: u64) -> Option<usize> {
+        usize::try_from(chunk.checked_sub(self.base)?).ok()
+    }
+
+    fn get(&self, chunk: u64) -> u64 {
+        self.index(chunk)
+            .and_then(|i| self.bits.get(i))
+            .copied()
+            .unwrap_or(0)
+    }
+
+    fn or_mask(&mut self, chunk: u64, mask: u64) {
+        if self.bits.is_empty() {
+            self.base = chunk;
+        }
+        while chunk < self.base {
+            self.bits.push_front(0);
+            self.base -= 1;
+        }
+        let i = (chunk - self.base) as usize;
+        if i >= self.bits.len() {
+            self.bits.resize(i + 1, 0);
+        }
+        self.bits[i] |= mask;
+    }
+
+    /// Clears `mask` where the chunk is inside the run; never grows it.
+    fn clear_mask(&mut self, chunk: u64, mask: u64) {
+        if let Some(m) = self.index(chunk).and_then(|i| self.bits.get_mut(i)) {
+            *m &= !mask;
+        }
+    }
+
+    /// Forgets every chunk below `cut`.
+    fn trim_below(&mut self, cut: u64) {
+        let n = cut.saturating_sub(self.base).min(self.bits.len() as u64);
+        self.bits.drain(..n as usize);
+        self.base += n;
+    }
+
+    fn clear(&mut self) {
+        self.bits.clear();
+    }
+
+    /// The first chunk at or after `from` whose mask equals `full`.
+    fn first_full_from(&self, from: u64, full: u64) -> Option<u64> {
+        let skip = from.saturating_sub(self.base).min(self.bits.len() as u64);
+        self.bits
+            .iter()
+            .skip(skip as usize)
+            .position(|&m| m == full)
+            .map(|i| self.base + skip + i as u64)
+    }
+}
+
 /// A data request in flight.
 #[derive(Debug, Clone, Copy)]
 struct PendingData {
@@ -268,6 +350,86 @@ struct PendingData {
     chunk: u64,
     mask: u64,
     sent: SimTime,
+}
+
+/// The data requests in flight, indexed by sequence number: sequence
+/// numbers are handed out consecutively and `sent` never decreases, so the
+/// requests form a ring in which `slots[i]` is request `front_seq + i`,
+/// answering one is an index (`take`) and the requests past the timeout are
+/// always a prefix (`pop_expired`) — no hashing, and expiry visits only
+/// what expired. An answered request leaves a `None` behind until the
+/// front catches up with it.
+#[derive(Debug, Default)]
+struct PendingRequests {
+    front_seq: u64,
+    slots: VecDeque<Option<PendingData>>,
+    live: usize,
+}
+
+impl PendingRequests {
+    /// Requests still awaiting a reply, reject or timeout.
+    fn len(&self) -> usize {
+        self.live
+    }
+
+    /// The sequence number the next `push` will assign.
+    fn next_seq(&self) -> u64 {
+        self.front_seq + self.slots.len() as u64
+    }
+
+    fn push(&mut self, p: PendingData) {
+        debug_assert!(
+            self.slots
+                .iter()
+                .rev()
+                .flatten()
+                .next()
+                .is_none_or(|q| q.sent <= p.sent),
+            "sim time must be monotone"
+        );
+        self.slots.push_back(Some(p));
+        self.live += 1;
+    }
+
+    /// Position of request `seq` in `slots`, if it is not behind the front.
+    fn index(&self, seq: u64) -> Option<usize> {
+        usize::try_from(seq.checked_sub(self.front_seq)?).ok()
+    }
+
+    fn get(&self, seq: u64) -> Option<&PendingData> {
+        self.slots.get(self.index(seq)?)?.as_ref()
+    }
+
+    fn take(&mut self, seq: u64) -> Option<PendingData> {
+        let i = self.index(seq)?;
+        let p = self.slots.get_mut(i)?.take()?;
+        self.live -= 1;
+        Some(p)
+    }
+
+    /// Removes and returns the oldest request if it was sent more than
+    /// `timeout` before `now`, dropping answered slots on the way.
+    fn pop_expired(&mut self, now: SimTime, timeout: SimTime) -> Option<PendingData> {
+        loop {
+            match self.slots.front()? {
+                Some(p) if now.saturating_sub(p.sent) <= timeout => return None,
+                _ => {}
+            }
+            self.front_seq += 1;
+            if let Some(p) = self.slots.pop_front().flatten() {
+                self.live -= 1;
+                return Some(p);
+            }
+        }
+    }
+
+    /// Forgets every request; sequence numbers keep counting, so a reply
+    /// to a forgotten request matches nothing.
+    fn clear(&mut self) {
+        self.front_seq = self.next_seq();
+        self.slots.clear();
+        self.live = 0;
+    }
 }
 
 /// A gossip request in flight.
@@ -299,6 +461,17 @@ const SKIP_AFTER_STALLS: u32 = 5;
 /// live edge has dropped out of the mesh's serve window and must rebuffer
 /// (jump forward), like a real player re-syncing a live stream.
 const REBUFFER_LAG_CHUNKS: u64 = 40;
+
+/// The sub-piece mask a wire `(offset, count)` pair names, or `None` when
+/// the pair is empty or reaches past the end of a chunk. Both fields arrive
+/// from the network, so they are checked before anything is shifted by them.
+fn subpiece_mask(offset: u16, count: u16, chunk_subpieces: u16) -> Option<u64> {
+    let end = offset.checked_add(count)?;
+    if count == 0 || end > chunk_subpieces.min(64) {
+        return None;
+    }
+    Some((((1u128 << count) - 1) as u64) << offset)
+}
 
 /// The PPLive node behaviour (viewer or source), a [`plsim_des::Actor`].
 #[derive(Debug)]
@@ -338,10 +511,10 @@ pub struct PeerNode {
     candidate_set: DetHashSet<NodeId>,
 
     /// chunk index → bitmask of held sub-pieces.
-    chunks: BTreeMap<u64, u64>,
+    chunks: ChunkWindow,
     /// chunk index → bitmask of sub-pieces currently requested.
-    inflight: BTreeMap<u64, u64>,
-    pending_data: DetHashMap<u64, PendingData>,
+    inflight: ChunkWindow,
+    pending_data: PendingRequests,
     pending_gossip: DetHashMap<u64, PendingGossip>,
 
     join_chunk: u64,
@@ -355,7 +528,6 @@ pub struct PeerNode {
     next_produced: u64,
 
     busy_until: SimTime,
-    next_seq: u64,
     next_req_id: u64,
     maintenance_rounds: u64,
     data_servers: DetHashSet<NodeId>,
@@ -366,7 +538,6 @@ pub struct PeerNode {
     arena: PeerListArena,
     // Reusable scratch buffers so the steady-state loops allocate nothing.
     scratch_eligible: Vec<(NodeId, f64)>,
-    scratch_seqs: Vec<u64>,
     scratch_ids: Vec<NodeId>,
     scratch_ids2: Vec<NodeId>,
     scratch_resps: Vec<f64>,
@@ -448,9 +619,9 @@ impl PeerNode {
             pending_handshakes: DetHashMap::default(),
             candidates: VecDeque::new(),
             candidate_set: DetHashSet::default(),
-            chunks: BTreeMap::new(),
-            inflight: BTreeMap::new(),
-            pending_data: DetHashMap::default(),
+            chunks: ChunkWindow::default(),
+            inflight: ChunkWindow::default(),
+            pending_data: PendingRequests::default(),
             pending_gossip: DetHashMap::default(),
             join_chunk: 0,
             startup_target: 0,
@@ -459,7 +630,6 @@ impl PeerNode {
             stall_streak: 0,
             next_produced: 0,
             busy_until: SimTime::ZERO,
-            next_seq: 0,
             next_req_id: 0,
             maintenance_rounds: 0,
             data_servers: DetHashSet::default(),
@@ -467,7 +637,6 @@ impl PeerNode {
             metrics: NodeMetrics::default(),
             arena: PeerListArena::new(),
             scratch_eligible: Vec::new(),
-            scratch_seqs: Vec::new(),
             scratch_ids: Vec::new(),
             scratch_ids2: Vec::new(),
             scratch_resps: Vec::new(),
@@ -689,7 +858,7 @@ impl PeerNode {
         };
         let full = self.cfg.stream.full_mask();
         let buffered = (playhead..playhead + 6)
-            .filter(|c| self.chunks.get(c).copied() == Some(full))
+            .filter(|&c| self.chunks.get(c) == full)
             .count();
         buffered >= 4 && self.neighbors.len() >= self.cfg.max_neighbors / 2
     }
@@ -699,7 +868,7 @@ impl PeerNode {
     }
 
     fn have_full(&self, chunk: u64) -> bool {
-        self.chunks.get(&chunk).copied() == Some(self.cfg.stream.full_mask())
+        self.chunks.get(chunk) == self.cfg.stream.full_mask()
     }
 
     fn pick_data_neighbor(
@@ -713,14 +882,13 @@ impl PeerNode {
         // The id-ordered walk replaces the old collect-and-sort: same
         // element order, so the RNG draws below land on the same peers.
         let max_out = self.cfg.per_neighbor_outstanding as u32;
-        let bias = self.cfg.latency_bias;
         eligible.extend(
             self.neighbors
                 .iter_by_id()
                 .filter(|(_, n)| {
                     n.outstanding < max_out && n.cooldown_until <= now && n.may_hold(chunk, now)
                 })
-                .map(|(id, n)| (id, n.weight(bias))),
+                .map(|(id, n)| (id, n.weight)),
         );
         let picked = if eligible.is_empty() {
             None
@@ -750,32 +918,20 @@ impl PeerNode {
     }
 
     /// Expires in-flight data requests past the timeout so their slots and
-    /// sub-piece ranges can be retried immediately.
+    /// sub-piece ranges can be retried immediately. Requests expire oldest
+    /// first; the order is free because the per-request effects commute
+    /// (disjoint mask bits cleared, counters stepped, and every expiry folds
+    /// the same penalty value into the EWMA).
     fn expire_pending_data(&mut self, now: SimTime) {
-        if self.pending_data.is_empty() {
-            return;
-        }
-        let mut expired = std::mem::take(&mut self.scratch_seqs);
-        expired.clear();
-        expired.extend(
-            self.pending_data
-                .iter()
-                .filter(|(_, p)| now.saturating_sub(p.sent) > self.cfg.request_timeout)
-                .map(|(&seq, _)| seq),
-        );
-        for &seq in &expired {
-            if let Some(p) = self.pending_data.remove(&seq) {
-                if let Some(m) = self.inflight.get_mut(&p.chunk) {
-                    *m &= !p.mask;
-                }
-                if let Some(n) = self.neighbors.get_mut(p.to) {
-                    n.outstanding = n.outstanding.saturating_sub(1);
-                    n.observe_failure();
-                    n.observe_penalty(self.cfg.request_timeout.as_secs_f64());
-                }
+        let timeout = self.cfg.request_timeout;
+        while let Some(p) = self.pending_data.pop_expired(now, timeout) {
+            self.inflight.clear_mask(p.chunk, p.mask);
+            if let Some(n) = self.neighbors.get_mut(p.to) {
+                n.outstanding = n.outstanding.saturating_sub(1);
+                n.observe_failure();
+                n.observe_penalty(timeout.as_secs_f64());
             }
         }
-        self.scratch_seqs = expired;
     }
 
     fn schedule_requests(&mut self, ctx: &mut Context<'_, Message>) {
@@ -812,9 +968,7 @@ impl PeerNode {
             if self.pending_data.len() >= self.cfg.max_outstanding {
                 return;
             }
-            let have = self.chunks.get(&chunk).copied().unwrap_or(0);
-            let inflight = self.inflight.get(&chunk).copied().unwrap_or(0);
-            let mut need = full & !have & !inflight;
+            let mut need = full & !self.chunks.get(chunk) & !self.inflight.get(chunk);
             while need != 0 {
                 if self.pending_data.len() >= self.cfg.max_outstanding {
                     return;
@@ -830,11 +984,13 @@ impl PeerNode {
                 }
                 let mask = (((1u128 << count) - 1) as u64) << offset;
                 let Some(to) = self.pick_data_neighbor(ctx.rng(), now, chunk) else {
-                    // Nobody plausibly holds this chunk; try the next one.
-                    break;
+                    // Nobody eligible plausibly holds this chunk, so nobody
+                    // holds a later one either: within this call `now` and
+                    // the cooldowns are fixed, `outstanding` only grows and
+                    // `may_hold` is monotone decreasing in the chunk index.
+                    return;
                 };
-                let seq = self.next_seq;
-                self.next_seq += 1;
+                let seq = self.pending_data.next_seq();
                 let msg = Message::DataRequest {
                     channel: self.channel,
                     chunk: ChunkId(chunk),
@@ -844,16 +1000,13 @@ impl PeerNode {
                 };
                 let size = msg.wire_size();
                 ctx.send(to, msg, size);
-                *self.inflight.entry(chunk).or_insert(0) |= mask;
-                self.pending_data.insert(
-                    seq,
-                    PendingData {
-                        to,
-                        chunk,
-                        mask,
-                        sent: now,
-                    },
-                );
+                self.inflight.or_mask(chunk, mask);
+                self.pending_data.push(PendingData {
+                    to,
+                    chunk,
+                    mask,
+                    sent: now,
+                });
                 if let Some(n) = self.neighbors.get_mut(to) {
                     n.outstanding += 1;
                 }
@@ -889,7 +1042,7 @@ impl PeerNode {
             // cross-ISP quota must count connections, not sightings.
             return;
         }
-        self.neighbors.insert_new(entry, now);
+        self.neighbors.insert_new(entry, now, self.cfg.latency_bias);
         if self.topology.host(entry.node).isp != self.my_isp {
             self.cross_isp_neighbors += 1;
         }
@@ -1079,12 +1232,7 @@ impl PeerNode {
         if !self.playing {
             // Find the first complete chunk at or after the join point and
             // check the startup buffer is filled from there.
-            let first = self
-                .chunks
-                .range(self.join_chunk..)
-                .find(|(_, &m)| m == full)
-                .map(|(&c, _)| c);
-            if let Some(start) = first {
+            if let Some(start) = self.chunks.first_full_from(self.join_chunk, full) {
                 // A viewer cannot buffer chunks that do not exist yet: the
                 // effective target is capped by the distance to the live
                 // edge (otherwise large-lag startups would never complete).
@@ -1095,7 +1243,7 @@ impl PeerNode {
                     .min(to_live)
                     .max(self.cfg.stream.startup_chunks);
                 let run = (start..start + target)
-                    .take_while(|c| self.chunks.get(c).copied() == Some(full))
+                    .take_while(|&c| self.chunks.get(c) == full)
                     .count() as u64;
                 if run >= target {
                     self.playing = true;
@@ -1216,8 +1364,8 @@ impl PeerNode {
         if self.role == Role::Viewer {
             if let Some(playhead) = self.playhead {
                 let cut = playhead.saturating_sub(self.cfg.stream.serve_window);
-                self.chunks = self.chunks.split_off(&cut);
-                self.inflight = self.inflight.split_off(&cut);
+                self.chunks.trim_below(cut);
+                self.inflight.trim_below(cut);
             }
         }
 
@@ -1233,12 +1381,12 @@ impl PeerNode {
             return;
         }
         let full = self.cfg.stream.full_mask();
-        self.chunks.insert(self.next_produced, full);
+        self.chunks.or_mask(self.next_produced, full);
         self.next_produced += 1;
         let cut = self
             .next_produced
             .saturating_sub(self.cfg.stream.live_window);
-        self.chunks = self.chunks.split_off(&cut);
+        self.chunks.trim_below(cut);
         ctx.schedule(
             SimTime::from_secs(1),
             Message::Timer(TimerKind::ProduceChunk),
@@ -1396,9 +1544,11 @@ impl PeerNode {
         if !self.active {
             return;
         }
-        let have = self.chunks.get(&chunk.0).copied().unwrap_or(0);
-        let mask = (((1u128 << count) - 1) as u64) << offset;
-        if have & mask == mask {
+        // A malformed range holds nothing servable: it takes the reject
+        // branch below like any sub-piece this peer lacks.
+        let servable = subpiece_mask(offset, count, self.cfg.stream.chunk_subpieces)
+            .is_some_and(|mask| self.chunks.get(chunk.0) & mask == mask);
+        if servable {
             let reply = Message::DataReply {
                 chunk,
                 offset,
@@ -1443,14 +1593,27 @@ impl PeerNode {
         count: u16,
         seq: u64,
     ) {
-        let Some(p) = self.pending_data.remove(&seq) else {
-            return; // Late reply after timeout; data still usable below.
+        // A reply naming a malformed range, or a chunk other than the one
+        // `seq` asked for, is ignored and the request left to time out.
+        let Some(mask) = subpiece_mask(offset, count, self.cfg.stream.chunk_subpieces) else {
+            return;
         };
-        let mask = (((1u128 << count) - 1) as u64) << offset;
-        if let Some(m) = self.inflight.get_mut(&p.chunk) {
-            *m &= !p.mask;
+        if self
+            .pending_data
+            .get(seq)
+            .is_some_and(|p| p.chunk != chunk.0)
+        {
+            return;
         }
-        *self.chunks.entry(chunk.0).or_insert(0) |= mask;
+        let Some(p) = self.pending_data.take(seq) else {
+            // A reply that arrives after its request timed out is discarded,
+            // payload included: the timeout cleared the range's `inflight`
+            // bits, which put it back in the scheduler's `need`, so it is
+            // fetched (and counted) through a newer request instead.
+            return;
+        };
+        self.inflight.clear_mask(p.chunk, p.mask);
+        self.chunks.or_mask(chunk.0, mask);
         let payload = u64::from(count) * u64::from(plsim_proto::SUB_PIECE_BYTES);
         self.stats.bytes_down += payload;
         self.metrics.bytes_down.add(payload);
@@ -1480,12 +1643,10 @@ impl PeerNode {
         seq: u64,
         busy: bool,
     ) {
-        let Some(p) = self.pending_data.remove(&seq) else {
+        let Some(p) = self.pending_data.take(seq) else {
             return;
         };
-        if let Some(m) = self.inflight.get_mut(&p.chunk) {
-            *m &= !p.mask;
-        }
+        self.inflight.clear_mask(p.chunk, p.mask);
         self.stats.data_rejects_received += 1;
         self.metrics.data_rejects_received.inc();
         if let Some(n) = self.neighbors.get_mut(from) {
@@ -1644,7 +1805,9 @@ mod tests {
     use super::*;
     use crate::policy::{BiasedLocality, PolicySpec};
     use plsim_net::{BandwidthClass, TopologyBuilder};
+    use proptest::prelude::*;
     use rand::SeedableRng;
+    use std::collections::BTreeMap;
 
     /// Hosts 0..4 in TELE, 4..8 in CNC.
     fn mixed_topology() -> Arc<Topology> {
@@ -1743,5 +1906,191 @@ mod tests {
         peer.attach_policy(&custom);
         assert!(!peer.policy_admits(NodeId(5)));
         assert!(peer.policy_admits(NodeId(2)));
+    }
+
+    proptest! {
+        /// `ChunkWindow` against a sparse `BTreeMap<u64, u64>` model
+        /// (absent key = 0, `split_off` for the trim). Masks come from
+        /// `0..8` with `full = 7` so complete chunks actually occur; keys
+        /// straddle the run on both sides, so trims are followed by writes
+        /// below `base` and writes across gaps.
+        #[test]
+        fn chunk_window_reads_like_a_sparse_map(
+            ops in proptest::collection::vec((0u32..6, 0u64..48, 0u64..8), 1..120),
+        ) {
+            const FULL: u64 = 7;
+            let mut window = ChunkWindow::default();
+            let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+            for (op, key, mask) in ops {
+                let key = 1000 + key;
+                match op {
+                    0 | 1 => {
+                        window.or_mask(key, mask);
+                        *model.entry(key).or_insert(0) |= mask;
+                    }
+                    2 => {
+                        window.clear_mask(key, mask);
+                        if let Some(m) = model.get_mut(&key) {
+                            *m &= !mask;
+                        }
+                    }
+                    3 => {
+                        window.trim_below(key);
+                        model = model.split_off(&key);
+                    }
+                    4 if mask == 0 => {
+                        window.clear();
+                        model.clear();
+                    }
+                    _ => {}
+                }
+                for c in 990..1060 {
+                    prop_assert_eq!(window.get(c), model.get(&c).copied().unwrap_or(0));
+                    let first = model.range(c..).find(|(_, &m)| m == FULL).map(|(&k, _)| k);
+                    prop_assert_eq!(window.first_full_from(c, FULL), first);
+                }
+                prop_assert_eq!(window.get(0), 0);
+                prop_assert_eq!(window.get(u64::MAX), 0);
+            }
+        }
+    }
+
+    #[test]
+    fn oldest_first_expiry_matches_a_map_order_scan() {
+        let topo = mixed_topology();
+        let mut peer = viewer(&topo, PolicySpec::GossipRace);
+        let timeout = peer.cfg.request_timeout;
+        let (a, b) = (NodeId(1), NodeId(5));
+        peer.add_neighbor(entry(&topo, 1), SimTime::from_secs(1));
+        peer.add_neighbor(entry(&topo, 5), SimTime::from_secs(1));
+        peer.neighbors.get_mut(a).unwrap().observe_response(0.4);
+        // Two requests to `a`, one to `b`, one to `b` that gets answered,
+        // and a younger one to `a` that must survive the expiry.
+        let t0 = SimTime::from_secs(10);
+        let t1 = t0 + SimTime::from_millis(250);
+        let young = t1 + timeout;
+        let batch = [
+            (a, 20, 0b0000_0111, t0),
+            (b, 20, 0b0011_1000, t0),
+            (b, 21, 0b0000_0011, t1),
+            (a, 21, 0b0001_1100, t1),
+            (a, 22, 0b0000_0001, young),
+        ];
+        let mut seqs = Vec::new();
+        for (to, chunk, mask, sent) in batch {
+            seqs.push(peer.pending_data.next_seq());
+            peer.pending_data.push(PendingData {
+                to,
+                chunk,
+                mask,
+                sent,
+            });
+            peer.inflight.or_mask(chunk, mask);
+            peer.neighbors.get_mut(to).unwrap().outstanding += 1;
+        }
+        let answered = peer.pending_data.take(seqs[2]).expect("in flight");
+        peer.inflight.clear_mask(answered.chunk, answered.mask);
+        peer.neighbors.get_mut(b).unwrap().outstanding -= 1;
+
+        // The oracle: a scan over a hash map of the same requests, in the
+        // map's iteration order, applied to copies of the same state.
+        let now = t1 + timeout + SimTime::from_millis(1);
+        let mut map: DetHashMap<u64, PendingData> = DetHashMap::default();
+        for (i, &(to, chunk, mask, sent)) in batch.iter().enumerate() {
+            if i != 2 {
+                map.insert(
+                    seqs[i],
+                    PendingData {
+                        to,
+                        chunk,
+                        mask,
+                        sent,
+                    },
+                );
+            }
+        }
+        let mut want_inflight: BTreeMap<u64, u64> =
+            (20..=22).map(|c| (c, peer.inflight.get(c))).collect();
+        let mut want: Vec<Neighbor> = [a, b]
+            .iter()
+            .map(|&id| peer.neighbors.get_mut(id).unwrap().clone())
+            .collect();
+        let expired: Vec<u64> = map
+            .iter()
+            .filter(|(_, p)| now.saturating_sub(p.sent) > timeout)
+            .map(|(&seq, _)| seq)
+            .collect();
+        assert_eq!(expired.len(), 3);
+        for seq in expired {
+            let p = map.remove(&seq).unwrap();
+            *want_inflight.get_mut(&p.chunk).unwrap() &= !p.mask;
+            let n = want.iter_mut().find(|n| n.entry.node == p.to).unwrap();
+            n.outstanding = n.outstanding.saturating_sub(1);
+            n.observe_failure();
+            n.observe_penalty(timeout.as_secs_f64());
+        }
+
+        peer.expire_pending_data(now);
+        assert_eq!(peer.pending_data.len(), 1);
+        assert!(peer.pending_data.get(seqs[4]).is_some());
+        for (c, m) in want_inflight {
+            assert_eq!(peer.inflight.get(c), m, "inflight of chunk {c}");
+        }
+        for w in want {
+            let got = peer.neighbors.get_mut(w.entry.node).unwrap();
+            assert_eq!(got.outstanding, w.outstanding);
+            assert_eq!(got.failures, w.failures);
+            assert_eq!(got.consecutive_failures, w.consecutive_failures);
+            assert_eq!(
+                got.ewma_resp.map(f64::to_bits),
+                w.ewma_resp.map(f64::to_bits)
+            );
+            assert_eq!(got.weight.to_bits(), w.weight.to_bits());
+        }
+        // Answering or re-expiring what already expired is a no-op.
+        assert!(peer.pending_data.take(seqs[0]).is_none());
+        peer.expire_pending_data(now);
+        assert_eq!(peer.pending_data.len(), 1);
+    }
+
+    #[test]
+    fn early_exit_premise_and_cached_weight_hold() {
+        // `schedule_requests` stops at the first chunk nobody is eligible
+        // for, which is sound only while `may_hold` is monotone decreasing
+        // in the chunk index at a fixed `now`.
+        let topo = mixed_topology();
+        let at = SimTime::from_secs(100);
+        let mut hinted = Neighbor::new(entry(&topo, 1), at, 1.5);
+        hinted.observe_has(90, at);
+        let mut lacking = Neighbor::new(entry(&topo, 2), at, 1.5);
+        lacking.observe_lacks(95, at);
+        let unhinted = Neighbor::new(entry(&topo, 3), at, 1.5);
+        for n in [&hinted, &lacking, &unhinted] {
+            for now in [
+                at,
+                at + SimTime::from_millis(2500),
+                at + SimTime::from_secs(9),
+            ] {
+                for c in 80..120 {
+                    assert!(!n.may_hold(c + 1, now) || n.may_hold(c, now), "chunk {c}");
+                }
+            }
+        }
+        assert!(hinted.may_hold(90, at) && !hinted.may_hold(91, at));
+
+        // The weight handed to the weighted draw is the cached field; each
+        // of the three writers of its inputs must refresh it.
+        let mut n = unhinted;
+        assert_eq!(n.weight.to_bits(), n.fresh_weight().to_bits());
+        n.observe_response(0.31);
+        assert_eq!(n.weight.to_bits(), n.fresh_weight().to_bits());
+        let after_response = n.weight;
+        n.observe_failure();
+        assert_eq!(n.weight.to_bits(), n.fresh_weight().to_bits());
+        assert!(n.weight < after_response);
+        let after_failure = n.weight;
+        n.observe_penalty(4.0);
+        assert_eq!(n.weight.to_bits(), n.fresh_weight().to_bits());
+        assert!(n.weight < after_failure);
     }
 }

@@ -30,6 +30,8 @@ struct TestWorld {
     source: NodeId,
     collector: NodeId,
     log: Rc<RefCell<Vec<(NodeId, Message)>>>,
+    /// Where the source publishes its counters (every maintenance round).
+    sink: StatsSink,
 }
 
 /// Builds: a source (node 0) that produces chunks, and a collector
@@ -51,7 +53,7 @@ fn world() -> TestWorld {
         PeerEntry::new(source_id, topology.host(source_id).ip),
         Vec::new(),
         Arc::clone(&topology),
-        sink,
+        sink.clone(),
     );
     let id = sim.add_actor(Box::new(source));
     assert_eq!(id, source_id);
@@ -72,6 +74,7 @@ fn world() -> TestWorld {
         source: source_id,
         collector: collector_id,
         log,
+        sink,
     }
 }
 
@@ -162,6 +165,191 @@ fn source_serves_chunks_it_produced_and_rejects_future_ones() {
             }
         )),
         "unknown chunk must be rejected (not busy)"
+    );
+}
+
+#[test]
+fn malformed_data_requests_are_rejected_without_serving() {
+    // `offset` and `count` are wire fields: ranges that are empty, longer
+    // than a chunk, or that reach past its last sub-piece (including the
+    // shift-overflowing `count > 127` and `offset >= 64`) must each draw
+    // one plain reject and upload nothing. Chunk 10 exists, so only the
+    // range can be what is refused.
+    let mut w = world();
+    w.sim.run_until(SimTime::from_secs(31));
+    let subpieces = PeerConfig::default().stream.chunk_subpieces;
+    let hostile = [
+        (0, 0),
+        (0, subpieces + 1),
+        (subpieces - 1, 2),
+        (0, 128),
+        (0, 200),
+        (64, 1),
+        (70, 5),
+        (u16::MAX, u16::MAX),
+    ];
+    for (i, &(offset, count)) in hostile.iter().enumerate() {
+        let msg = Message::DataRequest {
+            channel: ChannelId(1),
+            chunk: ChunkId(10),
+            offset,
+            count,
+            seq: 100 + i as u64,
+        };
+        let sz = msg.wire_size();
+        w.sim
+            .inject(SimTime::from_secs(31), w.source, Some(w.collector), msg, sz);
+    }
+    w.sim.run_until(SimTime::from_secs(45));
+
+    let replies = replies_of(&w);
+    for i in 0..hostile.len() as u64 {
+        let rejects = replies
+            .iter()
+            .filter(
+                |m| matches!(m, Message::DataReject { seq, busy: false, .. } if *seq == 100 + i),
+            )
+            .count();
+        assert_eq!(rejects, 1, "request {:?}: {replies:?}", hostile[i as usize]);
+    }
+    assert!(
+        !replies
+            .iter()
+            .any(|m| matches!(m, Message::DataReply { .. })),
+        "no malformed range may be served: {replies:?}"
+    );
+    let stats = w.sink.get(w.source).expect("source flushed its stats");
+    assert_eq!(stats.bytes_up, 0);
+}
+
+#[test]
+fn malformed_data_replies_are_ignored_and_the_request_times_out() {
+    // A viewer whose only neighbor is the collector, which also plays its
+    // bootstrap server: every data request the viewer sends lands in the
+    // log, and the test answers in the collector's name.
+    let mut rng = SmallRng::seed_from_u64(3);
+    let mut topo = TopologyBuilder::new();
+    let viewer_id = topo.add_host(Isp::Tele, BandwidthClass::Adsl, &mut rng);
+    let collector_id = topo.add_host(Isp::Tele, BandwidthClass::Adsl, &mut rng);
+    let topology = Arc::new(topo.build());
+    let mut sim: Simulation<Message> =
+        Simulation::new(11, Underlay::new(Arc::clone(&topology), LinkModel::ideal()));
+    let cfg = PeerConfig::default();
+    let sink = StatsSink::new();
+    let viewer = PeerNode::viewer(
+        cfg,
+        ChannelId(1),
+        PeerEntry::new(viewer_id, topology.host(viewer_id).ip),
+        collector_id,
+        Arc::clone(&topology),
+        sink.clone(),
+    );
+    assert_eq!(sim.add_actor(Box::new(viewer)), viewer_id);
+    let log = Rc::new(RefCell::new(Vec::new()));
+    assert_eq!(
+        sim.add_actor(Box::new(Collector { log: log.clone() })),
+        collector_id
+    );
+    let at = SimTime::from_secs;
+    let say = |sim: &mut Simulation<Message>, t: SimTime, msg: Message| {
+        let sz = msg.wire_size();
+        sim.inject(t, viewer_id, Some(collector_id), msg, sz);
+    };
+    sim.inject(at(100), viewer_id, None, Message::Timer(TimerKind::Join), 0);
+    say(
+        &mut sim,
+        at(101),
+        Message::JoinResponse {
+            channel: ChannelId(1),
+            trackers: Vec::new(),
+        },
+    );
+    say(
+        &mut sim,
+        at(102),
+        Message::Handshake {
+            channel: ChannelId(1),
+        },
+    );
+    sim.run_until(at(104));
+
+    let requests = |log: &Rc<RefCell<Vec<(NodeId, Message)>>>| -> Vec<(u64, u16, u16, u64)> {
+        log.borrow()
+            .iter()
+            .filter_map(|(_, m)| match m {
+                Message::DataRequest {
+                    chunk,
+                    offset,
+                    count,
+                    seq,
+                    ..
+                } => Some((chunk.0, *offset, *count, *seq)),
+                _ => None,
+            })
+            .collect()
+    };
+    let &(chunk, offset, count, seq) = requests(&log).first().expect("the viewer asked for data");
+
+    // The first request is answered only with hostile replies carrying its
+    // seq: shift-overflowing ranges, a range past the chunk end, an empty
+    // one, and a well-formed range of a chunk it never asked for.
+    for (c, o, n) in [
+        (chunk, 0, 200),
+        (chunk, 64, 1),
+        (chunk, 70, 5),
+        (chunk, cfg.stream.chunk_subpieces - 1, 2),
+        (chunk, offset, 0),
+        (chunk + 1_000_000_000_000, offset, count),
+    ] {
+        say(
+            &mut sim,
+            at(104),
+            Message::DataReply {
+                chunk: ChunkId(c),
+                offset: o,
+                count: n,
+                seq,
+            },
+        );
+    }
+    // Every other request, as it shows up, gets the reply it asked for.
+    let (mut answered, mut sub_pieces) = (1, 0u64);
+    let mut now = at(104);
+    while now < at(112) {
+        let seen = requests(&log);
+        for &(c, o, n, s) in &seen[answered..] {
+            say(
+                &mut sim,
+                now,
+                Message::DataReply {
+                    chunk: ChunkId(c),
+                    offset: o,
+                    count: n,
+                    seq: s,
+                },
+            );
+            sub_pieces += u64::from(n);
+        }
+        answered = seen.len();
+        now += SimTime::from_millis(50);
+        sim.run_until(now);
+    }
+    // Let the last answers land and a maintenance round publish the stats.
+    sim.run_until(now + cfg.maintenance_interval + at(1));
+
+    // The ignored replies left the first request to time out, so its range
+    // was asked for again under a newer seq; only well-formed replies count.
+    assert!(
+        requests(&log)
+            .iter()
+            .any(|&(c, o, _, s)| c == chunk && o == offset && s != seq),
+        "the timed-out range is requested again"
+    );
+    let stats = sink.get(viewer_id).expect("viewer flushed its stats");
+    assert_eq!(stats.data_replies_received, answered as u64 - 1);
+    assert_eq!(
+        stats.bytes_down,
+        sub_pieces * u64::from(plsim_proto::SUB_PIECE_BYTES)
     );
 }
 

@@ -33,6 +33,14 @@ fn gossip_race_digest_is_pinned() {
     assert_eq!(pct(run.locality_avg(ProbeSite::Mason)), "2.1%");
     // The default policy never rejects a candidate.
     assert_eq!(run.metrics().counter("node.policy_rejections"), Some(0));
+    // The chunk scheduler's decisions — who is asked for what, and what
+    // that delivers to the players. The event counts above barely move
+    // when a scheduler edit redirects requests; these do.
+    let counter = |name| run.metrics().counter(name);
+    assert_eq!(counter("node.data_requests_sent"), Some(135_922));
+    assert_eq!(counter("node.bytes_down"), Some(968_630_280));
+    assert_eq!(counter("node.stalls"), Some(22));
+    assert_eq!(counter("node.chunks_played"), Some(22_921));
 }
 
 #[test]
