@@ -310,14 +310,8 @@ pub struct StampedTrace {
 /// resulting sends all happen where the popped actor lives), so ordering
 /// records by `(pop stamp, index within pop)` reproduces the exact record
 /// sequence of the single-shard run, and rebuilding the store from that
-/// sequence reproduces it bit for bit. Equivalent to
-/// [`merge_stamped_budgeted`] with no budget.
-#[must_use]
-pub fn merge_stamped(parts: impl IntoIterator<Item = StampedTrace>) -> TraceStore {
-    merge_stamped_budgeted(parts, None)
-}
-
-/// [`merge_stamped`] with a resident-byte budget on the merged store.
+/// sequence reproduces it bit for bit. `budget` is the resident-byte
+/// budget of the merged store.
 ///
 /// The merge streams: each shard sees its pops in increasing stamp order,
 /// so its stamp sequence is already sorted and a k-way merge over the
@@ -328,78 +322,53 @@ pub fn merge_stamped(parts: impl IntoIterator<Item = StampedTrace>) -> TraceStor
 ///
 /// # Panics
 ///
-/// Panics when a part's record count and stamp count disagree.
+/// Panics when a part's record count and stamp count disagree, or when a
+/// part's stamps are not in increasing order (the message names the shard).
 #[must_use]
-pub fn merge_stamped_budgeted(
+pub fn merge_stamped(
     parts: impl IntoIterator<Item = StampedTrace>,
     budget: Option<u64>,
 ) -> TraceStore {
+    struct Head<'a> {
+        rows: Rows<'a>,
+        stamps: &'a [(EventStamp, u32)],
+        pos: usize,
+    }
     let parts: Vec<StampedTrace> = parts.into_iter().collect();
-    for part in &parts {
+    for (shard, part) in parts.iter().enumerate() {
         assert_eq!(
             part.store.len(),
             part.stamps.len(),
             "stamped trace lost sync between records and sort keys"
         );
+        assert!(
+            part.stamps.is_sorted(),
+            "shard {shard} captured its pops out of stamp order"
+        );
     }
     let mut out = TraceStore::with_budget(budget);
-    if parts.iter().all(|p| p.stamps.is_sorted()) {
-        // The real-run fast path: k-way streaming merge over cursors.
-        struct Head<'a> {
-            rows: Rows<'a>,
-            stamps: &'a [(EventStamp, u32)],
-            pos: usize,
-        }
-        let mut heads: Vec<Head<'_>> = parts
-            .iter()
-            .map(|p| Head {
-                rows: p.store.rows(),
-                stamps: &p.stamps,
-                pos: 0,
-            })
-            .collect();
-        loop {
-            let mut best: Option<usize> = None;
-            for (i, h) in heads.iter().enumerate() {
-                if h.pos < h.stamps.len()
-                    && best.is_none_or(|b| h.stamps[h.pos] < heads[b].stamps[heads[b].pos])
-                {
-                    best = Some(i);
-                }
+    let mut heads: Vec<Head<'_>> = parts
+        .iter()
+        .map(|p| Head {
+            rows: p.store.rows(),
+            stamps: &p.stamps,
+            pos: 0,
+        })
+        .collect();
+    loop {
+        let mut best: Option<usize> = None;
+        for (i, h) in heads.iter().enumerate() {
+            if h.pos < h.stamps.len()
+                && best.is_none_or(|b| h.stamps[h.pos] < heads[b].stamps[heads[b].pos])
+            {
+                best = Some(i);
             }
-            let Some(b) = best else { break };
-            let head = &mut heads[b];
-            head.pos += 1;
-            let r = head.rows.next().expect("cursor in sync with stamps");
-            out.push_ref(r);
         }
-    } else {
-        // Synthetic captures (tests feed pops out of order): merge through
-        // per-shard sorted index permutations and point lookups instead.
-        let orders: Vec<Vec<usize>> = parts
-            .iter()
-            .map(|p| {
-                let mut idx: Vec<usize> = (0..p.stamps.len()).collect();
-                idx.sort_by_key(|&i| p.stamps[i]);
-                idx
-            })
-            .collect();
-        let mut pos = vec![0usize; parts.len()];
-        loop {
-            let mut best: Option<usize> = None;
-            for i in 0..parts.len() {
-                if pos[i] < orders[i].len() {
-                    let key = parts[i].stamps[orders[i][pos[i]]];
-                    if best.is_none_or(|b| key < parts[b].stamps[orders[b][pos[b]]]) {
-                        best = Some(i);
-                    }
-                }
-            }
-            let Some(b) = best else { break };
-            let row = orders[b][pos[b]];
-            pos[b] += 1;
-            out.push_ref(parts[b].store.get(row).expect("stamped row in bounds"));
-        }
+        let Some(b) = best else { break };
+        let head = &mut heads[b];
+        head.pos += 1;
+        let r = head.rows.next().expect("cursor in sync with stamps");
+        out.push_ref(r);
     }
     out
 }
@@ -717,8 +686,10 @@ mod tests {
         t.records(|store| {
             assert_eq!(store.len(), 2);
             assert!(store.rows().all(|r| r.probe == NodeId(0)));
-            assert_eq!(store.get(0).unwrap().direction, Direction::Outbound);
-            assert_eq!(store.get(1).unwrap().direction, Direction::Inbound);
+            assert!(store
+                .rows()
+                .map(|r| r.direction)
+                .eq([Direction::Outbound, Direction::Inbound]));
         });
     }
 
@@ -734,7 +705,7 @@ mod tests {
             req_id: 7,
         };
         t.on_deliver(SimTime::from_secs(1), NodeId(9), NodeId(0), &msg, 100);
-        t.records(|store| match store.get(0).unwrap().kind {
+        t.records(|store| match store.rows().next().unwrap().kind {
             KindRef::PeerListResponse { req_id, peer_ips } => {
                 assert_eq!(req_id, 7);
                 assert_eq!(peer_ips.len(), 3);
@@ -767,8 +738,10 @@ mod tests {
         t.on_send(SimTime::ZERO, NodeId(0), NodeId(5), &msg, 46);
         t.on_send(SimTime::ZERO, NodeId(0), NodeId(6), &msg, 46);
         t.records(|store| {
-            assert_eq!(store.get(0).unwrap().remote_kind, RemoteKind::Tracker);
-            assert_eq!(store.get(1).unwrap().remote_kind, RemoteKind::Peer);
+            assert!(store
+                .rows()
+                .map(|r| r.remote_kind)
+                .eq([RemoteKind::Tracker, RemoteKind::Peer]));
         });
     }
 
@@ -834,7 +807,7 @@ mod tests {
             seq: 42,
         };
         t.on_deliver(SimTime::ZERO, NodeId(2), NodeId(0), &msg, msg.wire_size());
-        t.records(|store| match store.get(0).unwrap().kind {
+        t.records(|store| match store.rows().next().unwrap().kind {
             KindRef::DataReply {
                 seq, payload_bytes, ..
             } => {
@@ -888,12 +861,13 @@ mod tests {
         }
         let want = reference.drain();
 
-        // Sharded: odd-indexed pops land on one tap, even on the other, in
-        // arbitrary relative order; the stamps put them back.
+        // Sharded: odd-indexed pops land on one tap, even on the other, each
+        // tap seeing its own pops in stamp order; the stamps interleave them
+        // back.
         let (shard_a, shard_b) = (tap(), tap());
         shard_a.enable_stamps();
         shard_b.enable_stamps();
-        for (i, (stamp, records)) in pops.iter().enumerate().rev() {
+        for (i, (stamp, records)) in pops.iter().enumerate() {
             let mut t = if i % 2 == 0 {
                 shard_a.clone()
             } else {
@@ -911,8 +885,26 @@ mod tests {
                 }
             }
         }
-        let merged = merge_stamped([shard_a.drain_stamped(), shard_b.drain_stamped()]);
+        let merged = merge_stamped([shard_a.drain_stamped(), shard_b.drain_stamped()], None);
         assert_eq!(merged, TraceStore::from_records(&want.to_records()));
+    }
+
+    #[test]
+    #[should_panic(expected = "shard 1 captured its pops out of stamp order")]
+    fn merge_rejects_a_shard_whose_pops_ran_backwards() {
+        let (in_order, mut backwards) = (tap(), tap());
+        in_order.enable_stamps();
+        backwards.enable_stamps();
+        for at in [2, 1] {
+            let at = SimTime::from_secs(at);
+            backwards.on_pop(plsim_des::EventStamp {
+                at,
+                origin: 0,
+                seq: 0,
+            });
+            backwards.on_deliver(at, NodeId(6), NodeId(0), &Message::Goodbye, 46);
+        }
+        let _ = merge_stamped([in_order.drain_stamped(), backwards.drain_stamped()], None);
     }
 
     #[test]
@@ -988,7 +980,7 @@ mod tests {
             }
             [shards[0].drain_stamped(), shards[1].drain_stamped()]
         };
-        let reference = merge_stamped(build(CaptureConfig::default()));
+        let reference = merge_stamped(build(CaptureConfig::default()), None);
         let spilled_parts = build(CaptureConfig {
             budget: Some(1),
             aggregate_window: None,
@@ -997,7 +989,7 @@ mod tests {
             spilled_parts.iter().all(|p| p.store.spilled_pages() > 0),
             "shard traces must actually spill"
         );
-        let merged = merge_stamped_budgeted(spilled_parts, Some(1));
+        let merged = merge_stamped(spilled_parts, Some(1));
         assert!(merged.spilled_pages() > 0, "merged store must spill too");
         assert_eq!(merged, reference);
     }

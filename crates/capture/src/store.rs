@@ -614,26 +614,6 @@ impl TraceStore {
         spill.read_frame(self.spilled[page], scratch);
     }
 
-    /// Decodes the row at offset `i` of a raw spilled frame.
-    fn decode_spilled_row(&self, frame: &[u8], i: usize) -> RecordRef<'_> {
-        let rows = frame.len() / SPILL_ROW_BYTES;
-        let off = block_offsets(rows);
-        let seq = u64_at(frame, off[8] + 8 * i);
-        let aux = u64_at(frame, off[9] + 8 * i);
-        let payload = u32_at(frame, off[10] + 4 * i);
-        let tag = KindTag::from_code(frame[off[7] + i]);
-        RecordRef {
-            t: SimTime::from_micros(u64_at(frame, off[0] + 8 * i)),
-            probe: NodeId(u32_at(frame, off[1] + 4 * i)),
-            remote: NodeId(u32_at(frame, off[2] + 4 * i)),
-            remote_ip: ip_at(frame, off[3] + 4 * i),
-            remote_kind: remote_kind_from_code(frame[off[4] + i]),
-            direction: direction_from_code(frame[off[5] + i]),
-            kind: decode_kind(self, tag, seq, aux, payload),
-            wire_bytes: u32_at(frame, off[6] + 4 * i),
-        }
-    }
-
     /// Appends a record (by borrowed view; list payloads are copied into
     /// the shared arena).
     pub fn push_ref(&mut self, r: RecordRef<'_>) {
@@ -684,43 +664,6 @@ impl TraceStore {
         let offset = (aux >> 32) as usize;
         let len = (aux & 0xFFFF_FFFF) as usize;
         &self.ips[offset..offset + len]
-    }
-
-    /// The record at `index`, if in bounds. On a spilled page this reads
-    /// the page's frame back from disk — fine for point lookups, but a
-    /// scan should use [`TraceStore::rows`], which decodes each frame
-    /// once.
-    #[must_use]
-    pub fn get(&self, index: usize) -> Option<RecordRef<'_>> {
-        if index >= self.len {
-            return None;
-        }
-        let page = index / PAGE_ROWS;
-        if page < self.spilled.len() {
-            let mut frame = Vec::new();
-            self.read_frame_bytes(page, &mut frame);
-            return Some(self.decode_spilled_row(&frame, index % PAGE_ROWS));
-        }
-        let seq = *self.seq.get(index).expect("seq column in sync");
-        let aux = *self.aux.get(index).expect("aux column in sync");
-        let payload = *self.payload.get(index).expect("payload column in sync");
-        let tag = *self.tag.get(index).expect("tag column in sync");
-        Some(RecordRef {
-            t: *self.t.get(index).expect("t column in sync"),
-            probe: *self.probe.get(index).expect("probe column in sync"),
-            remote: *self.remote.get(index).expect("remote column in sync"),
-            remote_ip: *self.remote_ip.get(index).expect("remote_ip column in sync"),
-            remote_kind: *self
-                .remote_kind
-                .get(index)
-                .expect("remote_kind column in sync"),
-            direction: *self.direction.get(index).expect("direction column in sync"),
-            kind: decode_kind(self, tag, seq, aux, payload),
-            wire_bytes: *self
-                .wire_bytes
-                .get(index)
-                .expect("wire_bytes column in sync"),
-        })
     }
 
     /// Streaming cursor over every record in capture order, transparently
@@ -1178,10 +1121,7 @@ mod tests {
         let store = TraceStore::from_records(&records);
         assert_eq!(store.len(), records.len());
         assert_eq!(store.to_records(), records);
-        for (i, r) in records.iter().enumerate() {
-            assert_eq!(store.get(i).unwrap(), r.as_ref());
-        }
-        assert_eq!(store.get(records.len()), None);
+        assert!(store.rows().eq(records.iter().map(TraceRecord::as_ref)));
     }
 
     #[test]
@@ -1319,16 +1259,13 @@ mod tests {
         );
         assert!(spilled.peak_resident_bytes() >= spilled.approx_heap_bytes());
 
-        // The full cursor, the per-probe cursor, point lookups, equality
-        // and row conversion must all be spill-transparent.
+        // The full cursor, the per-probe cursor, equality and row
+        // conversion must all be spill-transparent.
         assert!(spilled.rows().eq(resident.rows()));
         assert_eq!(spilled, resident);
         assert_eq!(resident, spilled);
         for probe in [NodeId(0), NodeId(1), NodeId(2)] {
             assert!(spilled.rows_for(probe).eq(resident.rows_for(probe)));
-        }
-        for i in [0, 1, PAGE_ROWS - 1, PAGE_ROWS, 2 * PAGE_ROWS + 499] {
-            assert_eq!(spilled.get(i), resident.get(i), "row {i}");
         }
         assert_eq!(spilled.to_records(), records);
     }

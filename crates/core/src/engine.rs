@@ -14,8 +14,9 @@
 //! them. Every job this crate issues is a whole simulated session, far
 //! heavier than a thread spawn, so there is no work-size heuristic in
 //! between. Every decision is recorded in [`JobPool::dispatch_stats`],
-//! which the bench harness uses to report honestly whether a "parallel"
-//! run actually fanned out.
+//! which `plbench` reads (`core.pool_threaded_runs`,
+//! `core.pool_inline_runs`) to report whether a "parallel" run actually
+//! fanned out.
 //!
 //! The pool size is whatever the caller passes to [`JobPool::new`];
 //! [`JobPool::default`] uses [`std::thread::available_parallelism`].
@@ -90,29 +91,6 @@ impl JobPool {
     #[must_use]
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Workers a batch of `jobs` jobs would actually occupy: `1` when the
-    /// pool is sequential or the batch degenerate, else `min(threads,
-    /// jobs)`. Bench reports quote this instead of the configured size so
-    /// speedup comparisons are like-with-like.
-    #[must_use]
-    pub fn effective_workers(&self, jobs: usize) -> usize {
-        if self.threads == 1 || jobs <= 1 {
-            1
-        } else {
-            self.threads.min(jobs)
-        }
-    }
-
-    /// Threads each of a batch of `jobs` concurrent jobs may itself use
-    /// for nested parallelism (e.g. driving the shards of its world)
-    /// without oversubscribing the machine: the pool's threads divided by
-    /// the workers the batch actually occupies, never below one. A
-    /// sequential pool hands the whole budget to its single resident job.
-    #[must_use]
-    pub fn threads_per_job(&self, jobs: usize) -> usize {
-        (self.threads / self.effective_workers(jobs)).max(1)
     }
 
     /// How this pool's dispatches resolved so far (shared across clones).
@@ -239,29 +217,6 @@ mod tests {
         assert_eq!(out.len(), 2);
         let after = pool.dispatch_stats();
         assert_eq!(after.threaded_runs, before.threaded_runs + 1);
-    }
-
-    #[test]
-    fn effective_workers_is_honest() {
-        assert_eq!(JobPool::new(8).effective_workers(2), 2);
-        assert_eq!(JobPool::new(2).effective_workers(64), 2);
-        assert_eq!(JobPool::new(1).effective_workers(64), 1);
-        assert_eq!(JobPool::new(8).effective_workers(1), 1);
-    }
-
-    #[test]
-    fn threads_per_job_splits_the_budget() {
-        // 8 threads over 2 resident jobs: 4 threads each.
-        assert_eq!(JobPool::new(8).threads_per_job(2), 4);
-        // Saturated pool: every job runs sequentially inside.
-        assert_eq!(JobPool::new(2).threads_per_job(8), 1);
-        // Sequential pool: the lone resident job gets the whole machine
-        // budget the pool was configured with.
-        assert_eq!(JobPool::new(1).threads_per_job(5), 1);
-        // A single job owns the full pool.
-        assert_eq!(JobPool::new(8).threads_per_job(1), 8);
-        // Uneven split rounds down but never to zero.
-        assert_eq!(JobPool::new(3).threads_per_job(2), 1);
     }
 
     #[test]

@@ -2,10 +2,9 @@
 //! that runs a sharded world must complete even when the pool has fewer
 //! threads than the world has shards, because shard threads come from a
 //! scoped spawn inside the job, not from the pool's own workers. The pool
-//! only has to account honestly for what *it* did: `effective_workers`
-//! reports the workers the batch occupied, `threads_per_job` splits the
-//! thread budget so nested shard driving does not oversubscribe, and
-//! `DispatchStats` counts the dispatch paths actually taken.
+//! only has to account honestly for what *it* did: `DispatchStats` counts
+//! the dispatch paths actually taken. Each world drives its shards on an
+//! explicit one-thread budget, so the batch never oversubscribes.
 
 use plsim_des::SimTime;
 use plsim_net::Isp;
@@ -15,9 +14,8 @@ use pplive_locality::JobPool;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-/// A tiny four-shard world; `shard_threads` is the nested budget the
-/// driving job hands down.
-fn sharded_world(seed: u64, shards: usize, shard_threads: usize) -> WorldConfig {
+/// A tiny world on `shards` shards, all driven by one thread.
+fn sharded_world(seed: u64, shards: usize) -> WorldConfig {
     let mut rng = SmallRng::seed_from_u64(seed);
     let plan = SessionPlan::generate(
         &PopulationSpec::tiny(ChannelClass::Unpopular),
@@ -30,16 +28,12 @@ fn sharded_world(seed: u64, shards: usize, shard_threads: usize) -> WorldConfig 
         ..ProbeSpec::residential(Isp::Tele)
     });
     cfg.shards = shards;
-    cfg.shard_threads = shard_threads;
+    cfg.shard_threads = 1;
     cfg
 }
 
 fn run_batch(pool: &JobPool, seeds: &[u64], shards: usize) -> Vec<WorldOutput> {
-    let budget = pool.threads_per_job(seeds.len());
-    let cfgs: Vec<WorldConfig> = seeds
-        .iter()
-        .map(|&s| sharded_world(s, shards, budget))
-        .collect();
+    let cfgs: Vec<WorldConfig> = seeds.iter().map(|&s| sharded_world(s, shards)).collect();
     pool.map(cfgs, |cfg| run_world(&cfg))
 }
 
@@ -50,9 +44,6 @@ fn run_batch(pool: &JobPool, seeds: &[u64], shards: usize) -> Vec<WorldOutput> {
 #[test]
 fn sequential_pool_drives_four_shard_worlds_without_deadlock() {
     let pool = JobPool::new(1);
-    assert_eq!(pool.effective_workers(2), 1);
-    assert_eq!(pool.threads_per_job(2), 1);
-
     let before = pool.dispatch_stats();
     let outputs = run_batch(&pool, &[11, 12], 4);
     let after = pool.dispatch_stats();
@@ -61,10 +52,10 @@ fn sequential_pool_drives_four_shard_worlds_without_deadlock() {
     assert_eq!(after.inline_runs, before.inline_runs + 1);
     assert_eq!(after.threaded_runs, before.threaded_runs);
 
-    // The squeezed shard budget changes scheduling on the wall clock only:
+    // Sharding changes scheduling on the wall clock only:
     // each output is still bit-identical to its unsharded twin.
     for (out, &seed) in outputs.iter().zip(&[11u64, 12]) {
-        let reference = run_world(&sharded_world(seed, 1, 1));
+        let reference = run_world(&sharded_world(seed, 1));
         assert_eq!(out.sim, reference.sim, "seed {seed}: SimStats diverged");
         assert_eq!(
             out.metrics, reference.metrics,
@@ -77,16 +68,12 @@ fn sequential_pool_drives_four_shard_worlds_without_deadlock() {
     }
 }
 
-/// A two-thread pool over two sharded jobs: the batch fans out (two
-/// workers, honestly reported), each job drives its shards on its own
-/// single-thread budget, and the ledger counts one threaded dispatch.
+/// A two-thread pool over two sharded jobs: the batch fans out, each job
+/// drives its shards on its own single-thread budget, and the ledger
+/// counts one threaded dispatch.
 #[test]
 fn threaded_pool_shares_budget_with_shard_driving() {
     let pool = JobPool::new(2);
-    assert_eq!(pool.effective_workers(2), 2);
-    // Two workers split two threads: sequential shard driving inside.
-    assert_eq!(pool.threads_per_job(2), 1);
-
     let before = pool.dispatch_stats();
     let outputs = run_batch(&pool, &[21, 22], 4);
     let after = pool.dispatch_stats();

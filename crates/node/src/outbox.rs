@@ -11,9 +11,9 @@
 //! and the receiver [`drain`]s each slot in place. Buffers circulate
 //! between stage and slot indefinitely, so once every buffer has grown to
 //! its high-water mark the steady state allocates nothing — the property
-//! `BENCH_engine.json` records as `outbox_steady_state_allocs` and the
-//! `outbox_alloc` integration test pins with a counting allocator, in the
-//! spirit of the kernel's `message_pool_alloc` gauge.
+//! the `outbox_alloc` integration test pins with a counting allocator, in
+//! the spirit of the kernel's `kernel_alloc` and the message path's
+//! `message_pool_alloc` tests.
 //!
 //! Slots are one mutex per *directed shard pair*, so two senders never
 //! contend for the same slot in the publish phase (each source publishes

@@ -38,8 +38,7 @@
 //! in thread-local buffers and published with a single buffer swap per
 //! directed shard pair, drained in place on the other side — zero
 //! steady-state allocations on the exchange path (pinned by the
-//! `outbox_alloc` test and reported as `outbox_steady_state_allocs` in
-//! `BENCH_engine.json`).
+//! `outbox_alloc` test).
 //!
 //! What cannot be computed shard-locally is *reconstructed* exactly:
 //!
@@ -84,7 +83,7 @@
 use crate::outbox::ShardExchange;
 use crate::world::{materialize, ShardRole, WorldConfig, WorldLayout, WorldOutput};
 use crate::StatsSink;
-use plsim_capture::{merge_stamped_budgeted, CaptureAggregates, FaultMark, StampedTrace};
+use plsim_capture::{merge_stamped, CaptureAggregates, FaultMark, StampedTrace};
 use plsim_des::{EventStamp, NodeId, PopRecord, QueueIntent, RemoteEvent, SimStats, SimTime};
 use plsim_net::{Isp, Topology, Underlay};
 use plsim_proto::{Message, WireMessage};
@@ -781,7 +780,7 @@ pub(crate) fn run_sharded(cfg: &WorldConfig) -> WorldOutput {
     // traces merge by global stamp under the run's budget, aggregates union
     // disjoint probe maps.
     let mut aggregates = CaptureAggregates::default();
-    let records = merge_stamped_budgeted(
+    let records = merge_stamped(
         results.into_iter().map(|r| {
             aggregates.absorb(r.aggregates);
             r.trace

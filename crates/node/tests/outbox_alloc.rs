@@ -5,8 +5,7 @@
 //! rounds allocate nothing: batches cross by buffer swap and drain in
 //! place. This test installs a counting global allocator, runs warmup
 //! rounds until the capacities settle, then measures a long steady-state
-//! stretch and requires exactly zero allocations — the same property
-//! `BENCH_engine.json` reports as `outbox_steady_state_allocs`.
+//! stretch and requires exactly zero allocations.
 
 use plsim_node::ShardExchange;
 use std::alloc::{GlobalAlloc, Layout, System};

@@ -73,19 +73,6 @@ impl PeerListArena {
         self.inner.borrow().live_blocks()
     }
 
-    /// High-water mark of simultaneously live blocks — the warmed
-    /// working-set size after which interning no longer allocates.
-    #[must_use]
-    pub fn peak_live_blocks(&self) -> usize {
-        self.inner.borrow().peak_live_blocks()
-    }
-
-    /// Bytes of heap currently held by the arena.
-    #[must_use]
-    pub fn heap_bytes(&self) -> usize {
-        self.inner.borrow().heap_bytes()
-    }
-
     fn same_arena(&self, other: &PeerListArena) -> bool {
         Rc::ptr_eq(&self.inner, &other.inner)
     }
@@ -97,7 +84,6 @@ impl fmt::Debug for PeerListArena {
         f.debug_struct("PeerListArena")
             .field("live_blocks", &inner.live_blocks())
             .field("free_blocks", &inner.free_blocks())
-            .field("peak_live_blocks", &inner.peak_live_blocks())
             .finish()
     }
 }
@@ -309,7 +295,10 @@ mod tests {
         assert_eq!(arena.live_blocks(), 0);
         // The freed block is reused, so the arena does not grow.
         let _c = arena.intern((0..5).map(entry));
-        assert_eq!(arena.peak_live_blocks(), 1);
+        assert_eq!(
+            format!("{arena:?}"),
+            "PeerListArena { live_blocks: 1, free_blocks: 0 }"
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Allocation audit of the zero-copy message path: once the arena's block
 //! pool is warm, a steady-state loop of intern → enclose-in-message →
 //! clone → drop must not touch the heap at all. This is the node layer's
-//! analogue of the kernel's `alloc_probe` example — the whole point of
+//! analogue of the kernel's `kernel_alloc` test — the whole point of
 //! interning peer lists is that the gossip hot loop recycles arena blocks
 //! instead of allocating a fresh `Vec` per message.
 

@@ -28,8 +28,6 @@ struct Block<T> {
 pub struct BlockArena<T> {
     blocks: Vec<Block<T>>,
     free: Vec<u32>,
-    /// High-water mark of simultaneously live blocks.
-    peak_live: usize,
 }
 
 impl<T> Default for BlockArena<T> {
@@ -37,7 +35,6 @@ impl<T> Default for BlockArena<T> {
         BlockArena {
             blocks: Vec::new(),
             free: Vec::new(),
-            peak_live: 0,
         }
     }
 }
@@ -69,7 +66,6 @@ impl<T> BlockArena<T> {
         block.items.clear();
         block.refs = 1;
         fill(&mut block.items);
-        self.peak_live = self.peak_live.max(self.blocks.len() - self.free.len());
         index
     }
 
@@ -95,12 +91,6 @@ impl<T> BlockArena<T> {
         }
     }
 
-    /// Total blocks ever created (live + free).
-    #[must_use]
-    pub fn blocks(&self) -> usize {
-        self.blocks.len()
-    }
-
     /// Blocks currently on the free list.
     #[must_use]
     pub fn free_blocks(&self) -> usize {
@@ -111,24 +101,6 @@ impl<T> BlockArena<T> {
     #[must_use]
     pub fn live_blocks(&self) -> usize {
         self.blocks.len() - self.free.len()
-    }
-
-    /// High-water mark of simultaneously live blocks — the arena's warmed
-    /// working-set size.
-    #[must_use]
-    pub fn peak_live_blocks(&self) -> usize {
-        self.peak_live
-    }
-
-    /// Bytes of heap held by the block storage and the free list.
-    #[must_use]
-    pub fn heap_bytes(&self) -> usize {
-        self.blocks
-            .iter()
-            .map(|b| b.items.capacity() * std::mem::size_of::<T>())
-            .sum::<usize>()
-            + self.blocks.capacity() * std::mem::size_of::<Block<T>>()
-            + self.free.capacity() * std::mem::size_of::<u32>()
     }
 }
 
@@ -143,7 +115,6 @@ mod tests {
         let b1 = a.intern_with(|v| v.extend([9]));
         assert_eq!(a.get(b0), &[1, 2, 3]);
         assert_eq!(a.get(b1), &[9]);
-        assert_eq!(a.blocks(), 2);
         assert_eq!(a.live_blocks(), 2);
     }
 
@@ -156,7 +127,7 @@ mod tests {
         // The next intern reuses the freed block, not a new one.
         let b1 = a.intern_with(|v| v.extend([7]));
         assert_eq!(b1, b0);
-        assert_eq!(a.blocks(), 1);
+        assert_eq!((a.live_blocks(), a.free_blocks()), (1, 0));
         assert_eq!(a.get(b1), &[7]);
     }
 
@@ -169,18 +140,5 @@ mod tests {
         assert_eq!(a.free_blocks(), 0, "still one reference");
         a.release(b);
         assert_eq!(a.free_blocks(), 1);
-    }
-
-    #[test]
-    fn peak_live_tracks_high_water() {
-        let mut a: BlockArena<u8> = BlockArena::new();
-        let b0 = a.intern_with(|v| v.push(0));
-        let b1 = a.intern_with(|v| v.push(1));
-        assert_eq!(a.peak_live_blocks(), 2);
-        a.release(b0);
-        a.release(b1);
-        let _ = a.intern_with(|v| v.push(2));
-        assert_eq!(a.peak_live_blocks(), 2, "peak is a high-water mark");
-        assert!(a.heap_bytes() > 0);
     }
 }

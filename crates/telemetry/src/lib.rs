@@ -11,7 +11,7 @@
 //!   and are allocation-free on the hot path (a handle is an `Rc<Cell>`
 //!   bump — no map lookup, no `RefCell` borrow per increment). One
 //!   [`MetricsSnapshot`] per run is the single export path feeding
-//!   `core::export`, `ScenarioRun` and `BENCH_engine.json`.
+//!   `core::export`, `ScenarioRun` and `plbench`'s per-layer counts.
 //! * **columnar storage building blocks** ([`PagedVec`]) for
 //!   struct-of-arrays stores such as `plsim_capture::TraceStore`:
 //!   append-only fixed-size pages, so appends never reallocate-and-copy
