@@ -2,7 +2,7 @@
 //!
 //! A fold consumes borrowed [`RecordRef`] rows one at a time and keeps
 //! only its accumulator state — never a row copy — so a capture can be
-//! analyzed while its columnar store pages through a spill file: peak
+//! analyzed while its store pages through a spill file: peak
 //! memory is O(pages in flight + accumulator state), independent of trace
 //! length. Feeding several folds from one cursor (as
 //! [`crate::ProbeReport::new`] does) decodes each page exactly once for

@@ -2,7 +2,7 @@
 //!
 //! Turns probe captures into exactly the quantities the paper's evaluation
 //! section plots. Every analysis streams borrowed
-//! [`plsim_capture::RecordRef`] rows, so a columnar
+//! [`plsim_capture::RecordRef`] rows, so a
 //! [`plsim_capture::TraceStore`] can be analyzed in place — pass the store
 //! itself (it iterates its rows) or any row cursor such as
 //! [`plsim_capture::TraceStore::rows_for`]:
@@ -53,6 +53,5 @@ pub use overlay::{overlay_stats, OverlayFold, OverlayStats};
 pub use perisp::{PerGroup, PerIsp};
 pub use probe::ProbeReport;
 pub use response::{
-    data_response_times, peer_list_response_times, ResponseSummary, ResponseSummaryFold,
-    ResponseTimes, ResponseTimesFold, RtSample,
+    data_response_times, peer_list_response_times, ResponseTimes, ResponseTimesFold, RtSample,
 };

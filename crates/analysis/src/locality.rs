@@ -88,7 +88,7 @@ impl RecordFold for ReturnedAddressesFold<'_> {
 
 /// Figure 2(a)–5(a): counts every address on every peer list the probe
 /// received (tracker responses and gossip responses), with duplicates.
-/// Streams borrowed rows, so a columnar [`plsim_capture::TraceStore`] can
+/// Streams borrowed rows, so a [`plsim_capture::TraceStore`] can
 /// be passed directly without materializing owned records.
 #[must_use]
 pub fn returned_addresses<'a, I>(records: I, dir: &AsnDirectory) -> ReturnedAddresses

@@ -40,8 +40,8 @@ pub struct ProbeReport {
 impl ProbeReport {
     /// Analyzes the records of `probe` (other probes' records are ignored).
     ///
-    /// The probe's rows are streamed off the columnar (and, under a capture
-    /// budget, spilled) pages exactly once: every decoded [`RecordRef`] is
+    /// The probe's rows are streamed off the store's pages (under a capture
+    /// budget, spilled ones included) exactly once: every [`RecordRef`] is
     /// fed to all seven analysis folds before the cursor moves on, so peak
     /// memory is one decoded page plus the folds' own accumulator state —
     /// never a materialized per-probe row list.

@@ -11,7 +11,6 @@ use crate::PerGroup;
 use plsim_capture::{Direction, KindRef, RecordRef, RemoteKind};
 use plsim_des::SimTime;
 use plsim_net::{AsnDirectory, IspGroup};
-use plsim_telemetry::{P2Quantile, StreamingMoments};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -165,8 +164,7 @@ impl<'d> RtMatcher<'d> {
 
 /// Streaming fold producing the full [`ResponseTimes`] series — the
 /// figure-sized output (it retains one sample per matched exchange, which
-/// the time-series plots need). For a bounded summary use
-/// [`ResponseSummaryFold`].
+/// the time-series plots need).
 #[derive(Debug)]
 pub struct ResponseTimesFold<'d> {
     matcher: RtMatcher<'d>,
@@ -206,91 +204,6 @@ impl RecordFold for ResponseTimesFold<'_> {
         self.out.unanswered = self.matcher.unanswered();
         self.out.samples.sort_by_key(|s| s.sent_at);
         self.out
-    }
-}
-
-/// Bounded per-group response-time summary: exact moments plus P² median
-/// and 95th-percentile sketches — O(1) state per group, no retained
-/// samples. The alternative to [`ResponseTimes`] when only aggregates
-/// (not the time series) are needed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResponseSummary {
-    /// Exact moments of the response time in microseconds, per group.
-    pub moments: PerGroup<StreamingMoments>,
-    /// P² median sketch of the response time in seconds, per group.
-    pub p50: PerGroup<P2Quantile>,
-    /// P² 95th-percentile sketch of the response time in seconds, per group.
-    pub p95: PerGroup<P2Quantile>,
-    /// Requests that never got an answer.
-    pub unanswered: u64,
-}
-
-impl ResponseSummary {
-    /// Mean response time of a group in seconds (`None` when empty).
-    #[must_use]
-    pub fn mean_secs(&self, group: IspGroup) -> Option<f64> {
-        self.moments[group].mean().map(|us| us / 1e6)
-    }
-
-    /// Matched samples of a group.
-    #[must_use]
-    pub fn count(&self, group: IspGroup) -> u64 {
-        self.moments[group].count()
-    }
-}
-
-/// Streaming fold behind [`ResponseSummary`].
-#[derive(Debug)]
-pub struct ResponseSummaryFold<'d> {
-    matcher: RtMatcher<'d>,
-    moments: PerGroup<StreamingMoments>,
-    p50: PerGroup<P2Quantile>,
-    p95: PerGroup<P2Quantile>,
-}
-
-impl<'d> ResponseSummaryFold<'d> {
-    fn new(mode: RtMode, dir: &'d AsnDirectory) -> Self {
-        ResponseSummaryFold {
-            matcher: RtMatcher::new(mode, dir),
-            moments: PerGroup::default(),
-            p50: PerGroup::from_fn(|| P2Quantile::new(0.5)),
-            p95: PerGroup::from_fn(|| P2Quantile::new(0.95)),
-        }
-    }
-
-    /// A peer-list response-time summary fold.
-    #[must_use]
-    pub fn peer_list(dir: &'d AsnDirectory) -> Self {
-        ResponseSummaryFold::new(RtMode::PeerList, dir)
-    }
-
-    /// A data response-time summary fold.
-    #[must_use]
-    pub fn data(dir: &'d AsnDirectory) -> Self {
-        ResponseSummaryFold::new(RtMode::Data, dir)
-    }
-}
-
-impl RecordFold for ResponseSummaryFold<'_> {
-    type Output = ResponseSummary;
-
-    fn push(&mut self, r: RecordRef<'_>) {
-        if let Some(s) = self.matcher.push(r) {
-            let micros = (s.rt_secs * 1e6).round();
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            self.moments[s.group].observe(micros.max(0.0) as u64);
-            self.p50[s.group].observe(s.rt_secs);
-            self.p95[s.group].observe(s.rt_secs);
-        }
-    }
-
-    fn finish(self) -> ResponseSummary {
-        ResponseSummary {
-            moments: self.moments,
-            p50: self.p50,
-            p95: self.p95,
-            unanswered: self.matcher.unanswered(),
-        }
     }
 }
 

@@ -7,12 +7,12 @@
 //! lists with the advertised addresses, data request/reply sequence
 //! numbers, timestamps, byte counts), without the parsing step.
 //!
-//! Captured traffic lives in a columnar [`TraceStore`]: one append-only
-//! paged column per field plus a shared arena for peer-list addresses,
-//! written directly from the wire messages (no intermediate row allocation
-//! on the capture path). Analysis streams borrowed [`RecordRef`] cursors;
-//! the owned [`TraceRecord`] row remains the interchange type for tests
-//! and conversion.
+//! Captured traffic lives in a [`TraceStore`]: append-only pages of
+//! fixed-width rows plus a shared arena for peer-list addresses, written
+//! directly from the wire messages (no owned record, no per-list
+//! allocation on the capture path). Analysis streams borrowed
+//! [`RecordRef`] cursors; the owned [`TraceRecord`] row remains the
+//! interchange type for tests and conversion.
 //!
 //! The tap is a cheap cloneable handle around shared storage, so the harness
 //! keeps one handle and gives the simulation another. A simulation is
@@ -63,7 +63,7 @@ use std::net::Ipv4Addr;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use store::{KindTag, RowHead};
+use store::{KindTag, Row};
 
 /// Direction of a captured message relative to the probe host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -188,7 +188,7 @@ pub struct FaultMark {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CaptureConfig {
     /// Resident-byte budget for the trace store: sealed pages spill to
-    /// disk once the resident columns exceed it (`None` = never spill).
+    /// disk once the resident pages exceed it (`None` = never spill).
     pub budget: Option<u64>,
     /// When set, the tap aggregates at capture time — per-probe per-window
     /// counters and wire-byte sketches — instead of recording rows at all.
@@ -428,7 +428,7 @@ impl ProbeTap {
     }
 
     /// Pre-reserves capture storage for roughly `additional` more records.
-    /// The paged columns never reallocate, so only the shared address
+    /// The row pages never reallocate, so only the shared address
     /// arena benefits; harmless to skip.
     pub fn reserve(&self, additional: usize) {
         self.state.borrow_mut().records.reserve_ips(additional);
@@ -515,8 +515,8 @@ impl ProbeTap {
         self.len() == 0
     }
 
-    /// Encodes one captured message straight into the columnar store — no
-    /// intermediate row, no per-list `Vec` allocation.
+    /// Packs one captured message straight into a store row — no owned
+    /// [`TraceRecord`], no per-list `Vec` allocation.
     fn record(
         &self,
         now: SimTime,
@@ -567,65 +567,59 @@ impl ProbeTap {
             state.stamps.as_mut().expect("checked above").push(key);
         }
         let remote_kind = state.remote_kinds.get(&remote).copied().unwrap_or_default();
-        let head = RowHead {
-            t: now,
-            probe,
-            remote,
-            remote_ip,
-            remote_kind,
-            direction,
-            wire_bytes: size,
-        };
         let store = &mut state.records;
-        match payload {
+        let (tag, seq, aux, payload_bytes) = match payload {
             Message::BootstrapRequest
             | Message::BootstrapResponse { .. }
             | Message::JoinRequest { .. }
-            | Message::JoinResponse { .. } => {
-                store.push_encoded(head, KindTag::Bootstrap, 0, 0, 0);
-            }
+            | Message::JoinResponse { .. } => (KindTag::Bootstrap, 0, 0, 0),
             // A biased query is still a tracker query on the wire; the
             // locality hint changes the reply, not the request's shape.
             Message::TrackerQuery { .. } | Message::TrackerQueryBiased { .. } => {
-                store.push_encoded(head, KindTag::TrackerQuery, 0, 0, 0);
+                (KindTag::TrackerQuery, 0, 0, 0)
             }
             Message::TrackerResponse { peers, .. } => {
                 let span = peers.with(|entries| store.intern_ips(entries.iter().map(|e| e.ip)));
-                store.push_encoded(head, KindTag::TrackerResponse, 0, span, 0);
+                (KindTag::TrackerResponse, 0, span, 0)
             }
-            Message::PeerListRequest { req_id, .. } => {
-                store.push_encoded(head, KindTag::PeerListRequest, *req_id, 0, 0);
-            }
+            Message::PeerListRequest { req_id, .. } => (KindTag::PeerListRequest, *req_id, 0, 0),
             Message::PeerListResponse { peers, req_id, .. } => {
                 let span = peers.with(|entries| store.intern_ips(entries.iter().map(|e| e.ip)));
-                store.push_encoded(head, KindTag::PeerListResponse, *req_id, span, 0);
+                (KindTag::PeerListResponse, *req_id, span, 0)
             }
-            Message::Handshake { .. } => {
-                store.push_encoded(head, KindTag::Handshake, 0, 0, 0);
-            }
+            Message::Handshake { .. } => (KindTag::Handshake, 0, 0, 0),
             Message::HandshakeAck { accepted, .. } => {
-                store.push_encoded(head, KindTag::HandshakeAck, 0, u64::from(*accepted), 0);
+                (KindTag::HandshakeAck, 0, u64::from(*accepted), 0)
             }
-            Message::DataRequest { seq, chunk, .. } => {
-                store.push_encoded(head, KindTag::DataRequest, *seq, chunk.0, 0);
-            }
+            Message::DataRequest { seq, chunk, .. } => (KindTag::DataRequest, *seq, chunk.0, 0),
             Message::DataReply {
                 seq, chunk, count, ..
-            } => {
-                let payload_bytes = u32::from(*count) * plsim_proto::SUB_PIECE_BYTES;
-                store.push_encoded(head, KindTag::DataReply, *seq, chunk.0, payload_bytes);
-            }
+            } => (
+                KindTag::DataReply,
+                *seq,
+                chunk.0,
+                u32::from(*count) * plsim_proto::SUB_PIECE_BYTES,
+            ),
             Message::DataReject { seq, busy, .. } => {
-                store.push_encoded(head, KindTag::DataReject, *seq, u64::from(*busy), 0);
+                (KindTag::DataReject, *seq, u64::from(*busy), 0)
             }
-            Message::Announce { .. } => {
-                store.push_encoded(head, KindTag::Announce, 0, 0, 0);
-            }
-            Message::Goodbye => {
-                store.push_encoded(head, KindTag::Goodbye, 0, 0, 0);
-            }
+            Message::Announce { .. } => (KindTag::Announce, 0, 0, 0),
+            Message::Goodbye => (KindTag::Goodbye, 0, 0, 0),
             Message::Timer(_) => unreachable!("timers filtered above"),
-        }
+        };
+        store.push_row(Row {
+            t: now,
+            seq,
+            aux,
+            probe,
+            remote,
+            remote_ip,
+            wire_bytes: size,
+            payload: payload_bytes,
+            remote_kind,
+            direction,
+            tag,
+        });
     }
 }
 
@@ -946,7 +940,7 @@ mod tests {
         // Each shard captures enough to seal and spill pages under a tiny
         // budget; the budgeted merge must still reproduce the unspilled
         // merge bit for bit, and may spill its own output.
-        use plsim_telemetry::PAGE_ROWS;
+        use crate::store::PAGE_ROWS;
         // Interleaved over two shards, so each shard still seals a page.
         let n = 2 * PAGE_ROWS as u64 + 1400;
         let build = |config: CaptureConfig| {

@@ -1,29 +1,30 @@
-//! The columnar trace store: struct-of-arrays packet-trace storage with
-//! an optional disk spill tier.
+//! The trace store: packet-trace storage as pages of fixed-width rows,
+//! with an optional disk spill tier.
 //!
 //! A four-week paper-scale capture holds millions of [`TraceRecord`]s; as
-//! a `Vec<TraceRecord>` every record pays the row struct's padding plus a
-//! private `Vec<Ipv4Addr>` allocation for each peer-list payload. The
-//! [`TraceStore`] instead keeps one append-only paged column per field
-//! ([`plsim_telemetry::PagedVec`]) and a single shared address arena for
-//! peer-list payloads, so
+//! a `Vec<TraceRecord>` every record pays the owned row's enum padding plus
+//! a private `Vec<Ipv4Addr>` allocation for each peer-list payload. The
+//! [`TraceStore`] instead packs each record into one 48-byte `Row` — the
+//! scalars, a one-byte kind tag and three variant-dependent payload words —
+//! appended to fixed-capacity pages of `PAGE_ROWS` rows, with a single
+//! shared address arena for peer-list payloads, so
 //!
 //! * appends never reallocate-and-copy (no transient 2× growth spike),
-//! * per-record memory drops (no padding, no per-list `Vec` headers or
-//!   allocator overhead), and
+//! * per-record memory drops (no per-list `Vec` headers or allocator
+//!   overhead), and
 //! * analysis streams typed [`RecordRef`] cursors ([`TraceStore::rows`],
 //!   [`TraceStore::rows_for`]) instead of cloning row subsets.
 //!
 //! **Spill tier.** Under a byte budget ([`TraceStore::with_budget`]),
 //! sealing a page checks the resident heap; while it exceeds the budget
-//! the oldest resident sealed page is serialized as one fixed-layout frame (eleven column blocks,
-//! 47 bytes/row) into a shared [`SpillFile`] and its heap is released.
-//! Spilled pages form a strict prefix — capture appends at the tail,
-//! analysis replays from the head, so oldest-first is both the cheapest
-//! and the right policy. The address arena stays resident (peer-list
+//! the oldest resident sealed page is serialized as one frame — its rows
+//! back to back, 47 bytes each — into a shared [`SpillFile`] and its heap
+//! is released. Spilled pages form a strict prefix — capture appends at
+//! the tail, analysis replays from the head, so oldest-first is both the
+//! cheapest and the right policy. The address arena stays resident (peer-list
 //! spans borrow from it, which is what keeps [`RecordRef`] free of
 //! self-referential lifetimes); cursors decode spilled frames back a page
-//! at a time into reused buffers, so [`TraceStore::rows`] /
+//! at a time into a reused buffer, so [`TraceStore::rows`] /
 //! [`TraceStore::rows_for`] iterate RAM-resident and spilled pages
 //! transparently and bit-identically. Equality is content-based and
 //! spill-independent.
@@ -35,11 +36,16 @@
 use crate::{Direction, RecordKind, RemoteKind, TraceRecord};
 use plsim_des::{NodeId, SimTime};
 use plsim_proto::ChunkId;
-use plsim_telemetry::{PagedVec, SpillFile, SpillFrame, PAGE_ROWS};
+use plsim_telemetry::{SpillFile, SpillFrame};
+use std::borrow::Cow;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
-/// Discriminant column value: which [`RecordKind`] variant a row holds.
+/// Rows per page. A page is allocated once at this capacity and never
+/// regrows, so an append never moves existing rows.
+pub(crate) const PAGE_ROWS: usize = 8192;
+
+/// Which [`RecordKind`] variant a row holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum KindTag {
     Bootstrap,
@@ -127,47 +133,92 @@ fn direction_from_code(code: u8) -> Direction {
     }
 }
 
-/// Per-column encoded widths of a spilled frame, in column order
-/// (t, probe, remote, remote_ip, remote_kind, direction, wire_bytes, tag,
-/// seq, aux, payload).
-const COL_WIDTHS: [usize; 11] = [8, 4, 4, 4, 1, 1, 4, 1, 8, 8, 4];
+/// Encoded bytes per row of a spilled frame (47: a [`Row`] without its
+/// padding byte).
+const SPILL_ROW_BYTES: usize = 3 * 8 + 5 * 4 + 3;
 
-/// Encoded bytes per row of a spilled frame (47).
-const SPILL_ROW_BYTES: usize = 8 + 4 + 4 + 4 + 1 + 1 + 4 + 1 + 8 + 8 + 4;
-
-/// Byte offset of each column block within a frame of `rows` rows.
-fn block_offsets(rows: usize) -> [usize; 11] {
-    let mut out = [0usize; 11];
-    let mut acc = 0;
-    for (slot, width) in out.iter_mut().zip(COL_WIDTHS) {
-        *slot = acc;
-        acc += width * rows;
-    }
-    out
-}
-
-fn u64_at(bytes: &[u8], off: usize) -> u64 {
-    u64::from_le_bytes(bytes[off..off + 8].try_into().expect("8-byte slice"))
-}
-
-fn u32_at(bytes: &[u8], off: usize) -> u32 {
-    u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4-byte slice"))
-}
-
-fn ip_at(bytes: &[u8], off: usize) -> Ipv4Addr {
-    Ipv4Addr::new(bytes[off], bytes[off + 1], bytes[off + 2], bytes[off + 3])
-}
-
-/// The fixed per-row scalars shared by every record variant.
+/// One captured record as the store keeps it: the scalars every variant
+/// shares, the variant tag and three variant-dependent payload words
+/// (see [`TraceStore::push_ref`] for what each variant puts in them).
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct RowHead {
+pub(crate) struct Row {
     pub t: SimTime,
+    /// Sequence / correlation id (`0` for variants without one).
+    pub seq: u64,
+    /// Chunk id, `(offset << 32) | len` span into the address arena, or
+    /// a boolean flag.
+    pub aux: u64,
     pub probe: NodeId,
     pub remote: NodeId,
     pub remote_ip: Ipv4Addr,
+    pub wire_bytes: u32,
+    /// Media payload bytes (data replies; `0` otherwise).
+    pub payload: u32,
     pub remote_kind: RemoteKind,
     pub direction: Direction,
-    pub wire_bytes: u32,
+    pub tag: KindTag,
+}
+
+// A new field changes the resident footprint and the spill format: decide
+// both (`SPILL_ROW_BYTES`, `encode`, `decode`) before moving this number.
+const _: () = assert!(std::mem::size_of::<Row>() == 48);
+
+impl Row {
+    /// Appends the row's [`SPILL_ROW_BYTES`] little-endian bytes to `buf`.
+    fn encode(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&self.t.as_micros().to_le_bytes());
+        buf.extend_from_slice(&self.seq.to_le_bytes());
+        buf.extend_from_slice(&self.aux.to_le_bytes());
+        buf.extend_from_slice(&self.probe.0.to_le_bytes());
+        buf.extend_from_slice(&self.remote.0.to_le_bytes());
+        buf.extend_from_slice(&self.remote_ip.octets());
+        buf.extend_from_slice(&self.wire_bytes.to_le_bytes());
+        buf.extend_from_slice(&self.payload.to_le_bytes());
+        buf.push(remote_kind_code(self.remote_kind));
+        buf.push(direction_code(self.direction));
+        buf.push(self.tag.code());
+    }
+
+    /// Inverse of [`Row::encode`].
+    ///
+    /// # Panics
+    ///
+    /// Panics with `corrupt spill frame` on a code byte no encoder writes.
+    fn decode(b: &[u8; SPILL_ROW_BYTES]) -> Row {
+        let u64_at = |o: usize| u64::from_le_bytes(b[o..o + 8].try_into().expect("8 bytes"));
+        let u32_at = |o: usize| u32::from_le_bytes(b[o..o + 4].try_into().expect("4 bytes"));
+        Row {
+            t: SimTime::from_micros(u64_at(0)),
+            seq: u64_at(8),
+            aux: u64_at(16),
+            probe: NodeId(u32_at(24)),
+            remote: NodeId(u32_at(28)),
+            remote_ip: Ipv4Addr::new(b[32], b[33], b[34], b[35]),
+            wire_bytes: u32_at(36),
+            payload: u32_at(40),
+            remote_kind: remote_kind_from_code(b[44]),
+            direction: direction_from_code(b[45]),
+            tag: KindTag::from_code(b[46]),
+        }
+    }
+}
+
+/// Serializes a page as a spill frame: its rows back to back.
+fn encode_frame(rows: &[Row]) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(rows.len() * SPILL_ROW_BYTES);
+    for row in rows {
+        row.encode(&mut frame);
+    }
+    frame
+}
+
+/// Decodes a spill frame into `rows` (cleared first; the cursor reuses it
+/// across pages).
+fn decode_frame(frame: &[u8], rows: &mut Vec<Row>) {
+    let (chunks, ragged) = frame.as_chunks::<SPILL_ROW_BYTES>();
+    assert!(ragged.is_empty(), "ragged spill frame");
+    rows.clear();
+    rows.extend(chunks.iter().map(Row::decode));
 }
 
 /// Borrowed view of a record's payload summary: [`RecordKind`] with the
@@ -362,62 +413,15 @@ impl TraceRecord {
     }
 }
 
-/// Reconstructs a payload view from the four encoded payload scalars.
-/// Peer-list spans borrow the store's always-resident address arena, so
-/// the view is valid whether the scalars came from a resident page or a
-/// decoded spill frame.
-fn decode_kind(store: &TraceStore, tag: KindTag, seq: u64, aux: u64, payload: u32) -> KindRef<'_> {
-    match tag {
-        KindTag::Bootstrap => KindRef::Bootstrap,
-        KindTag::TrackerQuery => KindRef::TrackerQuery,
-        KindTag::TrackerResponse => KindRef::TrackerResponse {
-            peer_ips: store.span(aux),
-        },
-        KindTag::PeerListRequest => KindRef::PeerListRequest { req_id: seq },
-        KindTag::PeerListResponse => KindRef::PeerListResponse {
-            req_id: seq,
-            peer_ips: store.span(aux),
-        },
-        KindTag::Handshake => KindRef::Handshake,
-        KindTag::HandshakeAck => KindRef::HandshakeAck { accepted: aux != 0 },
-        KindTag::DataRequest => KindRef::DataRequest {
-            seq,
-            chunk: ChunkId(aux),
-        },
-        KindTag::DataReply => KindRef::DataReply {
-            seq,
-            chunk: ChunkId(aux),
-            payload_bytes: payload,
-        },
-        KindTag::DataReject => KindRef::DataReject {
-            seq,
-            busy: aux != 0,
-        },
-        KindTag::Announce => KindRef::Announce,
-        KindTag::Goodbye => KindRef::Goodbye,
-    }
-}
-
-/// Columnar, append-only packet-trace storage with an optional spill tier
-/// (see the module docs).
+/// Append-only packet-trace storage — pages of packed `Row`s — with an
+/// optional spill tier (see the module docs).
 #[derive(Clone, Default)]
 pub struct TraceStore {
-    t: PagedVec<SimTime>,
-    probe: PagedVec<NodeId>,
-    remote: PagedVec<NodeId>,
-    remote_ip: PagedVec<Ipv4Addr>,
-    remote_kind: PagedVec<RemoteKind>,
-    direction: PagedVec<Direction>,
-    wire_bytes: PagedVec<u32>,
-    tag: PagedVec<KindTag>,
-    /// Sequence / correlation id column (`0` for variants without one).
-    seq: PagedVec<u64>,
-    /// Variant-dependent payload word: chunk id, `(offset << 32) | len`
-    /// span into `ips`, or a boolean flag.
-    aux: PagedVec<u64>,
-    /// Media payload bytes (data replies; `0` otherwise).
-    payload: PagedVec<u32>,
-    /// Shared arena for peer-list addresses, spanned by `aux`. Always
+    /// Page `p` holds rows `[p * PAGE_ROWS, (p + 1) * PAGE_ROWS)`. A page
+    /// is allocated once at `PAGE_ROWS` capacity; a spilled page is an
+    /// empty `Vec`.
+    pages: Vec<Vec<Row>>,
+    /// Shared arena for peer-list addresses, spanned by `Row::aux`. Always
     /// resident: spans borrow from it.
     ips: Vec<Ipv4Addr>,
     len: usize,
@@ -442,20 +446,15 @@ impl TraceStore {
     /// pushes the resident heap past `budget` bytes, the oldest resident
     /// sealed pages spill to disk. `None` behaves like [`TraceStore::new`].
     ///
-    /// The budget bounds what *can* be bounded — the scalar columns. The
-    /// open page and the shared address arena stay resident, so the
-    /// effective floor is one page plus the arena.
+    /// The budget bounds what *can* be bounded — the row pages. The open
+    /// page and the shared address arena stay resident, so the effective
+    /// floor is one page plus the arena.
     #[must_use]
     pub fn with_budget(budget: Option<u64>) -> TraceStore {
         TraceStore {
             budget,
             ..TraceStore::default()
         }
-    }
-
-    /// Changes the budget; takes effect at the next page seal.
-    pub fn set_budget(&mut self, budget: Option<u64>) {
-        self.budget = budget;
     }
 
     /// The configured resident-byte budget, if any.
@@ -491,7 +490,7 @@ impl TraceStore {
     }
 
     /// Pre-reserves the address arena (the only part of the store that
-    /// grows by reallocation; the paged columns never move).
+    /// grows by reallocation; the row pages never move).
     pub fn reserve_ips(&mut self, additional: usize) {
         self.ips.reserve(additional);
     }
@@ -503,25 +502,14 @@ impl TraceStore {
         (offset << 32) | len
     }
 
-    pub(crate) fn push_encoded(
-        &mut self,
-        head: RowHead,
-        tag: KindTag,
-        seq: u64,
-        aux: u64,
-        payload: u32,
-    ) {
-        self.t.push(head.t);
-        self.probe.push(head.probe);
-        self.remote.push(head.remote);
-        self.remote_ip.push(head.remote_ip);
-        self.remote_kind.push(head.remote_kind);
-        self.direction.push(head.direction);
-        self.wire_bytes.push(head.wire_bytes);
-        self.tag.push(tag);
-        self.seq.push(seq);
-        self.aux.push(aux);
-        self.payload.push(payload);
+    pub(crate) fn push_row(&mut self, row: Row) {
+        if self.len.is_multiple_of(PAGE_ROWS) {
+            self.pages.push(Vec::with_capacity(PAGE_ROWS));
+        }
+        self.pages
+            .last_mut()
+            .expect("open page allocated above")
+            .push(row);
         self.len += 1;
         if self.len.is_multiple_of(PAGE_ROWS) {
             self.seal_page();
@@ -536,8 +524,7 @@ impl TraceStore {
         let Some(budget) = self.budget else {
             return;
         };
-        let sealed = self.len / PAGE_ROWS;
-        while self.spilled.len() < sealed && self.approx_heap_bytes() as u64 > budget {
+        while self.spilled.len() < self.pages.len() && self.approx_heap_bytes() as u64 > budget {
             self.spill_oldest_page();
         }
     }
@@ -545,64 +532,11 @@ impl TraceStore {
     /// Serializes the oldest resident sealed page into the spill file and
     /// releases its heap.
     fn spill_oldest_page(&mut self) {
-        let page = self.spilled.len();
-        let mut buf = Vec::with_capacity(PAGE_ROWS * SPILL_ROW_BYTES);
-        self.encode_page(page, &mut buf);
+        let page = std::mem::take(&mut self.pages[self.spilled.len()]);
         let spill = self
             .spill
             .get_or_insert_with(|| Arc::new(SpillFile::create()));
-        let frame = spill.append_frame(&buf);
-        self.spilled.push(frame);
-        self.t.evict_page(page);
-        self.probe.evict_page(page);
-        self.remote.evict_page(page);
-        self.remote_ip.evict_page(page);
-        self.remote_kind.evict_page(page);
-        self.direction.evict_page(page);
-        self.wire_bytes.evict_page(page);
-        self.tag.evict_page(page);
-        self.seq.evict_page(page);
-        self.aux.evict_page(page);
-        self.payload.evict_page(page);
-    }
-
-    /// Encodes page `page` of every column into `buf` as contiguous
-    /// column blocks (the spilled-frame layout).
-    fn encode_page(&self, page: usize, buf: &mut Vec<u8>) {
-        buf.clear();
-        for &x in self.t.page(page) {
-            buf.extend_from_slice(&x.as_micros().to_le_bytes());
-        }
-        for &x in self.probe.page(page) {
-            buf.extend_from_slice(&x.0.to_le_bytes());
-        }
-        for &x in self.remote.page(page) {
-            buf.extend_from_slice(&x.0.to_le_bytes());
-        }
-        for &x in self.remote_ip.page(page) {
-            buf.extend_from_slice(&x.octets());
-        }
-        for &x in self.remote_kind.page(page) {
-            buf.push(remote_kind_code(x));
-        }
-        for &x in self.direction.page(page) {
-            buf.push(direction_code(x));
-        }
-        for &x in self.wire_bytes.page(page) {
-            buf.extend_from_slice(&x.to_le_bytes());
-        }
-        for &x in self.tag.page(page) {
-            buf.push(x.code());
-        }
-        for &x in self.seq.page(page) {
-            buf.extend_from_slice(&x.to_le_bytes());
-        }
-        for &x in self.aux.page(page) {
-            buf.extend_from_slice(&x.to_le_bytes());
-        }
-        for &x in self.payload.page(page) {
-            buf.extend_from_slice(&x.to_le_bytes());
-        }
+        self.spilled.push(spill.append_frame(&encode_frame(&page)));
     }
 
     /// Reads the raw frame of spilled page `page` into `scratch`.
@@ -617,15 +551,6 @@ impl TraceStore {
     /// Appends a record (by borrowed view; list payloads are copied into
     /// the shared arena).
     pub fn push_ref(&mut self, r: RecordRef<'_>) {
-        let head = RowHead {
-            t: r.t,
-            probe: r.probe,
-            remote: r.remote,
-            remote_ip: r.remote_ip,
-            remote_kind: r.remote_kind,
-            direction: r.direction,
-            wire_bytes: r.wire_bytes,
-        };
         let (tag, seq, aux, payload) = match r.kind {
             KindRef::Bootstrap => (KindTag::Bootstrap, 0, 0, 0),
             KindRef::TrackerQuery => (KindTag::TrackerQuery, 0, 0, 0),
@@ -652,7 +577,19 @@ impl TraceStore {
             KindRef::Announce => (KindTag::Announce, 0, 0, 0),
             KindRef::Goodbye => (KindTag::Goodbye, 0, 0, 0),
         };
-        self.push_encoded(head, tag, seq, aux, payload);
+        self.push_row(Row {
+            t: r.t,
+            seq,
+            aux,
+            probe: r.probe,
+            remote: r.remote,
+            remote_ip: r.remote_ip,
+            wire_bytes: r.wire_bytes,
+            payload,
+            remote_kind: r.remote_kind,
+            direction: r.direction,
+            tag,
+        });
     }
 
     /// Appends an owned record.
@@ -666,17 +603,70 @@ impl TraceStore {
         &self.ips[offset..offset + len]
     }
 
+    /// The borrowed view of `row`. The scalars are copied and peer-list
+    /// spans borrow the always-resident address arena, so the view borrows
+    /// only the store — whether the row came from a resident page or a
+    /// decoded spill frame.
+    fn record_ref(&self, row: Row) -> RecordRef<'_> {
+        let Row {
+            seq, aux, payload, ..
+        } = row;
+        let kind = match row.tag {
+            KindTag::Bootstrap => KindRef::Bootstrap,
+            KindTag::TrackerQuery => KindRef::TrackerQuery,
+            KindTag::TrackerResponse => KindRef::TrackerResponse {
+                peer_ips: self.span(aux),
+            },
+            KindTag::PeerListRequest => KindRef::PeerListRequest { req_id: seq },
+            KindTag::PeerListResponse => KindRef::PeerListResponse {
+                req_id: seq,
+                peer_ips: self.span(aux),
+            },
+            KindTag::Handshake => KindRef::Handshake,
+            KindTag::HandshakeAck => KindRef::HandshakeAck { accepted: aux != 0 },
+            KindTag::DataRequest => KindRef::DataRequest {
+                seq,
+                chunk: ChunkId(aux),
+            },
+            KindTag::DataReply => KindRef::DataReply {
+                seq,
+                chunk: ChunkId(aux),
+                payload_bytes: payload,
+            },
+            KindTag::DataReject => KindRef::DataReject {
+                seq,
+                busy: aux != 0,
+            },
+            KindTag::Announce => KindRef::Announce,
+            KindTag::Goodbye => KindRef::Goodbye,
+        };
+        RecordRef {
+            t: row.t,
+            probe: row.probe,
+            remote: row.remote,
+            remote_ip: row.remote_ip,
+            remote_kind: row.remote_kind,
+            direction: row.direction,
+            kind,
+            wire_bytes: row.wire_bytes,
+        }
+    }
+
     /// Streaming cursor over every record in capture order, transparently
     /// reading spilled pages back from disk.
     #[must_use]
     pub fn rows(&self) -> Rows<'_> {
-        Rows::at_start(self)
+        Rows {
+            store: self,
+            index: 0,
+            off: 0,
+            page: Cow::Borrowed(&[]),
+            scratch: Vec::new(),
+        }
     }
 
     /// Streaming cursor over the records captured at one probe — what the
     /// per-probe analysis passes use instead of cloning a row subset.
-    /// Scans only the probe column and decodes the remaining ten columns
-    /// on matches, so skipping other probes' rows is a word compare.
     #[must_use]
     pub fn rows_for(&self, probe: NodeId) -> RowsFor<'_> {
         RowsFor {
@@ -702,22 +692,12 @@ impl TraceStore {
         self.rows().map(|r| r.to_owned()).collect()
     }
 
-    /// Bytes of heap *resident* in the columns and the address arena.
+    /// Bytes of heap *resident* in the row pages and the address arena.
     /// Spilled pages have released their heap and do not count.
     #[must_use]
     pub fn approx_heap_bytes(&self) -> usize {
-        self.t.heap_bytes()
-            + self.probe.heap_bytes()
-            + self.remote.heap_bytes()
-            + self.remote_ip.heap_bytes()
-            + self.remote_kind.heap_bytes()
-            + self.direction.heap_bytes()
-            + self.wire_bytes.heap_bytes()
-            + self.tag.heap_bytes()
-            + self.seq.heap_bytes()
-            + self.aux.heap_bytes()
-            + self.payload.heap_bytes()
-            + self.ips.capacity() * std::mem::size_of::<Ipv4Addr>()
+        let rows: usize = self.pages.iter().map(Vec::capacity).sum();
+        rows * std::mem::size_of::<Row>() + self.ips.capacity() * std::mem::size_of::<Ipv4Addr>()
     }
 }
 
@@ -758,117 +738,12 @@ impl FromIterator<TraceRecord> for TraceStore {
     }
 }
 
-/// One page's decoded columns, owned — the readback form of a spilled
-/// frame. Buffers are reused across pages by the cursor.
-#[derive(Debug, Clone, Default)]
-struct DecodedPage {
-    t: Vec<SimTime>,
-    probe: Vec<NodeId>,
-    remote: Vec<NodeId>,
-    remote_ip: Vec<Ipv4Addr>,
-    remote_kind: Vec<RemoteKind>,
-    direction: Vec<Direction>,
-    wire_bytes: Vec<u32>,
-    tag: Vec<KindTag>,
-    seq: Vec<u64>,
-    aux: Vec<u64>,
-    payload: Vec<u32>,
-}
-
-impl DecodedPage {
-    fn decode(&mut self, frame: &[u8]) {
-        let rows = frame.len() / SPILL_ROW_BYTES;
-        debug_assert_eq!(frame.len(), rows * SPILL_ROW_BYTES, "ragged spill frame");
-        let off = block_offsets(rows);
-        self.t.clear();
-        self.probe.clear();
-        self.remote.clear();
-        self.remote_ip.clear();
-        self.remote_kind.clear();
-        self.direction.clear();
-        self.wire_bytes.clear();
-        self.tag.clear();
-        self.seq.clear();
-        self.aux.clear();
-        self.payload.clear();
-        for i in 0..rows {
-            self.t
-                .push(SimTime::from_micros(u64_at(frame, off[0] + 8 * i)));
-            self.probe.push(NodeId(u32_at(frame, off[1] + 4 * i)));
-            self.remote.push(NodeId(u32_at(frame, off[2] + 4 * i)));
-            self.remote_ip.push(ip_at(frame, off[3] + 4 * i));
-            self.remote_kind
-                .push(remote_kind_from_code(frame[off[4] + i]));
-            self.direction.push(direction_from_code(frame[off[5] + i]));
-            self.wire_bytes.push(u32_at(frame, off[6] + 4 * i));
-            self.tag.push(KindTag::from_code(frame[off[7] + i]));
-            self.seq.push(u64_at(frame, off[8] + 8 * i));
-            self.aux.push(u64_at(frame, off[9] + 8 * i));
-            self.payload.push(u32_at(frame, off[10] + 4 * i));
-        }
-    }
-}
-
-/// The cursor's view of its current page: borrowed column slices for a
-/// RAM-resident page, or owned decoded buffers for a spilled one. Either
-/// way the yielded [`RecordRef`] borrows only the store's address arena.
-#[derive(Debug, Clone)]
-enum PageData<'a> {
-    Resident {
-        t: &'a [SimTime],
-        probe: &'a [NodeId],
-        remote: &'a [NodeId],
-        remote_ip: &'a [Ipv4Addr],
-        remote_kind: &'a [RemoteKind],
-        direction: &'a [Direction],
-        wire_bytes: &'a [u32],
-        tag: &'a [KindTag],
-        seq: &'a [u64],
-        aux: &'a [u64],
-        payload: &'a [u32],
-    },
-    Spilled(DecodedPage),
-}
-
-impl<'a> PageData<'a> {
-    fn empty() -> PageData<'a> {
-        PageData::Resident {
-            t: &[],
-            probe: &[],
-            remote: &[],
-            remote_ip: &[],
-            remote_kind: &[],
-            direction: &[],
-            wire_bytes: &[],
-            tag: &[],
-            seq: &[],
-            aux: &[],
-            payload: &[],
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            PageData::Resident { t, .. } => t.len(),
-            PageData::Spilled(p) => p.t.len(),
-        }
-    }
-
-    /// The probe column of the current page, for the skip scan.
-    fn probe_slice(&self) -> &[NodeId] {
-        match self {
-            PageData::Resident { probe, .. } => probe,
-            PageData::Spilled(p) => &p.probe,
-        }
-    }
-}
-
 /// Cursor over a [`TraceStore`] in capture order.
 ///
-/// Decodes a page at a time: a resident page is held as plain column
-/// slices, a spilled page is read back from the spill file once and
-/// decoded into reused buffers — so stepping a row is eleven slice reads
-/// either way, and a full scan reads each spilled frame exactly once.
+/// Works a page at a time: a resident page is borrowed as it lies, a
+/// spilled page is read back from the spill file once and decoded into a
+/// reused buffer — so stepping a row is one slice read either way, and a
+/// full scan reads each spilled frame exactly once.
 #[derive(Debug, Clone)]
 pub struct Rows<'a> {
     store: &'a TraceStore,
@@ -876,89 +751,29 @@ pub struct Rows<'a> {
     index: usize,
     /// Offset of the next row within the current page.
     off: usize,
-    page: PageData<'a>,
+    /// The current page: borrowed from the store, or decoded and owned.
+    page: Cow<'a, [Row]>,
     /// Reused raw-frame buffer for spilled pages.
     scratch: Vec<u8>,
 }
 
-impl<'a> Rows<'a> {
-    fn at_start(store: &'a TraceStore) -> Rows<'a> {
-        Rows {
-            store,
-            index: 0,
-            off: 0,
-            page: PageData::empty(),
-            scratch: Vec::new(),
-        }
-    }
-
+impl Rows<'_> {
     fn load_page(&mut self) {
         let page = self.index / PAGE_ROWS;
         self.off = self.index % PAGE_ROWS;
-        if page < self.store.spilled.len() {
-            // Reuse the previous spilled page's buffers when possible.
-            let mut decoded = match std::mem::replace(&mut self.page, PageData::empty()) {
-                PageData::Spilled(d) => d,
-                PageData::Resident { .. } => DecodedPage::default(),
+        let store = self.store;
+        self.page = if page < store.spilled.len() {
+            // Reuse the previous spilled page's buffer when possible.
+            let mut rows = match std::mem::take(&mut self.page) {
+                Cow::Owned(rows) => rows,
+                Cow::Borrowed(_) => Vec::new(),
             };
-            self.store.read_frame_bytes(page, &mut self.scratch);
-            decoded.decode(&self.scratch);
-            self.page = PageData::Spilled(decoded);
+            store.read_frame_bytes(page, &mut self.scratch);
+            decode_frame(&self.scratch, &mut rows);
+            Cow::Owned(rows)
         } else {
-            self.page = PageData::Resident {
-                t: self.store.t.page(page),
-                probe: self.store.probe.page(page),
-                remote: self.store.remote.page(page),
-                remote_ip: self.store.remote_ip.page(page),
-                remote_kind: self.store.remote_kind.page(page),
-                direction: self.store.direction.page(page),
-                wire_bytes: self.store.wire_bytes.page(page),
-                tag: self.store.tag.page(page),
-                seq: self.store.seq.page(page),
-                aux: self.store.aux.page(page),
-                payload: self.store.payload.page(page),
-            };
-        }
-    }
-
-    /// Decodes the row at offset `i` of the current page. All scalars are
-    /// `Copy`, so the result borrows only the store's address arena —
-    /// which is why it outlives the cursor even for spilled pages.
-    fn decode_at(&self, i: usize) -> RecordRef<'a> {
-        match &self.page {
-            PageData::Resident {
-                t,
-                probe,
-                remote,
-                remote_ip,
-                remote_kind,
-                direction,
-                wire_bytes,
-                tag,
-                seq,
-                aux,
-                payload,
-            } => RecordRef {
-                t: t[i],
-                probe: probe[i],
-                remote: remote[i],
-                remote_ip: remote_ip[i],
-                remote_kind: remote_kind[i],
-                direction: direction[i],
-                kind: decode_kind(self.store, tag[i], seq[i], aux[i], payload[i]),
-                wire_bytes: wire_bytes[i],
-            },
-            PageData::Spilled(p) => RecordRef {
-                t: p.t[i],
-                probe: p.probe[i],
-                remote: p.remote[i],
-                remote_ip: p.remote_ip[i],
-                remote_kind: p.remote_kind[i],
-                direction: p.direction[i],
-                kind: decode_kind(self.store, p.tag[i], p.seq[i], p.aux[i], p.payload[i]),
-                wire_bytes: p.wire_bytes[i],
-            },
-        }
+            Cow::Borrowed(&store.pages[page])
+        };
     }
 }
 
@@ -972,7 +787,7 @@ impl<'a> Iterator for Rows<'a> {
         if self.off >= self.page.len() {
             self.load_page();
         }
-        let r = self.decode_at(self.off);
+        let r = self.store.record_ref(self.page[self.off]);
         self.off += 1;
         self.index += 1;
         Some(r)
@@ -988,12 +803,11 @@ impl ExactSizeIterator for Rows<'_> {}
 
 /// Cursor over the records captured at one probe, in capture order.
 ///
-/// Unlike `rows().filter(..)` — which decodes all eleven columns of every
-/// row before the predicate can reject it — this cursor scans the probe
-/// column of the current page as a plain slice and decodes a full
-/// [`RecordRef`] only on a match. With a handful of probes in a
-/// world-sized store, almost every row is a miss, so the probe-column
-/// scan is what makes the columnar analysis path beat row clones.
+/// Unlike `rows().filter(..)` — which builds a full [`RecordRef`] for
+/// every row before the predicate can reject it — this cursor compares
+/// `row.probe` on the page slice and builds the view only on a match.
+/// With a handful of probes in a world-sized store, almost every row is a
+/// miss.
 #[derive(Debug, Clone)]
 pub struct RowsFor<'a> {
     rows: Rows<'a>,
@@ -1004,33 +818,24 @@ impl<'a> Iterator for RowsFor<'a> {
     type Item = RecordRef<'a>;
 
     fn next(&mut self) -> Option<RecordRef<'a>> {
-        loop {
-            if self.rows.index >= self.rows.store.len {
-                return None;
+        let rows = &mut self.rows;
+        while rows.index < rows.store.len {
+            if rows.off >= rows.page.len() {
+                rows.load_page();
             }
-            if self.rows.off >= self.rows.page.len() {
-                self.rows.load_page();
-            }
-            let probe = self.probe;
-            match self.rows.page.probe_slice()[self.rows.off..]
+            let rest = &rows.page[rows.off..];
+            let skip = rest
                 .iter()
-                .position(|&p| p == probe)
-            {
-                Some(skip) => {
-                    self.rows.off += skip;
-                    self.rows.index += skip;
-                    let r = self.rows.decode_at(self.rows.off);
-                    self.rows.off += 1;
-                    self.rows.index += 1;
-                    return Some(r);
-                }
-                None => {
-                    let rest = self.rows.page.len() - self.rows.off;
-                    self.rows.off += rest;
-                    self.rows.index += rest;
-                }
+                .position(|r| r.probe == self.probe)
+                .unwrap_or(rest.len());
+            let hit = skip < rest.len();
+            rows.off += skip;
+            rows.index += skip;
+            if hit {
+                return rows.next();
             }
         }
+        None
     }
 }
 
@@ -1179,7 +984,7 @@ mod tests {
     }
 
     #[test]
-    fn columnar_layout_is_smaller_than_rows() {
+    fn packed_rows_are_smaller_than_owned_records() {
         // A realistic mix: mostly data traffic, some gossip lists.
         let mut records = Vec::new();
         for i in 0..(PAGE_ROWS as u64 + 100) {
@@ -1211,7 +1016,7 @@ mod tests {
                 .sum::<usize>();
         assert!(
             store.approx_heap_bytes() < row_bytes,
-            "columnar ({}) should undercut rows ({})",
+            "store ({}) should undercut rows ({})",
             store.approx_heap_bytes(),
             row_bytes
         );
@@ -1321,5 +1126,66 @@ mod tests {
         // Both handles keep working after the other is dropped.
         drop(store);
         assert_eq!(clone.to_records(), records);
+    }
+
+    #[test]
+    fn pages_are_allocated_whole_and_never_regrow() {
+        let mut store = TraceStore::new();
+        for i in 0..=PAGE_ROWS as u64 {
+            store.push(&record(i, RecordKind::Handshake));
+        }
+        // One full page still at its first capacity, one open page at the
+        // same; no lists were pushed, so the arena holds nothing.
+        assert_eq!(store.approx_heap_bytes(), 2 * PAGE_ROWS * 48);
+        store.push(&record(
+            0,
+            RecordKind::TrackerResponse {
+                peer_ips: vec![Ipv4Addr::LOCALHOST],
+            },
+        ));
+        assert_eq!(
+            store.approx_heap_bytes(),
+            2 * PAGE_ROWS * 48 + store.ips.capacity() * 4
+        );
+    }
+
+    /// The encoded bytes of a valid row, for the corruption tests to damage.
+    fn encoded_row() -> [u8; SPILL_ROW_BYTES] {
+        let store = TraceStore::from_records(&every_kind());
+        encode_frame(&store.pages[0][..1])
+            .try_into()
+            .expect("one row is SPILL_ROW_BYTES long")
+    }
+
+    #[test]
+    #[should_panic(expected = "corrupt spill frame: remote kind 4")]
+    fn decode_rejects_an_unknown_remote_kind() {
+        let mut bytes = encoded_row();
+        bytes[44] = 4;
+        let _ = Row::decode(&bytes);
+    }
+
+    #[test]
+    #[should_panic(expected = "corrupt spill frame: direction 2")]
+    fn decode_rejects_an_unknown_direction() {
+        let mut bytes = encoded_row();
+        bytes[45] = 2;
+        let _ = Row::decode(&bytes);
+    }
+
+    #[test]
+    #[should_panic(expected = "corrupt spill frame: kind tag 12")]
+    fn decode_rejects_an_unknown_kind_tag() {
+        let mut bytes = encoded_row();
+        bytes[46] = 12;
+        let _ = Row::decode(&bytes);
+    }
+
+    #[test]
+    #[should_panic(expected = "ragged spill frame")]
+    fn decode_rejects_a_ragged_frame() {
+        let mut frame = encoded_row().to_vec();
+        frame.push(0);
+        decode_frame(&frame, &mut Vec::new());
     }
 }

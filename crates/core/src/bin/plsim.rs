@@ -155,7 +155,7 @@ fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
 /// Every value the user can set, parsed and validated once in `main`.
 struct Options {
     threads: Option<usize>, // --threads (global): pool size, shard-driver threads
-    metrics_json: Option<String>, // --metrics-json (global)
+    metrics_json: Option<String>, // run/figures/export --metrics-json
     shards: Option<usize>,  // run --shards
     capture_budget: Option<u64>, // run --capture-budget, in bytes
     partition_json: Option<String>, // run --partition-json
@@ -172,9 +172,17 @@ impl Options {
     fn take(args: &mut Vec<String>) -> Options {
         let count = |flag: &str, v: String| or_usage(parse_count(flag, &v));
         let threads = take_value(args, "--threads").map(|v| count("--threads", v));
+        // Accepted before the command like `--threads`, but only three
+        // commands have a snapshot to write.
         let metrics_json = take_value(args, "--metrics-json");
-        let run = args.first().is_some_and(|c| c == "run");
-        let frontier = args.first().is_some_and(|c| c == "locality_frontier");
+        let command = args.first().map(String::as_str);
+        if metrics_json.is_some() && !matches!(command, Some("run" | "figures" | "export")) {
+            or_usage::<()>(Err(format!(
+                "--metrics-json applies to run, figures and export only, got command {command:?}"
+            )));
+        }
+        let run = command == Some("run");
+        let frontier = command == Some("locality_frontier");
         let smoke_at = args.iter().position(|a| frontier && a == "--smoke");
         let smoke = smoke_at.map(|i| args.remove(i)).is_some();
         let mut take_for = |on: bool, flag: &str| on.then(|| take_value(args, flag)).flatten();
@@ -341,6 +349,9 @@ fn cmd_export(args: &[String], pool: &JobPool, opts: &Options) {
 fn cmd_frontier(args: &[String], pool: &JobPool, opts: &Options) {
     let (scale, seed) = scale_and_seed(args, 0);
     let &Options { smoke, seeds, .. } = opts;
+    let last_seed = or_usage(seed.checked_add(seeds - 1).ok_or_else(|| {
+        format!("seed {seed} is too large for --seeds {seeds}: the last seed overflows")
+    }));
     let sweep = if smoke { "smoke" } else { "full" };
     let (table, csv) = if seeds == 1 {
         println!("sweeping {sweep} selection policies at {scale:?} scale, seed {seed}...");
@@ -348,8 +359,7 @@ fn cmd_frontier(args: &[String], pool: &JobPool, opts: &Options) {
         (render_frontier(&points), frontier_csv(&points))
     } else {
         println!(
-            "sweeping {sweep} selection policies at {scale:?} scale, seeds {seed}..{}...",
-            seed + seeds - 1
+            "sweeping {sweep} selection policies at {scale:?} scale, seeds {seed}..{last_seed}..."
         );
         let bands = frontier_bands(&locality_frontier_seeds(pool, scale, seed, smoke, seeds));
         (render_frontier_bands(&bands), frontier_bands_csv(&bands))

@@ -51,6 +51,16 @@ fn bad_values_exit_2_naming_the_token() {
         (&["--threads", "0", "run", "popular", "tiny", "42"], "\"0\""),
         (&["run", "popular", "tiny", "42", "--shards", "0"], "\"0\""),
         (&["fig6", "abc"], "abc"),
+        (
+            &[
+                "locality_frontier",
+                "--seeds",
+                "2",
+                "tiny",
+                "18446744073709551615",
+            ],
+            "18446744073709551615",
+        ),
     ] {
         let out = plsim(args, &[]);
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -69,4 +79,34 @@ fn capture_budget_flag_reaches_the_trace_store() {
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("capture budget 262144 B:"), "{stdout}");
+}
+
+#[test]
+fn metrics_json_is_rejected_where_no_snapshot_is_written() {
+    let path = std::env::temp_dir().join(format!("plsim-cli-{}.json", std::process::id()));
+    let path = path.to_str().expect("utf-8 temp path");
+    for args in [
+        &["--metrics-json", path, "workload", "50"][..],
+        &["workload", "50", "--metrics-json", path],
+        &["fig6", "--metrics-json", path, "1"],
+        &["ablation", "--metrics-json", path],
+        &["locality_frontier", "--smoke", "--metrics-json", path],
+    ] {
+        let out = plsim(args, &[]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("--metrics-json"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a table anyway");
+        assert!(
+            !std::path::Path::new(path).exists(),
+            "{args:?} wrote {path}"
+        );
+    }
+    let out = plsim(
+        &["--metrics-json", path, "run", "popular", "tiny", "42"],
+        &[],
+    );
+    assert!(out.status.success());
+    assert!(std::fs::read_to_string(path).is_ok_and(|s| s.starts_with('{')));
+    std::fs::remove_file(path).expect("snapshot removed");
 }

@@ -554,7 +554,7 @@ pub(crate) fn materialize(
 /// Results of a finished run.
 #[derive(Debug)]
 pub struct WorldOutput {
-    /// Everything captured at the probes, in columnar form. Under a
+    /// Everything captured at the probes, as packed rows. Under a
     /// capture budget the store may hold spilled pages; its cursors stream
     /// them back transparently.
     pub records: TraceStore,

@@ -1,7 +1,7 @@
-//! Refcounted block arena: the free-list sibling of [`PagedVec`].
+//! Refcounted block arena with a free list.
 //!
-//! [`PagedVec`] solves append-only growth; [`BlockArena`] solves the other
-//! recurring allocation pattern in the simulator — short-lived, bounded
+//! [`BlockArena`] serves a recurring allocation pattern in the simulator
+//! that append-only storage cannot — short-lived, bounded
 //! slices that are created and dropped millions of times (peer lists
 //! riding on protocol messages). Each *block* is a reusable `Vec<T>`: a
 //! handle layer (e.g. `plsim_proto::SharedPeerList`) interns a slice into
@@ -13,8 +13,6 @@
 //! The arena is deliberately single-threaded plumbing (no atomics); wrap
 //! it in `Rc<RefCell<_>>` for shared handles, as the capture tap does with
 //! its state.
-//!
-//! [`PagedVec`]: crate::PagedVec
 
 /// One reusable slice slot plus its reference count.
 #[derive(Debug, Clone)]

@@ -3,7 +3,7 @@
 //! Every layer of the simulator observes itself: the DES kernel counts
 //! events, the underlay tracks interconnect backlogs, nodes account
 //! playback, and the capture tap stores packet traces. Before this crate
-//! each of those invented its own accounting; here they share two
+//! each of those invented its own accounting; here they share three
 //! primitives:
 //!
 //! * a **metrics registry** ([`MetricsRegistry`]) of named counters,
@@ -12,13 +12,10 @@
 //!   bump — no map lookup, no `RefCell` borrow per increment). One
 //!   [`MetricsSnapshot`] per run is the single export path feeding
 //!   `core::export`, `ScenarioRun` and `plbench`'s per-layer counts.
-//! * **columnar storage building blocks** ([`PagedVec`]) for
-//!   struct-of-arrays stores such as `plsim_capture::TraceStore`:
-//!   append-only fixed-size pages, so appends never reallocate-and-copy
-//!   (no transient 2× peak during growth) and per-column layout drops the
-//!   row-struct padding. Sealed pages can be evicted to a [`SpillFile`]
-//!   under a byte budget, which is what lets a capture-on run hold a
-//!   bounded resident set however long the trace.
+//! * a **spill tier** ([`SpillFile`]): an append-only frame store on disk
+//!   that `plsim_capture::TraceStore` evicts sealed row pages to under a
+//!   byte budget, which is what lets a capture-on run hold a bounded
+//!   resident set however long the trace.
 //! * **online sketches** ([`P2Quantile`], [`StreamingMoments`]) so
 //!   single-pass analysis folds can summarize distributions without
 //!   retaining samples.
@@ -46,13 +43,11 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 mod arena;
-mod columnar;
 mod metrics;
 mod sketch;
 mod spill;
 
 pub use arena::BlockArena;
-pub use columnar::{PagedVec, PAGE_ROWS};
 pub use metrics::{
     Counter, Gauge, GaugeValue, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
 };

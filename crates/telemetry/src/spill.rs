@@ -1,4 +1,4 @@
-//! Spill tier for columnar stores: sealed pages serialized to a per-run
+//! Spill tier for paged stores: sealed pages serialized to a per-run
 //! temporary file under a configurable byte budget.
 //!
 //! A [`SpillFile`] is an append-only frame store on disk. Writers encode a
