@@ -145,11 +145,13 @@ impl Scheduler for HeapScheduler {
 
 /// Fewest buckets a calendar keeps (power of two).
 const MIN_BUCKETS: usize = 16;
-/// Bucket occupancy that triggers a width re-estimate: once a single
-/// bucket holds this many keys, mid-bucket insertion cost dominates and
-/// the width learned at the last rebuild no longer matches the live
-/// event-time distribution.
+/// Lowest bucket occupancy that triggers a width re-estimate: past this
+/// many keys in one bucket, mid-bucket insertion cost dominates and the
+/// width learned at the last rebuild no longer matches the live
+/// event-time distribution. The live bar is `hot_bar`, never below this.
 const HOT_BUCKET: usize = 32;
+/// Fewest nearest keys the width estimate averages over.
+const NEAR_KEYS: usize = 32;
 /// Widest bucket allowed: 2^40 µs ≈ 13 simulated days. Bounds the shift so
 /// window arithmetic stays far from `u64` overflow in practice.
 const MAX_SHIFT: u32 = 40;
@@ -175,10 +177,14 @@ const MAX_SHIFT: u32 = 40;
 /// The queue resizes itself on load: it doubles the bucket count when
 /// occupancy exceeds two keys per bucket and halves it when occupancy
 /// drops below one key per eight buckets, re-estimating the bucket width
-/// from the live keys' time span on every rebuild (see
-/// [`CalendarScheduler::rebuild`]). Resizing only redistributes keys — the
-/// pop order is fixed by the `(time, origin, seq)` comparator alone, so
-/// sizing policy affects speed, never order.
+/// from the gaps between the *nearest* live keys on every rebuild (see
+/// [`CalendarScheduler::rebuild`]) — the keys the next pops and pushes
+/// land among. A far-future tail (session-length timers above a
+/// sub-second band of in-flight messages) has no say in the width: its
+/// keys wrap around the calendar and wait at the front of their deques.
+/// Resizing only redistributes keys — the pop order is fixed by the
+/// `(time, origin, seq)` comparator alone, so sizing policy affects
+/// speed, never order.
 #[derive(Debug)]
 pub struct CalendarScheduler {
     /// Each bucket sorted descending by `(at, seq)`: maximum at the front
@@ -196,9 +202,9 @@ pub struct CalendarScheduler {
     window_end: u64,
     /// Lower bound for all queued and future keys (last popped tick).
     floor: u64,
-    /// Upper bound for all queued keys' ticks (exact after a rebuild, a
-    /// monotone overestimate between rebuilds — pops never raise it).
-    max_tick: u64,
+    /// Bucket occupancy past which a push re-estimates the width: twice
+    /// the fullest bucket the last rebuild left, at least [`HOT_BUCKET`].
+    hot_bar: usize,
     /// Drain buffer reused across rebuilds, so redistributions recycle
     /// both this and the buckets' own storage instead of reallocating.
     scratch: Vec<EventKey>,
@@ -223,7 +229,7 @@ impl CalendarScheduler {
             cur: 0,
             window_end: 1u64 << shift,
             floor: 0,
-            max_tick: 0,
+            hot_bar: HOT_BUCKET,
             scratch: Vec::new(),
         }
     }
@@ -257,7 +263,7 @@ impl CalendarScheduler {
     }
 
     /// Redistributes all keys over `new_buckets` buckets, re-estimating the
-    /// width so one sweep of the calendar covers the live keys' time span.
+    /// width from the nearest keys.
     fn rebuild(&mut self, new_buckets: usize) {
         let mut keys = std::mem::take(&mut self.scratch);
         keys.clear();
@@ -266,21 +272,7 @@ impl CalendarScheduler {
             keys.extend(b.drain(..));
         }
         debug_assert_eq!(keys.len(), self.len);
-
-        // Width estimate: the average inter-event gap, rounded up to a
-        // power of two, times two — about one key per window on average.
-        // A degenerate span (all keys simultaneous) clamps to the same
-        // formula so the hot-bucket trigger below cannot fire repeatedly
-        // without the width actually changing.
-        if keys.len() >= 2 {
-            let min = keys.iter().map(|k| k.at.as_micros()).min().unwrap_or(0);
-            let max = keys.iter().map(|k| k.at.as_micros()).max().unwrap_or(0);
-            let span = (max - min).max(1);
-            let avg_gap = (span / keys.len() as u64).max(1);
-            let width = (avg_gap * 2).next_power_of_two();
-            self.shift = width.trailing_zeros().min(MAX_SHIFT);
-            self.max_tick = max;
-        }
+        keys.sort_unstable();
 
         // Drained buckets keep their capacity, so a same-size or shrinking
         // redistribution is allocation-free at steady state.
@@ -288,23 +280,36 @@ impl CalendarScheduler {
         self.buckets.resize_with(new_buckets, VecDeque::new);
         self.mask = new_buckets - 1;
 
+        // Width estimate: twice the mean gap over the nearest eighth of
+        // the keys (at least `NEAR_KEYS`), rounded up to a power of two —
+        // a key or two per window where the cursor is about to sweep,
+        // whatever the far tail looks like. A same-instant burst at the
+        // head would collapse that to nothing and send every later pop
+        // through the O(buckets) direct search, so the width is clamped
+        // from below: one sweep of the calendar still reaches the median
+        // key.
+        if keys.len() >= 2 {
+            let ticks = |i: usize| keys[i].at.as_micros();
+            let near = (keys.len() / 8).max(NEAR_KEYS).min(keys.len() - 1);
+            let near_span = ticks(near) - ticks(0);
+            let to_median = ticks(keys.len() / 2) - ticks(0);
+            let width = (near_span.saturating_mul(2).div_ceil(near as u64))
+                .max(to_median.div_ceil(new_buckets as u64))
+                .max(1)
+                .next_power_of_two();
+            self.shift = width.trailing_zeros().min(MAX_SHIFT);
+        }
+
         // Descending insertion order leaves every bucket sorted descending.
-        keys.sort_unstable();
+        let mut fullest = 0;
         for key in keys.drain(..).rev() {
             let idx = self.bucket_of(key.at.as_micros());
             self.buckets[idx].push_back(key);
+            fullest = fullest.max(self.buckets[idx].len());
         }
         self.scratch = keys;
+        self.hot_bar = HOT_BUCKET.max(fullest * 2);
         self.seek(self.floor);
-    }
-
-    /// Cheap width estimate from the tracked `[floor, max_tick]` bounds —
-    /// an overestimate of what [`CalendarScheduler::rebuild`] would pick,
-    /// so `estimated_width() < current` guarantees a rebuild narrows.
-    #[inline]
-    fn estimated_width(&self) -> u64 {
-        let span = self.max_tick.saturating_sub(self.floor).max(1);
-        ((span / self.len.max(1) as u64).max(1) * 2).next_power_of_two()
     }
 }
 
@@ -314,7 +319,6 @@ impl Scheduler for CalendarScheduler {
             key.at.as_micros() >= self.floor,
             "calendar push behind the clock"
         );
-        self.max_tick = self.max_tick.max(key.at.as_micros());
         let idx = self.bucket_of(key.at.as_micros());
         let bucket = &mut self.buckets[idx];
         // Descending order, maximum at the front. A key at or past the
@@ -335,17 +339,18 @@ impl Scheduler for CalendarScheduler {
             }
             _ => bucket.push_front(key),
         }
-        let hot = bucket.len() > HOT_BUCKET;
+        let hot = bucket.len() > self.hot_bar;
         self.len += 1;
 
         if self.len > self.buckets.len() * 2 {
             self.rebuild(self.buckets.len() * 2);
-        } else if hot && self.estimated_width() < (1u64 << self.shift) {
-            // A bucket overfilled and the live distribution supports
-            // narrower windows than the last rebuild chose (e.g. the width
-            // was learned from a sparse warm-up and the queue has since
-            // densified): redistribute at the same size. The narrower-only
-            // guard makes this convergent rather than a thrash loop.
+        } else if hot {
+            // A bucket holds over twice what the fullest one did when the
+            // width was last learned (e.g. from a sparse warm-up, and the
+            // queue has since densified): redistribute at the same size.
+            // The bar is self-calibrating — a same-timestamp burst no
+            // width can spread doubles it at each rebuild it forces, so
+            // the trigger converges instead of thrashing.
             self.rebuild(self.buckets.len());
         }
     }
@@ -608,6 +613,86 @@ mod tests {
             s.push(key(i * 17, i));
         }
         assert_eq!(s.bucket_count(), before, "no growth rebuild after reserve");
+    }
+
+    fn fullest_bucket(s: &CalendarScheduler) -> usize {
+        s.buckets.iter().map(VecDeque::len).max().unwrap_or(0)
+    }
+
+    #[test]
+    fn far_future_tail_does_not_set_the_width() {
+        // The world's shape: a thin tail of session-length timers under a
+        // dense sub-second band of in-flight messages.
+        let mut s = CalendarScheduler::new();
+        let mut seq = 0u64;
+        let mut push = |s: &mut CalendarScheduler, at_us: u64| {
+            s.push(key(at_us, seq));
+            seq += 1;
+        };
+        for i in 0..600u64 {
+            push(&mut s, (i + 1) * 3_000_000);
+        }
+        s.reserve(2_400);
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut delay_us = || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            1_000 + rng % 499_000
+        };
+        for _ in 0..5_000 {
+            push(&mut s, delay_us());
+        }
+        for step in 0..200_000 {
+            let now = s
+                .pop_next_before(SimTime::MAX)
+                .expect("standing band")
+                .at
+                .as_micros();
+            let at = now + delay_us();
+            push(&mut s, at);
+            if step >= 20_000 {
+                // Occupancy only grows where a push lands; the full scan
+                // every so often covers what a rebuild redistributed.
+                let held = if step % 1_024 == 0 {
+                    fullest_bucket(&s)
+                } else {
+                    s.buckets[s.bucket_of(at)].len()
+                };
+                assert!(
+                    held <= 64,
+                    "step {step}: a bucket holds {held} keys at width {} us",
+                    s.bucket_width_micros()
+                );
+            }
+        }
+        assert!(
+            s.bucket_width_micros() <= 8_192,
+            "width {} us",
+            s.bucket_width_micros()
+        );
+    }
+
+    #[test]
+    fn a_head_burst_does_not_collapse_the_width() {
+        let mut s = CalendarScheduler::new();
+        let mut expect = Vec::new();
+        for i in 0..8_192u64 {
+            let at = if i % 4 == 0 { 5_000 } else { 5_000 + i * 1_220 };
+            s.push(key(at, i));
+            expect.push((at, i));
+        }
+        s.rebuild(s.bucket_count());
+        expect.sort_unstable();
+        let to_median = expect[expect.len() / 2].0 - expect[0].0;
+        assert!(
+            s.bucket_count() as u64 * s.bucket_width_micros() >= to_median,
+            "{} buckets of {} us do not reach the median key {} us ahead",
+            s.bucket_count(),
+            s.bucket_width_micros(),
+            to_median
+        );
+        assert_eq!(drain(&mut s), expect);
     }
 
     #[test]

@@ -540,8 +540,12 @@ pub(crate) fn materialize(
 
     // Every live node keeps a handful of timers and in-flight messages
     // queued; reserving up front takes the event heap to steady-state
-    // capacity before the first event fires.
-    sim.reserve_events(sim.actor_count() * 4);
+    // capacity before the first event fires. A shard sizes for the nodes
+    // it hosts, not for the remote placeholders.
+    let local_actors = role.map_or(sim.actor_count(), |r| {
+        r.local.iter().filter(|&&here| here).count()
+    });
+    sim.reserve_events(local_actors * 4);
 
     ShardSim {
         sim,
