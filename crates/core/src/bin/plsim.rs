@@ -237,6 +237,17 @@ fn cmd_run(args: &[String], opts: &Options) {
                 report.shards
             );
         }
+        // The round barrier spins and yields, it never sleeps: drivers
+        // that outnumber the cores take turns on them and lose to one
+        // thread. Say so; the run's output does not depend on it.
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        if report.threads > cores {
+            println!(
+                "warning: {} shard threads on {cores} core(s): the drivers time-slice the \
+                 cores, so expect this run to be slower than --threads {cores}",
+                report.threads
+            );
+        }
     } else if opts.shards.is_some_and(|n| n > 1) {
         println!("partition: degenerated to the single-shard path (tiny world or zero lookahead)");
     }

@@ -82,6 +82,33 @@ fn capture_budget_flag_reaches_the_trace_store() {
 }
 
 #[test]
+fn shard_threads_beyond_the_cores_are_warned_about() {
+    // `--threads 64` is clamped to the 8 shards it can drive.
+    let out = plsim(
+        &[
+            "--threads",
+            "64",
+            "run",
+            "unpopular",
+            "tiny",
+            "42",
+            "--shards",
+            "8",
+        ],
+        &[],
+    );
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("partition: 8 shards on 8 threads"),
+        "{stdout}"
+    );
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let warning = format!("warning: 8 shard threads on {cores} core(s)");
+    assert_eq!(stdout.contains(&warning), cores < 8, "{stdout}");
+}
+
+#[test]
 fn metrics_json_is_rejected_where_no_snapshot_is_written() {
     let path = std::env::temp_dir().join(format!("plsim-cli-{}.json", std::process::id()));
     let path = path.to_str().expect("utf-8 temp path");

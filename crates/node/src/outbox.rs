@@ -20,9 +20,17 @@
 //! only its own row) and the receiver drains column-wise after the
 //! barrier, in source order, making the drain sequence deterministic.
 //!
+//! Most slots carry nothing in most rounds (a Reduced world on 8 shards
+//! moves 8.7 items a round through 2 × 64 slots), so each slot has an
+//! occupancy flag beside its mutex: [`publish`] raises it while it holds
+//! the lock and [`drain`] reads it first and passes over an unpublished
+//! slot without locking it. A round locks the slots that carry a batch,
+//! not the whole grid.
+//!
 //! [`publish`]: ShardExchange::publish
 //! [`drain`]: ShardExchange::drain
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 /// A `shards × shards` mailbox grid carrying per-destination batches
@@ -34,6 +42,12 @@ pub struct ShardExchange<T> {
     /// `slots[dest * shards + src]` — the batch source `src` published for
     /// destination `dest` this round.
     slots: Vec<Mutex<Vec<T>>>,
+    /// `occupied[i]` is raised once `slots[i]` has been published into
+    /// since its last drain. Both writes happen under the slot's lock; the
+    /// unlocked read in `drain` pairs its `Acquire` with `publish`'s
+    /// `Release`, and a drain only ever follows the round's publishes
+    /// across a barrier, so a lowered flag means an empty slot.
+    occupied: Vec<AtomicBool>,
 }
 
 impl<T> ShardExchange<T> {
@@ -44,6 +58,9 @@ impl<T> ShardExchange<T> {
             shards,
             slots: (0..shards * shards)
                 .map(|_| Mutex::new(Vec::new()))
+                .collect(),
+            occupied: (0..shards * shards)
+                .map(|_| AtomicBool::new(false))
                 .collect(),
         }
     }
@@ -61,24 +78,29 @@ impl<T> ShardExchange<T> {
     /// outbox, then owner-replayed arrivals), the batch is appended after
     /// the earlier one instead, still retaining `staged`'s capacity.
     pub fn publish(&self, src: usize, dest: usize, staged: &mut Vec<T>) {
-        let mut slot = self.slots[dest * self.shards + src]
-            .lock()
-            .expect("exchange slot poisoned");
+        let i = dest * self.shards + src;
+        let mut slot = self.slots[i].lock().expect("exchange slot poisoned");
         if slot.is_empty() {
             std::mem::swap(&mut *slot, staged);
         } else {
             slot.append(staged);
         }
+        self.occupied[i].store(true, Ordering::Release);
     }
 
     /// Drains every batch published for `dest`, in source order, feeding
     /// each item to `each`. Buffers are drained in place so their
-    /// capacity stays in the grid for the next round.
+    /// capacity stays in the grid for the next round. A slot nothing was
+    /// published into since its last drain is skipped without being
+    /// locked.
     pub fn drain(&self, dest: usize, mut each: impl FnMut(T)) {
         for src in 0..self.shards {
-            let mut slot = self.slots[dest * self.shards + src]
-                .lock()
-                .expect("exchange slot poisoned");
+            let i = dest * self.shards + src;
+            if !self.occupied[i].load(Ordering::Acquire) {
+                continue;
+            }
+            let mut slot = self.slots[i].lock().expect("exchange slot poisoned");
+            self.occupied[i].store(false, Ordering::Relaxed);
             for item in slot.drain(..) {
                 each(item);
             }
@@ -122,5 +144,23 @@ mod tests {
         ex.drain(1, |_| {});
         ex.publish(0, 1, &mut stage);
         assert!(stage.capacity() >= 64, "slot capacity must circulate back");
+    }
+
+    #[test]
+    fn unpublished_slots_are_skipped_and_occupancy_resets() {
+        let ex: ShardExchange<u32> = ShardExchange::new(2);
+        let drained = |dest| {
+            let mut got = Vec::new();
+            ex.drain(dest, |v| got.push(v));
+            got
+        };
+        ex.publish(1, 0, &mut vec![5, 6]);
+        assert_eq!(drained(0), vec![5, 6]);
+        assert!(drained(0).is_empty(), "a drained slot stays drained");
+        assert!(drained(1).is_empty(), "nothing was published for shard 1");
+        // The drain lowered the flag; a publish into the same slot must
+        // raise it again or the batch would be lost.
+        ex.publish(1, 0, &mut vec![7]);
+        assert_eq!(drained(0), vec![7]);
     }
 }

@@ -38,7 +38,16 @@
 //! in thread-local buffers and published with a single buffer swap per
 //! directed shard pair, drained in place on the other side — zero
 //! steady-state allocations on the exchange path (pinned by the
-//! `outbox_alloc` test).
+//! `outbox_alloc` test). A drain passes over every slot nothing was
+//! published into without locking it, so a round pays for the batches it
+//! carries, not for the `2 × shards²` slots of the two grids.
+//!
+//! The phases of a round are separated by a private `RoundBarrier`. On one
+//! driver thread it is free — `wait` returns immediately — and on several
+//! it spins briefly and then yields; it never parks a thread, because a
+//! round is a few microseconds of work and a sleep-and-wake costs more
+//! than the round (DESIGN.md §5 has the ledger). A driver that panics
+//! poisons the barrier so the others panic too instead of waiting forever.
 //!
 //! What cannot be computed shard-locally is *reconstructed* exactly:
 //!
@@ -89,7 +98,8 @@ use plsim_net::{Isp, Topology, Underlay};
 use plsim_proto::{Message, WireMessage};
 use plsim_telemetry::{GaugeValue, MetricsSnapshot};
 use std::fmt;
-use std::sync::{Barrier, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Assigns every host to a shard, packing summed per-host `weight`
 /// greedily, and returns `(shard_of_host, shard_count)`. The sharded run
@@ -507,6 +517,91 @@ impl DepthReplay {
     }
 }
 
+/// The barrier between the phases of a window round: sense-reversing, an
+/// arrival counter and a generation the last arriver advances. A run
+/// crosses it three times a round, hundreds of thousands of rounds a run,
+/// and a round is microseconds of work, so it never sleeps: with one
+/// driver thread `wait` returns at once (there is nobody to wait for), and
+/// with more a waiter spins on the generation for [`SPIN_TURNS`] and then
+/// yields its time slice between looks.
+///
+/// Orderings: every arrival is an `AcqRel` increment of one counter, so
+/// the last arriver has acquired every earlier arriver's writes when it
+/// `Release`-stores the new generation, and a waiter that `Acquire`-loads
+/// that generation sees them all — the same happens-before edge the
+/// standard library's barrier gives. The counter is reset before the
+/// generation moves, so no thread can arrive for the next phase ahead of
+/// the reset.
+///
+/// A driver that panics never arrives, which would leave the others
+/// waiting forever and `std::thread::scope` unable to join them. Each
+/// driver therefore holds a [`PoisonOnPanic`] guard; a waiter that finds
+/// the barrier poisoned panics in turn, so the scope joins every thread
+/// and reports the failure.
+struct RoundBarrier {
+    threads: usize,
+    arrived: AtomicUsize,
+    generation: AtomicUsize,
+    poisoned: AtomicBool,
+}
+
+/// Looks at the generation before a waiter starts yielding: long enough to
+/// cover a peer finishing the same phase on another core, short enough
+/// that drivers outnumbering the cores hand the core over promptly.
+const SPIN_TURNS: u32 = 256;
+
+impl RoundBarrier {
+    fn new(threads: usize) -> RoundBarrier {
+        RoundBarrier {
+            threads,
+            arrived: AtomicUsize::new(0),
+            generation: AtomicUsize::new(0),
+            poisoned: AtomicBool::new(false),
+        }
+    }
+
+    /// Returns once all `threads` drivers have called `wait` for this
+    /// phase. Panics if another driver panicked instead of arriving.
+    fn wait(&self) {
+        if self.threads == 1 {
+            return;
+        }
+        let generation = self.generation.load(Ordering::Acquire);
+        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.threads {
+            self.arrived.store(0, Ordering::Relaxed);
+            self.generation
+                .store(generation.wrapping_add(1), Ordering::Release);
+            return;
+        }
+        let mut turns = 0u32;
+        while self.generation.load(Ordering::Acquire) == generation {
+            assert!(
+                !self.poisoned.load(Ordering::Acquire),
+                "round barrier poisoned: another shard driver thread panicked"
+            );
+            if turns < SPIN_TURNS {
+                turns += 1;
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        }
+    }
+}
+
+/// The guard a driver thread holds for as long as it may still owe the
+/// [`RoundBarrier`] an arrival: poisons it when dropped by an unwinding
+/// thread.
+struct PoisonOnPanic<'a>(&'a RoundBarrier);
+
+impl Drop for PoisonOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.poisoned.store(true, Ordering::Release);
+        }
+    }
+}
+
 /// Everything a shard thread reports back once its shard is finished.
 struct ShardResult {
     stats: SimStats,
@@ -548,7 +643,7 @@ pub(crate) fn run_sharded(cfg: &WorldConfig) -> WorldOutput {
         .map(|s| shard_of.iter().map(|&g| g == s).collect())
         .collect();
     let threads = report.threads;
-    let barrier = Barrier::new(threads);
+    let barrier = RoundBarrier::new(threads);
     let event_grid: ShardExchange<WireEvent> = ShardExchange::new(shards);
     let intent_grid: ShardExchange<WireIntent> = ShardExchange::new(shards);
     let results: Vec<Mutex<Option<ShardResult>>> = (0..shards).map(|_| Mutex::new(None)).collect();
@@ -571,6 +666,7 @@ pub(crate) fn run_sharded(cfg: &WorldConfig) -> WorldOutput {
             let (results, replay, sink) = (&results, &replay, &sink);
             let owner_of_isp = &owner_of_isp;
             scope.spawn(move || {
+                let _poison = PoisonOnPanic(barrier);
                 // Round-robin shard ownership: with fewer threads than
                 // shards a thread simply drives several shards per round.
                 let mut sims: Vec<_> = (t..shards)
@@ -934,6 +1030,67 @@ mod tests {
         assert!(json.contains(&format!("\"window_rounds_global\": {rounds}\n")));
         assert!(json.contains("\"rate_imbalance\""));
         assert!(json.contains("\"lookahead_ms\""));
+    }
+
+    #[test]
+    fn round_barrier_on_one_thread_never_blocks() {
+        let barrier = RoundBarrier::new(1);
+        for _ in 0..1_000_000 {
+            barrier.wait();
+        }
+    }
+
+    #[test]
+    fn round_barrier_releases_no_thread_early_and_loses_no_wakeup() {
+        // Four drivers on whatever cores the host has (two where this was
+        // written), so waiters are descheduled mid-spin on purpose.
+        const THREADS: usize = 4;
+        const ROUNDS: usize = 20_000;
+        let barrier = RoundBarrier::new(THREADS);
+        let counter = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..THREADS {
+                scope.spawn(|| {
+                    let _poison = PoisonOnPanic(&barrier);
+                    for round in 1..=ROUNDS {
+                        // Relaxed on purpose: the barrier alone must order
+                        // every thread's add before every thread's read.
+                        counter.fetch_add(1, Ordering::Relaxed);
+                        barrier.wait();
+                        assert_eq!(counter.load(Ordering::Relaxed), THREADS * round);
+                        barrier.wait();
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn a_panicking_driver_poisons_the_round_barrier_instead_of_hanging_it() {
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let barrier = RoundBarrier::new(2);
+            let outcome = std::thread::scope(|scope| {
+                let panicker = scope.spawn(|| {
+                    let _poison = PoisonOnPanic(&barrier);
+                    panic!("driver failed before arriving");
+                });
+                let waiter = scope.spawn(|| {
+                    let _poison = PoisonOnPanic(&barrier);
+                    barrier.wait();
+                });
+                (panicker.join(), waiter.join())
+            });
+            done.send(outcome).expect("the watchdog outlives the run");
+        });
+        // The watchdog: without the poison flag the waiter spins forever.
+        let (panicker, waiter) = finished
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("watchdog: a driver was still inside RoundBarrier::wait after 10 s");
+        assert!(panicker.is_err());
+        let payload = waiter.expect_err("the waiter must panic, not return");
+        let message = payload.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert!(message.contains("round barrier poisoned"), "{message:?}");
     }
 
     #[test]
