@@ -152,6 +152,24 @@ fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
     Some(args.remove(i))
 }
 
+/// Fails unless `path` can be opened for writing, so that an unwritable
+/// destination is found before the simulation it would lose, not after.
+/// Leaves the file system as it was: an existing file is opened for append
+/// and not written to, a file the probe had to create is removed again.
+fn check_writable(flag: &str, path: &str) -> Result<(), String> {
+    let existed = std::path::Path::new(path).exists();
+    std::fs::OpenOptions::new()
+        .append(true)
+        .create(true)
+        .open(path)
+        .map_err(|e| format!("{flag}: cannot write {path:?}: {e}"))?;
+    if !existed {
+        // Best effort: a leftover empty file is overwritten by the run.
+        let _ = std::fs::remove_file(path);
+    }
+    Ok(())
+}
+
 /// Every value the user can set, parsed and validated once in `main`.
 struct Options {
     threads: Option<usize>, // --threads (global): pool size, shard-driver threads
@@ -186,7 +204,7 @@ impl Options {
         let smoke_at = args.iter().position(|a| frontier && a == "--smoke");
         let smoke = smoke_at.map(|i| args.remove(i)).is_some();
         let mut take_for = |on: bool, flag: &str| on.then(|| take_value(args, flag)).flatten();
-        Options {
+        let opts = Options {
             threads,
             metrics_json,
             shards: take_for(run, "--shards").map(|v| count("--shards", v)),
@@ -195,7 +213,24 @@ impl Options {
             smoke,
             csv: take_for(frontier, "--csv"),
             seeds: take_for(frontier, "--seeds").map_or(1, |v| count("--seeds", v) as u64),
+        };
+        if opts.partition_json.is_some() && opts.shards.is_none_or(|n| n < 2) {
+            or_usage::<()>(Err(
+                "--partition-json requires --shards N with N > 1: an unsharded run has no \
+                 partition report"
+                    .to_string(),
+            ));
         }
+        for (flag, path) in [
+            ("--metrics-json", &opts.metrics_json),
+            ("--partition-json", &opts.partition_json),
+            ("--csv", &opts.csv),
+        ] {
+            if let Some(path) = path {
+                or_usage(check_writable(flag, path));
+            }
+        }
+        opts
     }
 }
 
@@ -254,6 +289,8 @@ fn cmd_run(args: &[String], opts: &Options) {
     if let Some(path) = &opts.partition_json {
         match &run.output.partition {
             Some(report) => write_file("partition report", path, &report.to_json()),
+            // Asked to shard (`Options::take` saw to that) but the world
+            // was too small to split.
             None => eprintln!("--partition-json: run was not sharded, no report written"),
         }
     }

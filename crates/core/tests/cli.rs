@@ -28,6 +28,11 @@ fn plsim(args: &[&str], env: &[(&str, &str)]) -> Output {
         .expect("plsim runs")
 }
 
+/// A path under the temp directory no other test or process uses.
+fn scratch_path(name: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("plsim-cli-{}-{name}", std::process::id()))
+}
+
 #[test]
 fn the_environment_does_not_configure_a_run() {
     let args = ["run", "unpopular", "tiny", "42"];
@@ -43,6 +48,11 @@ fn the_environment_does_not_configure_a_run() {
 
 #[test]
 fn bad_values_exit_2_naming_the_token() {
+    // A destination nothing can be written to: its directory is missing.
+    let nowhere = scratch_path("no-such-dir").join("out");
+    let nowhere = nowhere.to_str().expect("utf-8 temp path");
+    let unsharded = scratch_path("unsharded.json");
+    let unsharded = unsharded.to_str().expect("utf-8 temp path");
     for (args, token) in [
         (
             &["run", "popular", "tiny", "42", "--capture-budget", "12q"][..],
@@ -61,6 +71,57 @@ fn bad_values_exit_2_naming_the_token() {
             ],
             "18446744073709551615",
         ),
+        // Unwritable destinations are found before the run, not after it.
+        (
+            &["--metrics-json", nowhere, "run", "popular", "tiny", "42"],
+            nowhere,
+        ),
+        (
+            &["figures", "tiny", "42", "--metrics-json", nowhere],
+            "--metrics-json",
+        ),
+        (
+            &[
+                "run",
+                "unpopular",
+                "tiny",
+                "42",
+                "--shards",
+                "8",
+                "--partition-json",
+                nowhere,
+            ],
+            "--partition-json",
+        ),
+        (
+            &["locality_frontier", "--smoke", "--csv", nowhere, "tiny"],
+            "--csv",
+        ),
+        // A partition report needs a partition.
+        (
+            &[
+                "run",
+                "unpopular",
+                "tiny",
+                "42",
+                "--partition-json",
+                unsharded,
+            ],
+            "--shards",
+        ),
+        (
+            &[
+                "run",
+                "unpopular",
+                "tiny",
+                "42",
+                "--shards",
+                "1",
+                "--partition-json",
+                unsharded,
+            ],
+            "--partition-json",
+        ),
     ] {
         let out = plsim(args, &[]);
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -68,6 +129,27 @@ fn bad_values_exit_2_naming_the_token() {
         assert!(stderr.contains(token), "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?} printed a table anyway");
     }
+    assert!(!std::path::Path::new(unsharded).exists());
+}
+
+#[test]
+fn probing_a_destination_leaves_the_file_system_as_it_was() {
+    // Both runs pass the destination probe and then exit 2 on the seed.
+    let fresh = scratch_path("probe-fresh.json");
+    let kept = scratch_path("probe-kept.json");
+    std::fs::write(&kept, "keep").expect("temp file written");
+    for path in [&fresh, &kept] {
+        let path = path.to_str().expect("utf-8 temp path");
+        let out = plsim(
+            &["--metrics-json", path, "run", "popular", "tiny", "4x2"],
+            &[],
+        );
+        assert_eq!(out.status.code(), Some(2));
+        assert!(String::from_utf8_lossy(&out.stderr).contains("4x2"));
+    }
+    assert!(!fresh.exists(), "the probe left {fresh:?} behind");
+    assert_eq!(std::fs::read_to_string(&kept).ok().as_deref(), Some("keep"));
+    std::fs::remove_file(&kept).expect("temp file removed");
 }
 
 #[test]

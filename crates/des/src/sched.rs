@@ -1,5 +1,5 @@
 //! Pluggable event schedulers: the reference binary heap and an O(1)
-//! hierarchical calendar queue.
+//! calendar queue whose keys live in one slab.
 //!
 //! The kernel separates *ordering* from *storage*: event bodies (payload,
 //! addressing, size) live in a slot pool inside [`crate::Simulation`], and a
@@ -15,10 +15,18 @@
 //! order as the single-shard run. The property test in
 //! `tests/scheduler_equivalence.rs` enforces heap/calendar agreement for
 //! arbitrary interleaved push/pop workloads.
+//!
+//! The calendar's storage is laid out for the cache, not the allocator: a
+//! world's queue is a few thousand keys deep under thousands of buckets,
+//! so a growable buffer per bucket spreads ~100 KB of keys over megabytes
+//! of mostly empty capacity and every push misses twice. Here a bucket is
+//! a 12-byte `(head, tail, len)` header and its keys are an intrusive
+//! chain through one `Vec` of 32-byte cells that grows to the peak queue
+//! depth and no further ([`CalendarScheduler`]).
 
 use crate::SimTime;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// Ordering key of one queued event.
 ///
@@ -146,50 +154,93 @@ impl Scheduler for HeapScheduler {
 /// Fewest buckets a calendar keeps (power of two).
 const MIN_BUCKETS: usize = 16;
 /// Lowest bucket occupancy that triggers a width re-estimate: past this
-/// many keys in one bucket, mid-bucket insertion cost dominates and the
+/// many keys in one bucket, mid-chain insertion cost dominates and the
 /// width learned at the last rebuild no longer matches the live
 /// event-time distribution. The live bar is `hot_bar`, never below this.
-const HOT_BUCKET: usize = 32;
-/// Fewest nearest keys the width estimate averages over.
-const NEAR_KEYS: usize = 32;
+const HOT_BUCKET: u32 = 32;
+/// Fewest nearest instants the width estimate averages over.
+const NEAR_INSTANTS: usize = 32;
 /// Widest bucket allowed: 2^40 µs ≈ 13 simulated days. Bounds the shift so
 /// window arithmetic stays far from `u64` overflow in practice.
 const MAX_SHIFT: u32 = 40;
+/// "No node": the end of a chain, and the head and tail of an empty bucket.
+const NIL: u32 = u32::MAX;
+
+/// One calendar bucket: an ascending chain of slab nodes.
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    /// Slab index of the chain's minimum, [`NIL`] when empty.
+    head: u32,
+    /// Slab index of the chain's maximum, [`NIL`] when empty.
+    tail: u32,
+    /// Keys in the chain.
+    len: u32,
+}
+
+impl Bucket {
+    const EMPTY: Bucket = Bucket {
+        head: NIL,
+        tail: NIL,
+        len: 0,
+    };
+}
+
+/// One slab cell: a queued key and the next cell of its chain — the next
+/// larger key of the same bucket, or the next free cell.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    key: EventKey,
+    next: u32,
+}
 
 /// A self-resizing calendar queue (Brown 1988), specialised to the kernel's
 /// push-never-behind-the-clock discipline.
 ///
 /// Events hash into `buckets.len()` (a power of two) circular buckets by
 /// `(at >> shift) & mask`, i.e. bucket widths are powers of two so the
-/// index math is a shift and a mask. Each bucket is a deque kept sorted
-/// descending by `(time, origin, seq)`: the minimum pops from the back in
-/// O(1), and a key that is its bucket's new *maximum* — the dominant case
-/// both for monotone arrival and for same-origin same-timestamp FIFO
-/// bursts, where `seq` only ever grows — pushes at the front in O(1)
-/// instead of memmoving the
-/// bucket the way a sorted `Vec` would. A cursor
-/// walks the buckets window-by-window in time order; the first key found
-/// inside its bucket's active window is the global minimum. When a full
-/// sweep finds nothing "direct" (the queue is sparse or the next event is
-/// far ahead), a direct O(buckets) min-search jumps the cursor there — the
-/// classic fallback that keeps worst-case pops linear instead of unbounded.
+/// index math is a shift and a mask. All keys live in one slab, `nodes`,
+/// and a bucket is three indices into it: the head, tail and length of a
+/// singly linked chain kept ascending by `(time, origin, seq)`. The
+/// minimum pops from the head in O(1), and a key that is its bucket's new
+/// *maximum* — the dominant case both for monotone arrival and for
+/// same-origin same-timestamp FIFO bursts, where `seq` only ever grows —
+/// appends at the tail in O(1). Anything else walks from the head, which
+/// is short because occupancy is held at two keys per bucket, the width
+/// is learned from the keys the walk would be among (see
+/// [`CalendarScheduler::rebuild`]) and a chain past `hot_bar` learns it
+/// again. A popped cell goes on the intrusive free chain and is the next
+/// one a push reuses, so the queue's whole footprint is its peak depth in
+/// 32-byte cells plus 12 bytes per bucket, and the part the cursor is
+/// working in stays in cache. A cursor walks the buckets window-by-window
+/// in time order; the first key found inside its bucket's active window
+/// is the global minimum. When a full sweep finds nothing "direct" (the
+/// queue is sparse or the next event is far ahead), a direct O(buckets)
+/// min-search jumps the cursor there — the classic fallback that keeps
+/// worst-case pops linear instead of unbounded.
 ///
 /// The queue resizes itself on load: it doubles the bucket count when
 /// occupancy exceeds two keys per bucket and halves it when occupancy
 /// drops below one key per eight buckets, re-estimating the bucket width
-/// from the gaps between the *nearest* live keys on every rebuild (see
-/// [`CalendarScheduler::rebuild`]) — the keys the next pops and pushes
-/// land among. A far-future tail (session-length timers above a
-/// sub-second band of in-flight messages) has no say in the width: its
-/// keys wrap around the calendar and wait at the front of their deques.
+/// from the gaps between the *nearest* live instants on every rebuild
+/// (see [`CalendarScheduler::rebuild`]) — where the next pops and pushes
+/// land. A far-future tail (session-length timers above a sub-second band
+/// of in-flight messages) has no say in the width, however much of the
+/// queue it is: its keys wrap around the calendar and wait at the tail of
+/// their chains.
 /// Resizing only redistributes keys — the pop order is fixed by the
 /// `(time, origin, seq)` comparator alone, so sizing policy affects
 /// speed, never order.
 #[derive(Debug)]
 pub struct CalendarScheduler {
-    /// Each bucket sorted descending by `(at, seq)`: maximum at the front
-    /// (O(1) insertion of new maxima), minimum at the back (O(1) pops).
-    buckets: Vec<VecDeque<EventKey>>,
+    /// One chain per bucket, ascending: minimum at the head (O(1) pops),
+    /// maximum at the tail (O(1) insertion of new maxima).
+    buckets: Vec<Bucket>,
+    /// Every chain's cells, live and free. Grows to the peak queue depth
+    /// and is never shrunk.
+    nodes: Vec<Node>,
+    /// Head of the free chain through `Node::next`, [`NIL`] when every
+    /// cell is live.
+    free: u32,
     /// Bucket width is `1 << shift` microseconds.
     shift: u32,
     /// `buckets.len() - 1`; bucket count is always a power of two.
@@ -202,11 +253,10 @@ pub struct CalendarScheduler {
     window_end: u64,
     /// Lower bound for all queued and future keys (last popped tick).
     floor: u64,
-    /// Bucket occupancy past which a push re-estimates the width: twice
-    /// the fullest bucket the last rebuild left, at least [`HOT_BUCKET`].
-    hot_bar: usize,
-    /// Drain buffer reused across rebuilds, so redistributions recycle
-    /// both this and the buckets' own storage instead of reallocating.
+    /// Chain length past which a push re-estimates the width: twice the
+    /// fullest bucket the last rebuild left, at least [`HOT_BUCKET`].
+    hot_bar: u32,
+    /// Sort buffer reused across rebuilds.
     scratch: Vec<EventKey>,
 }
 
@@ -222,7 +272,9 @@ impl CalendarScheduler {
     pub fn new() -> CalendarScheduler {
         let shift = 10; // 1024 µs buckets until the first resize learns better.
         CalendarScheduler {
-            buckets: vec![VecDeque::new(); MIN_BUCKETS],
+            buckets: vec![Bucket::EMPTY; MIN_BUCKETS],
+            nodes: Vec::new(),
+            free: NIL,
             shift,
             mask: MIN_BUCKETS - 1,
             len: 0,
@@ -262,54 +314,132 @@ impl CalendarScheduler {
         // there are still found through the direct-search fallback.
     }
 
+    /// The minimum key of bucket `idx`, if it holds any.
+    #[inline]
+    fn head_key(&self, idx: usize) -> Option<EventKey> {
+        let head = self.buckets[idx].head;
+        (head != NIL).then(|| self.nodes[head as usize].key)
+    }
+
+    /// The cells of the chain starting at `head`, with their slab indices.
+    fn chain(&self, head: u32) -> impl Iterator<Item = (u32, &Node)> {
+        let cell = |n: u32| (n != NIL).then(|| (n, &self.nodes[n as usize]));
+        std::iter::successors(cell(head), move |&(_, node)| cell(node.next))
+    }
+
     /// Redistributes all keys over `new_buckets` buckets, re-estimating the
     /// width from the nearest keys.
     fn rebuild(&mut self, new_buckets: usize) {
         let mut keys = std::mem::take(&mut self.scratch);
         keys.clear();
         keys.reserve(self.len);
-        for b in &mut self.buckets {
-            keys.extend(b.drain(..));
+        for b in &self.buckets {
+            keys.extend(self.chain(b.head).map(|(_, node)| node.key));
         }
         debug_assert_eq!(keys.len(), self.len);
         keys.sort_unstable();
 
-        // Drained buckets keep their capacity, so a same-size or shrinking
-        // redistribution is allocation-free at steady state.
+        // The slab and the sort buffer are reused, so a same-size or
+        // shrinking redistribution is allocation-free at steady state.
         let new_buckets = new_buckets.next_power_of_two().max(MIN_BUCKETS);
-        self.buckets.resize_with(new_buckets, VecDeque::new);
+        self.buckets.clear();
+        self.buckets.resize(new_buckets, Bucket::EMPTY);
         self.mask = new_buckets - 1;
 
-        // Width estimate: twice the mean gap over the nearest eighth of
-        // the keys (at least `NEAR_KEYS`), rounded up to a power of two —
-        // a key or two per window where the cursor is about to sweep,
-        // whatever the far tail looks like. A same-instant burst at the
-        // head would collapse that to nothing and send every later pop
-        // through the O(buckets) direct search, so the width is clamped
-        // from below: one sweep of the calendar still reaches the median
-        // key.
-        if keys.len() >= 2 {
-            let ticks = |i: usize| keys[i].at.as_micros();
-            let near = (keys.len() / 8).max(NEAR_KEYS).min(keys.len() - 1);
-            let near_span = ticks(near) - ticks(0);
-            let to_median = ticks(keys.len() / 2) - ticks(0);
-            let width = (near_span.saturating_mul(2).div_ceil(near as u64))
-                .max(to_median.div_ceil(new_buckets as u64))
-                .max(1)
-                .next_power_of_two();
+        // Width estimate: twice the mean gap between the nearest distinct
+        // instants — as many of them as an eighth of the keys, at least
+        // `NEAR_INSTANTS` — rounded up to a power of two: an instant or two
+        // per window where the cursor is about to sweep, whatever the far
+        // tail looks like. Instants are counted, not keys, because no
+        // width can spread keys that share one: a same-instant burst at
+        // the head is one instant, so it cannot collapse the estimate and
+        // send every later pop through the O(buckets) direct search. A
+        // queue that is all one instant says nothing and keeps its width.
+        let near = (keys.len() / 8).max(NEAR_INSTANTS) as u64;
+        let first = keys.first().map_or(0, |k| k.at.as_micros());
+        let (mut last, mut gaps) = (first, 0);
+        for at in keys.iter().map(|k| k.at.as_micros()) {
+            if at != last {
+                (last, gaps) = (at, gaps + 1);
+                if gaps == near {
+                    break;
+                }
+            }
+        }
+        if gaps > 0 {
+            let width = ((last - first).saturating_mul(2).div_ceil(gaps)).next_power_of_two();
             self.shift = width.trailing_zeros().min(MAX_SHIFT);
         }
 
-        // Descending insertion order leaves every bucket sorted descending.
+        // The i-th smallest key goes to cell i, so ascending order appends
+        // at every chain's tail and leaves neighbours in time neighbours
+        // in memory; the cells past the live ones become the free chain,
+        // lowest index first.
         let mut fullest = 0;
-        for key in keys.drain(..).rev() {
+        for (i, &key) in keys.iter().enumerate() {
             let idx = self.bucket_of(key.at.as_micros());
-            self.buckets[idx].push_back(key);
-            fullest = fullest.max(self.buckets[idx].len());
+            self.nodes[i] = Node { key, next: NIL };
+            let b = &mut self.buckets[idx];
+            if b.len == 0 {
+                b.head = i as u32;
+            } else {
+                self.nodes[b.tail as usize].next = i as u32;
+            }
+            b.tail = i as u32;
+            b.len += 1;
+            fullest = fullest.max(b.len);
+        }
+        self.free = NIL;
+        for i in (keys.len()..self.nodes.len()).rev() {
+            self.nodes[i].next = self.free;
+            self.free = i as u32;
         }
         self.scratch = keys;
         self.hot_bar = HOT_BUCKET.max(fullest * 2);
         self.seek(self.floor);
+        #[cfg(debug_assertions)]
+        self.check_links();
+    }
+
+    /// Panics unless the chains and the free chain partition the slab and
+    /// every chain is what its bucket header says it is.
+    #[cfg(any(test, debug_assertions))]
+    fn check_links(&self) {
+        let mut seen = vec![false; self.nodes.len()];
+        let mut visit = |n: u32, chain: std::fmt::Arguments<'_>| {
+            let cell = seen
+                .get_mut(n as usize)
+                .unwrap_or_else(|| panic!("{chain}: cell {n} is outside the slab"));
+            assert!(!*cell, "{chain}: cell {n} is linked twice");
+            *cell = true;
+        };
+        let mut queued = 0;
+        for (idx, b) in self.buckets.iter().enumerate() {
+            let (mut last, mut count) = (NIL, 0u32);
+            for (n, node) in self.chain(b.head) {
+                visit(n, format_args!("bucket {idx}"));
+                let at = node.key.at.as_micros();
+                assert_eq!(self.bucket_of(at), idx, "bucket {idx} holds {:?}", node.key);
+                if last != NIL {
+                    let before = self.nodes[last as usize].key;
+                    assert!(
+                        before <= node.key,
+                        "bucket {idx}: {before:?} then {:?}",
+                        node.key
+                    );
+                }
+                (last, count) = (n, count + 1);
+            }
+            assert_eq!(b.tail, last, "bucket {idx}: tail is not the last cell");
+            assert_eq!(b.len, count, "bucket {idx}: len is not the chain length");
+            queued += count as usize;
+        }
+        assert_eq!(queued, self.len, "bucket lengths do not sum to len");
+        for (n, _) in self.chain(self.free) {
+            visit(n, format_args!("free chain"));
+        }
+        let linked = seen.iter().filter(|&&s| s).count();
+        assert_eq!(linked, seen.len(), "slab cells on no chain");
     }
 }
 
@@ -319,27 +449,50 @@ impl Scheduler for CalendarScheduler {
             key.at.as_micros() >= self.floor,
             "calendar push behind the clock"
         );
+        // The most recently popped cell if there is one: still in cache.
+        let cell = Node { key, next: NIL };
+        let n = if self.free == NIL {
+            assert!(
+                self.nodes.len() < NIL as usize,
+                "calendar slab outgrew u32 indices"
+            );
+            self.nodes.push(cell);
+            (self.nodes.len() - 1) as u32
+        } else {
+            let n = self.free;
+            self.free = std::mem::replace(&mut self.nodes[n as usize], cell).next;
+            n
+        };
+
         let idx = self.bucket_of(key.at.as_micros());
-        let bucket = &mut self.buckets[idx];
-        // Descending order, maximum at the front. A key at or past the
+        let b = &mut self.buckets[idx];
+        // Ascending order, maximum at the tail. A key at or past the
         // bucket's current maximum — monotone arrival, and every
         // same-timestamp burst since `seq` only grows — is O(1); anything
-        // else binary-searches and pays the deque's min(front, back) shift.
-        // First touch of a bucket skips the smallest capacity doublings:
-        // as the cursor advances, every newly entered window grows a deque
-        // from scratch, and 1→2→4→… reallocations there are the dominant
-        // steady-state allocation source of the whole kernel.
-        if bucket.capacity() < 16 {
-            bucket.reserve(16);
-        }
-        match bucket.front() {
-            Some(front) if key.order() < front.order() => {
-                let pos = bucket.partition_point(|k| k.order() > key.order());
-                bucket.insert(pos, key);
+        // else walks from the head to the cell it belongs after.
+        if b.len == 0 {
+            b.head = n;
+            b.tail = n;
+        } else if self.nodes[b.tail as usize].key <= key {
+            self.nodes[b.tail as usize].next = n;
+            b.tail = n;
+        } else if key < self.nodes[b.head as usize].key {
+            self.nodes[n as usize].next = b.head;
+            b.head = n;
+        } else {
+            let mut prev = b.head as usize;
+            loop {
+                let next = self.nodes[prev].next;
+                if key < self.nodes[next as usize].key {
+                    self.nodes[n as usize].next = next;
+                    self.nodes[prev].next = n;
+                    break;
+                }
+                prev = next as usize;
             }
-            _ => bucket.push_front(key),
         }
-        let hot = bucket.len() > self.hot_bar;
+        b.len += 1;
+        let hot = b.len > self.hot_bar;
         self.len += 1;
 
         if self.len > self.buckets.len() * 2 {
@@ -366,7 +519,7 @@ impl Scheduler for CalendarScheduler {
         let mut cur = self.cur;
         let mut window_end = self.window_end;
         for _ in 0..self.buckets.len() {
-            if let Some(&key) = self.buckets[cur].back() {
+            if let Some(key) = self.head_key(cur) {
                 if key.at.as_micros() < window_end {
                     // First in-window key of the sweep = global minimum.
                     if key.at > bound {
@@ -383,14 +536,10 @@ impl Scheduler for CalendarScheduler {
 
         // Sparse queue or a long event-free gap: find the minimum directly
         // and jump the calendar to it.
-        let (idx, _) = self
-            .buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| b.back().map(|&k| (i, k)))
+        let (idx, key) = (0..self.buckets.len())
+            .filter_map(|i| self.head_key(i).map(|k| (i, k)))
             .min_by_key(|&(_, k)| k.order())
             .expect("len > 0 but all buckets empty");
-        let key = *self.buckets[idx].back().expect("checked non-empty");
         if key.at > bound {
             return None;
         }
@@ -403,6 +552,7 @@ impl Scheduler for CalendarScheduler {
     }
 
     fn reserve(&mut self, additional: usize) {
+        self.nodes.reserve(additional);
         let target = (self.len + additional).next_power_of_two();
         if target > self.buckets.len() {
             self.rebuild(target);
@@ -411,10 +561,20 @@ impl Scheduler for CalendarScheduler {
 }
 
 impl CalendarScheduler {
-    /// Pops the back (minimum) of bucket `idx`, maintaining counters.
+    /// Pops the head (minimum) of bucket `idx`, maintaining counters.
     #[inline]
     fn take(&mut self, idx: usize) -> EventKey {
-        let key = self.buckets[idx].pop_back().expect("bucket empty in take");
+        let b = &mut self.buckets[idx];
+        let n = b.head;
+        let cell = &mut self.nodes[n as usize];
+        let key = cell.key;
+        b.head = cell.next;
+        b.len -= 1;
+        if b.len == 0 {
+            b.tail = NIL;
+        }
+        cell.next = self.free;
+        self.free = n;
         self.len -= 1;
         self.floor = key.at.as_micros();
         if self.len < self.buckets.len() / 8 && self.buckets.len() > MIN_BUCKETS {
@@ -482,6 +642,7 @@ impl SchedulerImpl {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn key(at_us: u64, seq: u64) -> EventKey {
         EventKey {
@@ -516,6 +677,18 @@ mod tests {
         s.push(key(10, 1));
         s.push(key(50, 0));
         assert_eq!(drain(&mut s), vec![(10, 1), (50, 0), (50, 2)]);
+    }
+
+    #[test]
+    fn a_duplicate_of_the_maximum_appends() {
+        // `(origin, seq)` uniqueness is the kernel's promise, not this
+        // type's: a repeated key must queue, not walk off its chain.
+        let mut s = CalendarScheduler::new();
+        for at in [10, 10, 50, 50] {
+            s.push(key(at, 7));
+            s.check_links();
+        }
+        assert_eq!(drain(&mut s), vec![(10, 7), (10, 7), (50, 7), (50, 7)]);
     }
 
     #[test]
@@ -616,20 +789,19 @@ mod tests {
     }
 
     fn fullest_bucket(s: &CalendarScheduler) -> usize {
-        s.buckets.iter().map(VecDeque::len).max().unwrap_or(0)
+        s.buckets.iter().map(|b| b.len as usize).max().unwrap_or(0)
     }
 
-    #[test]
-    fn far_future_tail_does_not_set_the_width() {
-        // The world's shape: a thin tail of session-length timers under a
-        // dense sub-second band of in-flight messages.
+    /// The world's shape: `tail` session-length timers 3 s apart under a
+    /// dense sub-second band of `band` in-flight messages, churned.
+    fn band_over_a_tail_keeps_buckets_small(tail: u64, band: usize) {
         let mut s = CalendarScheduler::new();
         let mut seq = 0u64;
         let mut push = |s: &mut CalendarScheduler, at_us: u64| {
             s.push(key(at_us, seq));
             seq += 1;
         };
-        for i in 0..600u64 {
+        for i in 0..tail {
             push(&mut s, (i + 1) * 3_000_000);
         }
         s.reserve(2_400);
@@ -640,7 +812,7 @@ mod tests {
             rng ^= rng << 17;
             1_000 + rng % 499_000
         };
-        for _ in 0..5_000 {
+        for _ in 0..band {
             push(&mut s, delay_us());
         }
         for step in 0..200_000 {
@@ -657,7 +829,7 @@ mod tests {
                 let held = if step % 1_024 == 0 {
                     fullest_bucket(&s)
                 } else {
-                    s.buckets[s.bucket_of(at)].len()
+                    s.buckets[s.bucket_of(at)].len as usize
                 };
                 assert!(
                     held <= 64,
@@ -671,6 +843,19 @@ mod tests {
             "width {} us",
             s.bucket_width_micros()
         );
+    }
+
+    #[test]
+    fn far_future_tail_does_not_set_the_width() {
+        band_over_a_tail_keeps_buckets_small(600, 5_000);
+    }
+
+    #[test]
+    fn a_tail_that_is_most_of_the_queue_does_not_set_the_width() {
+        // The unpopular Paper world: few viewers with little in flight
+        // under a session plan injected out to the horizon. The median
+        // key is in the tail, and is none of the band's business.
+        band_over_a_tail_keeps_buckets_small(2_400, 1_500);
     }
 
     #[test]
@@ -693,6 +878,91 @@ mod tests {
             to_median
         );
         assert_eq!(drain(&mut s), expect);
+    }
+
+    /// One step of the chain-invariant workload.
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// `n` keys at `offset` µs past the last popped time, from
+        /// origins counting down from `origin`: a same-instant burst whose
+        /// later keys sort *before* the earlier ones.
+        Push { offset: u64, origin: u32, n: u32 },
+        /// Pop with a bound `margin` µs past the last popped time.
+        PopBefore(u64),
+        /// Pop unbounded, `n` times.
+        Pop(u32),
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        let push = |offsets: std::ops::Range<u64>, burst: std::ops::Range<u32>| {
+            (offsets, 0u32..8, burst).prop_map(|(offset, origin, n)| Op::Push { offset, origin, n })
+        };
+        // Arms are equally likely: the narrow band appears three times so
+        // queues deepen among keys that share buckets.
+        prop_oneof![
+            push(0..2_000, 1..4),
+            push(0..2_000, 1..4),
+            push(0..2_000, 1..4),
+            push(1_000..500_000, 1..2),
+            push(1_000..500_000, 1..2),
+            push(20_000_000..300_000_000, 1..2),
+            push(0..50_000, 30..90),
+            (0u64..100_000).prop_map(Op::PopBefore),
+            (1u32..40).prop_map(Op::Pop),
+            (1u32..40).prop_map(Op::Pop),
+        ]
+    }
+
+    proptest! {
+        /// Every push and pop — tail append, head and mid-chain insert,
+        /// grow, shrink and hot rebuild among them — leaves the chains and
+        /// the free chain a partition of the slab, and pops what the heap
+        /// pops.
+        #[test]
+        fn chains_stay_linked_and_ordered(ops in proptest::collection::vec(op_strategy(), 1..300)) {
+            let mut cal = CalendarScheduler::new();
+            let mut heap = HeapScheduler::new();
+            let mut floor = 0u64;
+            let mut seqs = [0u64; 8];
+            for op in &ops {
+                let (bound, pops) = match *op {
+                    Op::Push { offset, origin, n } => {
+                        for i in 0..n {
+                            let origin = (origin + 8 - i % 8) % 8;
+                            let seq = seqs[origin as usize];
+                            seqs[origin as usize] += 1;
+                            let k = EventKey {
+                                at: SimTime::from_micros(floor + offset),
+                                seq,
+                                origin,
+                                slot: seq as u32,
+                            };
+                            cal.push(k);
+                            heap.push(k);
+                            cal.check_links();
+                        }
+                        continue;
+                    }
+                    Op::PopBefore(margin) => (SimTime::from_micros(floor + margin), 1),
+                    Op::Pop(n) => (SimTime::MAX, n),
+                };
+                for _ in 0..pops {
+                    let got = cal.pop_next_before(bound);
+                    cal.check_links();
+                    prop_assert_eq!(got, heap.pop_next_before(bound));
+                    prop_assert_eq!(cal.len(), heap.len());
+                    if let Some(k) = got {
+                        floor = k.at.as_micros();
+                    }
+                }
+            }
+            while let Some(k) = cal.pop_next_before(SimTime::MAX) {
+                cal.check_links();
+                prop_assert_eq!(Some(k), heap.pop_next_before(SimTime::MAX));
+            }
+            prop_assert!(heap.is_empty());
+            prop_assert_eq!(cal.bucket_count(), MIN_BUCKETS);
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Property tests proving the heap and calendar schedulers are
-//! observationally identical: same `(time, seq, to)` pop sequences for
-//! arbitrary interleaved push/pop workloads (including same-timestamp
-//! bursts), and bit-identical full-simulation outcomes with faults.
+//! observationally identical: same `(time, origin, seq, slot)` pop
+//! sequences for arbitrary interleaved push/pop workloads from several
+//! origins (including same-timestamp bursts), and bit-identical
+//! full-simulation outcomes with faults.
 
 use plsim_des::{
     Actor, CalendarScheduler, Context, EventKey, FaultEvent, FixedDelay, HeapScheduler, Monitor,
@@ -11,67 +12,91 @@ use plsim_telemetry::MetricsRegistry;
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
 
+/// Origins the raw workload schedules from; each has its own `seq`
+/// counter, as each actor has in the kernel.
+const ORIGINS: u32 = 6;
+
 /// One step of a raw scheduler workload.
 #[derive(Debug, Clone)]
 enum Op {
-    /// Push an event at the given microsecond offset past the clock floor.
-    Push(u64),
+    /// Push `n` events at the given microsecond offset past the clock
+    /// floor, the first from `origin` and each next one from the origin
+    /// below it — so within one instant later pushes sort *before* earlier
+    /// ones and only the `origin` field can order them.
+    Push { offset: u64, origin: u32, n: u32 },
     /// Pop with a bound the given microseconds past the clock floor.
     PopBefore(u64),
     /// Pop unbounded.
     Pop,
 }
 
+fn push(offsets: std::ops::Range<u64>, burst: std::ops::Range<u32>) -> impl Strategy<Value = Op> {
+    (offsets, 0..ORIGINS, burst).prop_map(|(offset, origin, n)| Op::Push { offset, origin, n })
+}
+
 fn op_strategy() -> impl Strategy<Value = Op> {
     // Zero/tiny offsets exercise same-timestamp bursts and the
     // zero-delay-timer path; large offsets exercise sparse sweeps and the
-    // direct-search fallback. Push arms outnumber pops so queues deepen.
+    // direct-search fallback. The next three arms are a world's shape: a
+    // dense 1-500 ms band of in-flight messages (keys that land between
+    // two queued ones: the calendar's walk-from-head insert), a thin
+    // 20-300 s tail of session timers that wraps the calendar, and
+    // same-instant bursts deep enough to trip the grow and hot-bucket
+    // rebuilds; the final drain shrinks it back. Push arms outnumber pops
+    // so queues deepen.
     prop_oneof![
-        Just(Op::Push(0)),
-        (1u64..100).prop_map(Op::Push),
-        (100u64..1_000_000).prop_map(Op::Push),
-        (1_000_000u64..10_000_000_000).prop_map(Op::Push),
+        push(0..1, 1..2),
+        push(1..100, 1..2),
+        push(100..1_000_000, 1..2),
+        push(1_000_000..10_000_000_000, 1..2),
+        push(1_000..500_000, 1..4),
+        push(20_000_000..300_000_000, 1..2),
+        push(1_000..500_000, 20..80),
         (0u64..2_000_000).prop_map(Op::PopBefore),
         Just(Op::Pop),
     ]
 }
 
+/// One popped key: `(at, origin, seq, slot)`.
+type Popped = (u64, u32, u64, u32);
+
 /// Drives one scheduler through the ops, enforcing the kernel's discipline
 /// (pushes never behind the last popped time), and returns the pop trace.
-fn drive(sched: &mut impl Scheduler, ops: &[Op]) -> Vec<Option<(u64, u64, u32)>> {
+fn drive(sched: &mut impl Scheduler, ops: &[Op]) -> Vec<Option<Popped>> {
     let mut floor = 0u64;
-    let mut seq = 0u64;
+    let mut seqs = [0u64; ORIGINS as usize];
+    let mut slot = 0u32;
     let mut trace = Vec::with_capacity(ops.len());
+    let popped = |k: EventKey| (k.at.as_micros(), k.origin, k.seq, k.slot);
     for op in ops {
-        match op {
-            Op::Push(offset) => {
-                sched.push(EventKey {
-                    at: SimTime::from_micros(floor + offset),
-                    seq,
-                    origin: 0,
-                    slot: seq as u32,
-                });
-                seq += 1;
-            }
-            Op::PopBefore(margin) => {
-                let got = sched.pop_next_before(SimTime::from_micros(floor + margin));
-                if let Some(k) = got {
-                    floor = k.at.as_micros();
+        let bound = match *op {
+            Op::Push { offset, origin, n } => {
+                for i in 0..n {
+                    let origin = (origin + ORIGINS - i % ORIGINS) % ORIGINS;
+                    let seq = &mut seqs[origin as usize];
+                    sched.push(EventKey {
+                        at: SimTime::from_micros(floor + offset),
+                        seq: *seq,
+                        origin,
+                        slot,
+                    });
+                    *seq += 1;
+                    slot += 1;
                 }
-                trace.push(got.map(|k| (k.at.as_micros(), k.seq, k.slot)));
+                continue;
             }
-            Op::Pop => {
-                let got = sched.pop_next_before(SimTime::MAX);
-                if let Some(k) = got {
-                    floor = k.at.as_micros();
-                }
-                trace.push(got.map(|k| (k.at.as_micros(), k.seq, k.slot)));
-            }
+            Op::PopBefore(margin) => SimTime::from_micros(floor + margin),
+            Op::Pop => SimTime::MAX,
+        };
+        let got = sched.pop_next_before(bound);
+        if let Some(k) = got {
+            floor = k.at.as_micros();
         }
+        trace.push(got.map(popped));
     }
     // Drain what is left so every pushed key is accounted for.
     while let Some(k) = sched.pop_next_before(SimTime::MAX) {
-        trace.push(Some((k.at.as_micros(), k.seq, k.slot)));
+        trace.push(Some(popped(k)));
     }
     trace
 }
@@ -173,15 +198,21 @@ proptest! {
         prop_assert_eq!(heap_trace, cal_trace);
     }
 
-    /// Same-timestamp bursts pop in seq order under both schedulers.
+    /// Same-timestamp bursts pop in `(origin, seq)` order under both
+    /// schedulers.
     #[test]
     fn equal_time_bursts_preserve_seq_order(n in 1usize..300, at in 0u64..5_000_000) {
-        let ops: Vec<Op> = std::iter::repeat_with(|| Op::Push(at)).take(n).collect();
+        let ops = [Op::Push { offset: at, origin: 0, n: n as u32 * ORIGINS }];
         let heap_trace = drive(&mut HeapScheduler::new(), &ops);
         let cal_trace = drive(&mut CalendarScheduler::new(), &ops);
         prop_assert_eq!(&heap_trace, &cal_trace);
-        let seqs: Vec<u64> = heap_trace.iter().flatten().map(|&(_, s, _)| s).collect();
-        prop_assert_eq!(seqs, (0..n as u64).collect::<Vec<_>>());
+        // Pushed interleaved across origins, popped origin by origin,
+        // each origin's keys in the order it pushed them.
+        let popped: Vec<(u32, u64)> = heap_trace.iter().flatten().map(|&(_, o, s, _)| (o, s)).collect();
+        let expect: Vec<(u32, u64)> = (0..ORIGINS)
+            .flat_map(|o| (0..n as u64).map(move |s| (o, s)))
+            .collect();
+        prop_assert_eq!(popped, expect);
     }
 
     /// Full simulations — sends, timers, and `inject_fault` events — are

@@ -3,13 +3,13 @@
 //! run of the same artifacts at the same seed, with or without a fault
 //! schedule attached.
 
-use plsim_des::SimTime;
+use plsim_des::{SchedulerKind, SimTime};
 use plsim_net::{BandwidthClass, Isp, LinkFault};
 use plsim_node::{run_world, FaultPlan, ProbeSpec, WorldConfig, WorldOutput};
-use plsim_workload::{PeerPlan, SessionPlan};
+use plsim_workload::{ChannelClass, PeerPlan, SessionPlan};
 use pplive_locality::{
     ablation_on, fig_6_on, frontier_csv, locality_frontier_on, underlay_ablation_on, JobPool,
-    Scale, Suite,
+    Scale, Scenario, Suite,
 };
 use proptest::prelude::*;
 
@@ -80,6 +80,26 @@ fn fig_6_parallel_matches_sequential() {
 }
 
 // ---- FaultPlan determinism property ------------------------------------
+
+#[test]
+fn world_is_bit_identical_under_heap_and_calendar() {
+    // The schedulers' own equivalence suites live in `plsim-des`, which
+    // tier-1 does not compile; this holds the contract on a whole world's
+    // key stream where tier-1 runs.
+    let mut cfg = Scenario::new(ChannelClass::Unpopular, Scale::Tiny, SEED).world_config();
+    cfg.scheduler = SchedulerKind::Heap;
+    let heap = run_world(&cfg);
+    cfg.scheduler = SchedulerKind::Calendar;
+    let calendar = run_world(&cfg);
+    assert!(heap.sim.events_processed > 100_000, "world too small");
+    assert_eq!(heap.sim, calendar.sim, "kernel counters diverged");
+    assert_eq!(heap.records, calendar.records, "traces diverged");
+    assert_eq!(
+        heap.metrics.to_json(),
+        calendar.metrics.to_json(),
+        "metrics snapshots diverged"
+    );
+}
 
 /// A 150 s micro world — a dozen viewers split across TELE and CNC plus
 /// one captured probe — small enough to run hundreds of times inside a
