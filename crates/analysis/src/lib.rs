@@ -7,7 +7,7 @@
 //! itself (it iterates its rows) or any row cursor such as
 //! [`plsim_capture::TraceStore::rows_for`]:
 //!
-//! * §3.2 (Figures 2–6): [`returned_addresses`], [`returned_by_source`],
+//! * §3.2 (Figures 2–6): [`ReturnedAddressesFold`], [`returned_by_source`],
 //!   [`data_by_isp`] and the per-session locality percentage;
 //! * §3.3 (Figures 7–10, Table 1): [`peer_list_response_times`] and
 //!   [`data_response_times`] with per-ISP-group averages;
@@ -17,7 +17,7 @@
 //! * §3.5 (Figures 15–18): min-response-time RTT estimation and the
 //!   log-log request/RTT correlation;
 //! * the overlay-structure claims of §1 ("triangle construction", ISP
-//!   clusters): [`overlay_stats`] builds the subgraph visible in gossip
+//!   clusters): [`OverlayFold`] builds the subgraph visible in gossip
 //!   replies and measures triangles, clustering and ISP assortativity.
 //!
 //! [`ProbeReport`] bundles all of it for one probe. ISP classification uses
@@ -46,10 +46,10 @@ pub use contributions::{
 };
 pub use fold::{fold_records, RecordFold};
 pub use locality::{
-    data_by_isp, returned_addresses, returned_by_source, DataByIsp, DataByIspFold, ListSource,
-    ReturnedAddresses, ReturnedAddressesFold, ReturnedBySourceFold,
+    data_by_isp, returned_by_source, DataByIsp, DataByIspFold, ListSource, ReturnedAddresses,
+    ReturnedAddressesFold, ReturnedBySourceFold,
 };
-pub use overlay::{overlay_stats, OverlayFold, OverlayStats};
+pub use overlay::{OverlayFold, OverlayStats};
 pub use perisp::{PerGroup, PerIsp};
 pub use probe::ProbeReport;
 pub use response::{

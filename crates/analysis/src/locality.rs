@@ -43,7 +43,9 @@ pub struct ReturnedAddresses {
     pub total: PerIsp<u64>,
 }
 
-/// Streaming fold behind [`returned_addresses`]: O(ISPs) state.
+/// Figure 2(a)–5(a): counts every address on every peer list the probe
+/// received (tracker responses and gossip responses), with duplicates.
+/// O(ISPs) state.
 #[derive(Debug)]
 pub struct ReturnedAddressesFold<'d> {
     dir: &'d AsnDirectory,
@@ -84,18 +86,6 @@ impl RecordFold for ReturnedAddressesFold<'_> {
     fn finish(self) -> ReturnedAddresses {
         self.out
     }
-}
-
-/// Figure 2(a)–5(a): counts every address on every peer list the probe
-/// received (tracker responses and gossip responses), with duplicates.
-/// Streams borrowed rows, so a [`plsim_capture::TraceStore`] can
-/// be passed directly without materializing owned records.
-#[must_use]
-pub fn returned_addresses<'a, I>(records: I, dir: &AsnDirectory) -> ReturnedAddresses
-where
-    I: IntoIterator<Item = RecordRef<'a>>,
-{
-    fold_records(ReturnedAddressesFold::new(dir), records)
 }
 
 /// Streaming fold behind [`returned_by_source`]: O(source buckets) state.
@@ -289,7 +279,7 @@ mod tests {
                 RemoteKind::Tracker,
             ),
         ];
-        let out = returned_addresses(rows(&records), &dir);
+        let out = fold_records(ReturnedAddressesFold::new(&dir), rows(&records));
         assert_eq!(out.total[Isp::Tele], 3);
         assert_eq!(out.total[Isp::Cnc], 1);
         assert_eq!(out.total.total(), 4);

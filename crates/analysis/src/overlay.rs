@@ -11,7 +11,7 @@
 //! overlay around the probe, on which clustering and ISP-assortativity are
 //! measurable.
 
-use crate::fold::{fold_records, RecordFold};
+use crate::fold::RecordFold;
 use plsim_capture::{Direction, KindRef, RecordRef};
 use plsim_net::{AsnDirectory, Isp};
 use serde::{Deserialize, Serialize};
@@ -36,9 +36,11 @@ pub struct OverlayStats {
     pub isp_assortativity: f64,
 }
 
-/// Streaming fold behind [`overlay_stats`]: accumulates the sampled
-/// adjacency (O(observed subgraph), not O(records)) while rows stream by;
-/// all graph metrics are computed in `finish`.
+/// Builds the observed overlay subgraph from gossip replies and computes
+/// its structure metrics. Tracker responses are excluded: a tracker's list
+/// is a random membership sample, not an adjacency list. Accumulates the
+/// sampled adjacency (O(observed subgraph), not O(records)) while rows
+/// stream by; all graph metrics are computed in `finish`.
 #[derive(Debug)]
 pub struct OverlayFold<'d> {
     dir: &'d AsnDirectory,
@@ -78,17 +80,6 @@ impl RecordFold for OverlayFold<'_> {
     fn finish(self) -> OverlayStats {
         finish_overlay(&self.adjacency, self.dir)
     }
-}
-
-/// Builds the observed overlay subgraph from gossip replies and computes
-/// its structure metrics. Tracker responses are excluded: a tracker's list
-/// is a random membership sample, not an adjacency list.
-#[must_use]
-pub fn overlay_stats<'a, I>(records: I, dir: &AsnDirectory) -> OverlayStats
-where
-    I: IntoIterator<Item = RecordRef<'a>>,
-{
-    fold_records(OverlayFold::new(dir), records)
 }
 
 fn finish_overlay(
@@ -176,6 +167,7 @@ fn finish_overlay(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fold::fold_records;
     use plsim_capture::{RecordKind, RemoteKind, TraceRecord};
     use plsim_des::{NodeId, SimTime};
 
@@ -214,7 +206,7 @@ mod tests {
             list_reply(tele(1), vec![tele(2), tele(3)]),
             list_reply(tele(2), vec![tele(3)]),
         ];
-        let stats = overlay_stats(rows(&records), &dir);
+        let stats = fold_records(OverlayFold::new(&dir), rows(&records));
         assert_eq!(stats.nodes, 3);
         assert_eq!(stats.edges, 3);
         assert_eq!(stats.triangles, 1);
@@ -231,7 +223,7 @@ mod tests {
             list_reply(cnc(1), vec![cnc(2), cnc(3)]),
             list_reply(cnc(2), vec![cnc(3)]),
         ];
-        let stats = overlay_stats(rows(&records), &dir);
+        let stats = fold_records(OverlayFold::new(&dir), rows(&records));
         assert_eq!(stats.same_isp_edge_fraction, 1.0);
         assert!((stats.isp_assortativity - 1.0).abs() < 1e-9);
     }
@@ -244,7 +236,7 @@ mod tests {
             list_reply(tele(1), vec![cnc(1), cnc(2)]),
             list_reply(tele(2), vec![cnc(1), cnc(2)]),
         ];
-        let stats = overlay_stats(rows(&records), &dir);
+        let stats = fold_records(OverlayFold::new(&dir), rows(&records));
         assert_eq!(stats.same_isp_edge_fraction, 0.0);
         assert!(stats.isp_assortativity < 0.0);
         assert_eq!(stats.triangles, 0);
@@ -257,7 +249,7 @@ mod tests {
             list_reply(tele(1), vec![tele(1), tele(2), tele(2)]),
             list_reply(tele(1), vec![tele(2)]),
         ];
-        let stats = overlay_stats(rows(&records), &dir);
+        let stats = fold_records(OverlayFold::new(&dir), rows(&records));
         assert_eq!(stats.nodes, 2);
         assert_eq!(stats.edges, 1);
     }
@@ -265,7 +257,7 @@ mod tests {
     #[test]
     fn empty_records_yield_zeroes() {
         let dir = AsnDirectory::new();
-        let stats = overlay_stats(std::iter::empty::<RecordRef>(), &dir);
+        let stats = fold_records(OverlayFold::new(&dir), std::iter::empty::<RecordRef>());
         assert_eq!(stats.nodes, 0);
         assert_eq!(stats.edges, 0);
         assert_eq!(stats.clustering_coefficient, 0.0);

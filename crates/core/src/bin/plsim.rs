@@ -11,9 +11,10 @@
 //! (with invariant tallies) for `run`, `figures` and `export`.
 //!
 //! `run --shards N` space-partitions the session across `N` shard
-//! schedulers (sub-ISP host groups once `N` exceeds the populated ISP
-//! count) and prints the partition-quality report in `DispatchStats`'
-//! honest-reporting style; `--partition-json <path>` archives it as JSON.
+//! schedulers, each a set of whole ISPs (so `N` is clamped to the world's
+//! populated-ISP count, with a note on stderr), and prints the
+//! partition-quality report in `DispatchStats`' honest-reporting style;
+//! `--partition-json <path>` archives it as JSON.
 //! `run --capture-budget N[K|M|G]` bounds the resident trace: sealed pages
 //! past the budget spill to a per-run temporary file.
 
@@ -257,11 +258,18 @@ fn cmd_run(args: &[String], opts: &Options) {
     scenario.capture.budget = opts.capture_budget;
     let run = scenario.run();
     // Honest partition reporting, mirroring DispatchStats: print what the
-    // partitioner actually did (clamping, splits, imbalance), not what was
+    // partitioner actually did (clamping, imbalance), not what was
     // asked for. Single-shard runs print nothing — their output text is
     // pinned by the golden-output tests.
     if let Some(report) = &run.output.partition {
         println!("{report}");
+        if let Some(asked) = opts.shards.filter(|&n| n > report.shards) {
+            eprintln!(
+                "note: --shards {asked} clamped to {k}: shards are whole ISPs and this world \
+                 populates {k}",
+                k = report.shards
+            );
+        }
         // Same honesty rule as the bench's shard_warning: one thread
         // time-slices every shard, so sharded wall-clock is not a
         // parallelism measurement.
@@ -284,7 +292,9 @@ fn cmd_run(args: &[String], opts: &Options) {
             );
         }
     } else if opts.shards.is_some_and(|n| n > 1) {
-        println!("partition: degenerated to the single-shard path (tiny world or zero lookahead)");
+        println!(
+            "partition: degenerated to the single-shard path (one populated ISP or zero lookahead)"
+        );
     }
     if let Some(path) = &opts.partition_json {
         match &run.output.partition {

@@ -17,8 +17,8 @@ use serde::{Deserialize, Serialize};
 ///
 /// `Paper` matches the study's 2-hour sessions with full populations;
 /// `Paper10x` keeps the session length and multiplies the population by
-/// ten (the locality-frontier regime studies — run it sharded and under a
-/// capture budget); `Reduced` keeps the same shape at roughly a quarter of
+/// ten (the locality-frontier regime studies — run it under a capture
+/// budget); `Reduced` keeps the same shape at roughly a quarter of
 /// the event count (used by the benchmark harness); `Tiny` is for
 /// unit/integration tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -27,9 +27,9 @@ pub enum Scale {
     /// channel.
     Paper,
     /// Ten times the paper's population at the same 2 h session: ~7000
-    /// concurrent viewers on the popular channel. Meant for sub-ISP
-    /// sharded runs (`plsim run --shards`) with a capture budget
-    /// (`--capture-budget`).
+    /// concurrent viewers on the popular channel. Meant for runs with a
+    /// capture budget (`--capture-budget`), monolithic or on ISP-atom
+    /// shards (`plsim run --shards N`, N ≤ 5).
     Paper10x,
     /// Benchmark scale: 30 min, ~350 concurrent viewers.
     Reduced,
@@ -138,7 +138,8 @@ pub struct Scenario {
     /// budget and no aggregation; analysis output is bit-identical for
     /// every budget.
     pub capture: CaptureConfig,
-    /// Space-partition shard count (`None` = 1). Any value produces
+    /// Space-partition shard count (`None` = 1), clamped by the
+    /// partitioner to the populated-ISP count. Any value produces
     /// bit-identical output; shards only change how many cores drive the
     /// run.
     pub shards: Option<usize>,

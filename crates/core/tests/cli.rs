@@ -164,8 +164,45 @@ fn capture_budget_flag_reaches_the_trace_store() {
 }
 
 #[test]
+fn shards_past_the_populated_isps_are_clamped_with_a_note() {
+    let run = |extra: &[&str]| {
+        let args = [
+            &["--threads", "1", "run", "unpopular", "tiny", "42"][..],
+            extra,
+        ]
+        .concat();
+        let out = plsim(&args, &[]);
+        assert!(out.status.success(), "{args:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        (stdout, String::from_utf8_lossy(&out.stderr).into_owned())
+    };
+    let (clamped, note) = run(&["--shards", "8"]);
+    assert!(
+        clamped.contains("partition: 5 shards on 1 threads"),
+        "{clamped}"
+    );
+    assert_eq!(
+        note.trim_end(),
+        "note: --shards 8 clamped to 5: shards are whole ISPs and this world populates 5"
+    );
+    // Asking for the five ISPs is the same run, and says nothing.
+    let (five, quiet) = run(&["--shards", "5"]);
+    assert_eq!(five, clamped);
+    assert!(!quiet.contains("note:"), "{quiet}");
+    // Either way stdout is the monolithic run's plus the partition report.
+    let (monolithic, _) = run(&[]);
+    let stripped: String = clamped
+        .lines()
+        .filter(|l| !l.starts_with("partition:") && !l.starts_with("warning:"))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert_eq!(stripped, monolithic);
+}
+
+#[test]
 fn shard_threads_beyond_the_cores_are_warned_about() {
-    // `--threads 64` is clamped to the 8 shards it can drive.
+    // `--shards 8` is clamped to the 5 populated ISPs, and `--threads 64`
+    // to the 5 shards it can drive.
     let out = plsim(
         &[
             "--threads",
@@ -182,12 +219,12 @@ fn shard_threads_beyond_the_cores_are_warned_about() {
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
-        stdout.contains("partition: 8 shards on 8 threads"),
+        stdout.contains("partition: 5 shards on 5 threads"),
         "{stdout}"
     );
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    let warning = format!("warning: 8 shard threads on {cores} core(s)");
-    assert_eq!(stdout.contains(&warning), cores < 8, "{stdout}");
+    let warning = format!("warning: 5 shard threads on {cores} core(s)");
+    assert_eq!(stdout.contains(&warning), cores < 5, "{stdout}");
 }
 
 #[test]

@@ -59,6 +59,6 @@ mod time;
 pub use sched::{CalendarScheduler, EventKey, HeapScheduler, Scheduler, SchedulerKind};
 pub use sim::{
     Actor, Context, Delivery, EventStamp, FaultEvent, FixedDelay, Medium, Monitor, NodeId,
-    NullMonitor, PopRecord, QueueIntent, RemoteEvent, SimStats, Simulation,
+    NullMonitor, PopRecord, RemoteEvent, SimStats, Simulation,
 };
 pub use time::SimTime;

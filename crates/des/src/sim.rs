@@ -1,4 +1,10 @@
 //! The event loop: actors, the network medium, monitors and the scheduler.
+//!
+//! A send's delivery is settled the moment it is made: the [`Medium`]
+//! returns a delay or a drop, never a partial answer. In a sharded world
+//! (see [`Simulation::enable_sharding`]) a send to another shard's node
+//! leaves through the outbox with its arrival time and scheduling
+//! identity already final.
 
 use crate::sched::{EventKey, SchedulerImpl};
 use crate::{SchedulerKind, SimTime};
@@ -35,22 +41,6 @@ impl fmt::Display for NodeId {
 pub enum Delivery {
     /// Deliver after the given one-way delay.
     After(SimTime),
-    /// Everything about the delay is known except a shared-queue wait that
-    /// only the queue's owner shard may compute. `partial` is the sum of the
-    /// load-independent components (propagation, jitter, serialization);
-    /// `queue` is an opaque queue token the medium understands; `scale_bits`
-    /// is the `f64::to_bits` of the capacity scale in force at the sender's
-    /// pop, carried so the owner replays the enqueue with bit-identical
-    /// arithmetic. Only meaningful inside a sharded run: the kernel turns it
-    /// into a [`QueueIntent`] for the shard driver instead of scheduling.
-    Deferred {
-        /// Load-independent delay components, already final.
-        partial: SimTime,
-        /// Medium-defined token of the deferred queue.
-        queue: u16,
-        /// `f64::to_bits` of the capacity scale at the sender's pop.
-        scale_bits: u64,
-    },
     /// The packet is lost.
     Drop,
 }
@@ -119,22 +109,6 @@ pub trait Medium<P> {
     /// deterministic end-of-run state (e.g. drain backlog gauges to the
     /// horizon). The default ignores it.
     fn on_run_end(&mut self, _horizon: SimTime) {}
-
-    /// Replays one deferred enqueue (see [`Delivery::Deferred`]) on the
-    /// queue owner's medium, returning the queue wait to add to the
-    /// intent's `partial` delay. Called by the shard driver in global
-    /// `(stamp, idx)` order, so the queue's load-dependent trajectory is
-    /// reconstructed exactly as the single-shard run computed it. The
-    /// default (for media that never defer) returns zero.
-    fn replay_enqueue(
-        &mut self,
-        _queue: u16,
-        _size_bytes: u32,
-        _depart: SimTime,
-        _scale_bits: u64,
-    ) -> SimTime {
-        SimTime::ZERO
-    }
 }
 
 /// A medium that delivers everything after a fixed delay. Useful in tests.
@@ -410,40 +384,6 @@ pub struct PopRecord {
     pub pushes: u32,
 }
 
-/// One enqueue onto a shared interconnect queue whose wait only the queue's
-/// owner shard may compute (see [`Delivery::Deferred`]). The sender shard
-/// records everything it already knows — the pop that caused the send
-/// (`stamp`, `idx` orders intents of one pop), the event's final scheduling
-/// identity (`seq`; origin is `from.0 + 1`), the departure time and the
-/// load-independent `partial` delay — and the owner replays the enqueue in
-/// global `(stamp, idx)` order to obtain the queue wait and thus the final
-/// arrival time.
-#[derive(Debug)]
-pub struct QueueIntent<P> {
-    /// Stamp of the sender's pop that emitted this send.
-    pub stamp: EventStamp,
-    /// Position of this send among the pop's deferred sends.
-    pub idx: u32,
-    /// Sending node.
-    pub from: NodeId,
-    /// Destination node.
-    pub to: NodeId,
-    /// Message payload.
-    pub payload: P,
-    /// Bytes on the wire.
-    pub size: u32,
-    /// Sequence number assigned at the sender (origin is `from.0 + 1`).
-    pub seq: u64,
-    /// When the message leaves the sender (pop time + hold).
-    pub depart: SimTime,
-    /// Load-independent delay components, already final.
-    pub partial: SimTime,
-    /// Medium-defined token of the deferred queue.
-    pub queue: u16,
-    /// `f64::to_bits` of the capacity scale at the sender's pop.
-    pub scale_bits: u64,
-}
-
 /// Sharding state of one space-partitioned simulation (see
 /// [`Simulation::enable_sharding`]).
 struct ShardState<P> {
@@ -453,8 +393,6 @@ struct ShardState<P> {
     local: Vec<bool>,
     /// Cross-shard sends awaiting pickup by the shard driver.
     outbox: Vec<RemoteEvent<P>>,
-    /// Deferred shared-queue enqueues awaiting pickup by the shard driver.
-    intents: Vec<QueueIntent<P>>,
     /// Pop log for the global queue-depth replay.
     pop_log: Vec<PopRecord>,
     /// Fault boundaries owned by shard 0, mirrored here so this shard's
@@ -526,10 +464,6 @@ pub struct Simulation<P> {
     scratch: Vec<Effect<P>>,
     /// Pushes performed while processing the current pop (pop-log entry).
     pop_pushes: u32,
-    /// Stamp of the pop currently being processed (intent bookkeeping).
-    pop_stamp: EventStamp,
-    /// Deferred sends emitted while processing the current pop.
-    pop_deferred: u32,
     /// Present iff this simulation is one shard of a partitioned world.
     shard: Option<ShardState<P>>,
 }
@@ -597,8 +531,6 @@ impl<P> Simulation<P> {
             halted: false,
             scratch: Vec::new(),
             pop_pushes: 0,
-            pop_stamp: EventStamp::default(),
-            pop_deferred: 0,
             shard: None,
         }
     }
@@ -761,7 +693,6 @@ impl<P> Simulation<P> {
             index,
             local,
             outbox: Vec::new(),
-            intents: Vec::new(),
             pop_log: Vec::new(),
             shadow_faults,
             shadow_next: 0,
@@ -782,37 +713,6 @@ impl<P> Simulation<P> {
         if let Some(shard) = &mut self.shard {
             into.append(&mut shard.pop_log);
         }
-    }
-
-    /// Moves this shard's pending deferred enqueues into `into`
-    /// (appending), leaving the buffer empty with its capacity intact.
-    /// Entries are in `(stamp, idx)` order within this shard; the driver
-    /// merges intents of all shards into global order before replay.
-    pub fn drain_intents(&mut self, into: &mut Vec<QueueIntent<P>>) {
-        if let Some(shard) = &mut self.shard {
-            into.append(&mut shard.intents);
-        }
-    }
-
-    /// Replays one deferred enqueue on this (owner) shard's medium and
-    /// returns the final arrival time of the deferred event: the departure
-    /// plus the load-independent `partial` delay plus the queue wait the
-    /// medium computes. Must be called in global `(stamp, idx)` intent
-    /// order so the shared queue's backlog trajectory matches the
-    /// single-shard run's exactly.
-    pub fn replay_intent(
-        &mut self,
-        queue: u16,
-        size_bytes: u32,
-        depart: SimTime,
-        partial: SimTime,
-        scale_bits: u64,
-    ) -> SimTime {
-        depart
-            + partial
-            + self
-                .medium
-                .replay_enqueue(queue, size_bytes, depart, scale_bits)
     }
 
     /// Enqueues a cross-shard event delivered by the shard driver. The
@@ -937,8 +837,6 @@ impl<P> Simulation<P> {
             self.now = key.at;
             self.events_processed.inc();
             self.pop_pushes = 0;
-            self.pop_stamp = stamp;
-            self.pop_deferred = 0;
             self.monitor.on_pop(stamp);
 
             let payload = match ev.payload {
@@ -1043,42 +941,6 @@ impl<P> Simulation<P> {
                                 });
                                 self.pop_pushes += 1;
                             }
-                        }
-                        Delivery::Deferred {
-                            partial,
-                            queue,
-                            scale_bits,
-                        } => {
-                            // The event's scheduling identity is assigned
-                            // here, exactly as `After` would have, so the
-                            // finalized event keeps its single-shard
-                            // position among same-timestamp peers.
-                            let seq = self.next_seq[origin_key as usize];
-                            self.next_seq[origin_key as usize] = seq + 1;
-                            let idx = self.pop_deferred;
-                            self.pop_deferred += 1;
-                            let shard = self
-                                .shard
-                                .as_mut()
-                                .expect("Delivery::Deferred outside a sharded run");
-                            shard.intents.push(QueueIntent {
-                                stamp: self.pop_stamp,
-                                idx,
-                                from: origin,
-                                to,
-                                payload,
-                                size,
-                                seq,
-                                depart,
-                                partial,
-                                queue,
-                                scale_bits,
-                            });
-                            // The eventual push lands wherever the
-                            // destination lives, but it belongs to *this*
-                            // pop in the global depth replay — same rule as
-                            // a cross-shard send.
-                            self.pop_pushes += 1;
                         }
                         Delivery::Drop => {
                             self.messages_dropped.inc();

@@ -1,6 +1,10 @@
 //! The network medium: propagation + jitter + serialization + loss, plus
 //! scheduled time-varying disturbances (loss/latency ramps, interconnect
 //! degradation, full ISP partitions).
+//!
+//! Every transit resolves on the sender's side: the interconnect queue a
+//! packet waits in belongs to its source ISP, and a sharded world keeps
+//! each ISP whole on one shard.
 
 use crate::{congestion_extra_ms, core_one_way_ms, transfer_time, Isp, Topology};
 use plsim_des::{Delivery, FaultEvent, Medium, NodeId, SimTime};
@@ -246,16 +250,10 @@ pub struct Underlay {
     /// accounting time. Interconnects are full-duplex — each direction
     /// drains at the pair's nominal capacity independently — so a directed
     /// queue is touched only by traffic originating in `src`, which is what
-    /// lets a sharded world (one shard per source-ISP group) keep every
-    /// queue shard-local. The current queue wait is `backlog / capacity`.
+    /// lets a sharded world keep every queue shard-local: its shards are
+    /// whole ISPs, so each queue lives with its source ISP's hosts. The
+    /// current queue wait is `backlog / capacity`.
     xlink_backlog: [[(f64, SimTime); 5]; 5],
-    /// `deferred_src[i]` — source ISP `i`'s directed queues are owned by
-    /// another authority (the owner shard of a sub-ISP-sharded world), so
-    /// [`Medium::transit`] must not touch them locally: it returns
-    /// [`Delivery::Deferred`] and the owner replays the enqueue in global
-    /// stamp order via [`Medium::replay_enqueue`]. All-false outside
-    /// sharded runs.
-    deferred_src: [bool; 5],
     /// The scheduled disturbance windows, in harness order.
     faults: Vec<LinkFault>,
     /// Indices into `faults` of the currently-active windows; maintained by
@@ -282,7 +280,6 @@ impl Underlay {
             topology,
             link,
             xlink_backlog: [[(0.0, SimTime::ZERO); 5]; 5],
-            deferred_src: [false; 5],
             faults: Vec::new(),
             active_faults: Vec::new(),
             xlink_backlog_bits: Gauge::detached(),
@@ -387,78 +384,6 @@ impl Underlay {
         }
     }
 
-    /// Whether a finite-capacity queue exists on the `a → b` interconnect
-    /// under this link model (same-ISP paths, transoceanic paths and
-    /// `interconnect_mbps = 0` models are uncapped).
-    #[must_use]
-    pub fn has_queue(&self, a: Isp, b: Isp) -> bool {
-        self.pair_capacity_mbps(a, b).is_some()
-    }
-
-    /// Opaque token of the `a → b` directed queue, carried through
-    /// [`Delivery::Deferred`] and decoded by [`Medium::replay_enqueue`].
-    fn queue_token(a: Isp, b: Isp) -> u16 {
-        (Self::isp_index(a) * Isp::ALL.len() + Self::isp_index(b)) as u16
-    }
-
-    fn token_pair(token: u16) -> (Isp, Isp) {
-        let n = Isp::ALL.len();
-        (Isp::ALL[token as usize / n], Isp::ALL[token as usize % n])
-    }
-
-    /// Source ISP of a deferred-queue token — the shard driver routes every
-    /// intent to the shard owning the source ISP's queues.
-    #[must_use]
-    pub fn queue_source(token: u16) -> Isp {
-        Self::token_pair(token).0
-    }
-
-    /// Marks the directed queues of the given source ISPs as owned
-    /// elsewhere: transits originating there return
-    /// [`Delivery::Deferred`] instead of touching local queue state. The
-    /// shard driver sets the same mask on *every* shard (including the
-    /// owner — the owner's local senders must join the global replay
-    /// order too) and replays intents on the owner's underlay only.
-    pub fn defer_sources(&mut self, mask: [bool; 5]) {
-        self.deferred_src = mask;
-    }
-
-    /// Which source ISPs a sub-ISP partition must defer: ISPs whose hosts
-    /// land on more than one shard *and* that have at least one
-    /// finite-capacity directed queue. ISP-granular partitions (and
-    /// uncapped link models) return all-false.
-    #[must_use]
-    pub fn deferred_sources(&self, shard_of: &[usize]) -> [bool; 5] {
-        let mut first_shard = [None; 5];
-        let mut split = [false; 5];
-        for (id, host) in self.topology.iter() {
-            let i = Self::isp_index(host.isp);
-            let s = shard_of[id.index()];
-            match first_shard[i] {
-                None => first_shard[i] = Some(s),
-                Some(f) if f != s => split[i] = true,
-                Some(_) => {}
-            }
-        }
-        let mut mask = [false; 5];
-        for (i, &a) in Isp::ALL.iter().enumerate() {
-            mask[i] = split[i] && Isp::ALL.iter().any(|&b| self.has_queue(a, b));
-        }
-        mask
-    }
-
-    /// Number of directed queues a defer mask covers (the queues a
-    /// sub-ISP-sharded run reconstructs by owner replay).
-    #[must_use]
-    pub fn deferred_queue_count(&self, mask: &[bool; 5]) -> usize {
-        Isp::ALL
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| mask[i])
-            .map(|(_, &a)| Isp::ALL.iter().filter(|&&b| self.has_queue(a, b)).count())
-            .sum()
-    }
-
     /// Queues `size_bytes` on the `a → b` direction of the interconnect at
     /// time `now` and returns the queue wait, capped at
     /// `interconnect_max_wait_s` (beyond the cap the link sheds load: the
@@ -500,18 +425,10 @@ impl Underlay {
     }
 
     /// Conservative cross-shard lookahead for a space-partitioned world:
-    /// the minimum base one-way propagation delay over every host pair
-    /// whose delivery must cross a window barrier (`shard_of` maps node
-    /// index → shard). Two kinds of pairs qualify:
-    ///
-    /// * hosts in *different shards* — the message travels through the
-    ///   outbox and is ingested at the barrier;
-    /// * any pair on a *deferred directed queue* (source ISP split across
-    ///   shards, finite queue capacity — see
-    ///   [`Underlay::deferred_sources`]), **whatever shards the endpoints
-    ///   live in**: the arrival time is only known after the owner shard
-    ///   replays the enqueue at the barrier, so even a same-shard
-    ///   delivery must land no earlier than the next window.
+    /// the minimum base one-way propagation delay over every host pair in
+    /// *different shards* (`shard_of` maps node index → shard) — the pairs
+    /// whose messages travel through the outbox and are ingested at the
+    /// window barrier.
     ///
     /// Every delay component this medium adds on top of base propagation —
     /// jitter, interconnect wait, serialization — is non-negative, and
@@ -531,23 +448,15 @@ impl Underlay {
             let i = Self::isp_index(host.isp);
             edge_min[s][i] = edge_min[s][i].min(host.edge_delay);
         }
-        let deferred = self.deferred_sources(shard_of);
         let mut best: Option<SimTime> = None;
         for s in 0..shards {
-            for t in 0..shards {
+            for t in (0..shards).filter(|&t| t != s) {
                 for (ia, &a) in Isp::ALL.iter().enumerate() {
                     if edge_min[s][ia] == SimTime::MAX {
                         continue;
                     }
                     for (ib, &b) in Isp::ALL.iter().enumerate() {
                         if edge_min[t][ib] == SimTime::MAX {
-                            continue;
-                        }
-                        // Ordinary outbox traffic only crosses a barrier
-                        // between distinct shards; deferred-queue intents
-                        // cross one on every (source, destination) shard
-                        // pair, same-shard pairs included.
-                        if s == t && !(deferred[ia] && self.has_queue(a, b)) {
                             continue;
                         }
                         let core = SimTime::from_secs_f64(core_one_way_ms(a, b) / 1e3);
@@ -619,19 +528,6 @@ impl<P> Medium<P> for Underlay {
         };
         let bottleneck = ha.bandwidth.up_bps.min(hb.bandwidth.down_bps);
         let serialization = transfer_time(size_bytes, bottleneck);
-
-        // Source ISP split across shards and a real queue on this pair:
-        // the queue wait can only be computed by the owner shard, in
-        // global stamp order. Hand back everything already decided (all
-        // RNG draws happened above, so the sender's stream is identical
-        // to the single-shard run's) and let the kernel emit an intent.
-        if self.deferred_src[Self::isp_index(ha.isp)] && self.has_queue(ha.isp, hb.isp) {
-            return Delivery::Deferred {
-                partial: propagation + jitter + serialization,
-                queue: Self::queue_token(ha.isp, hb.isp),
-                scale_bits: capacity_scale.to_bits(),
-            };
-        }
         let xwait = self.interconnect_wait(ha.isp, hb.isp, size_bytes, _now, capacity_scale);
 
         Delivery::After(propagation + jitter + xwait + serialization)
@@ -639,21 +535,6 @@ impl<P> Medium<P> for Underlay {
 
     fn on_fault(&mut self, now: SimTime, _fault: &FaultEvent) {
         self.refresh_active(now);
-    }
-
-    fn replay_enqueue(
-        &mut self,
-        queue: u16,
-        size_bytes: u32,
-        depart: SimTime,
-        scale_bits: u64,
-    ) -> SimTime {
-        // The owner shard replays a deferred enqueue with the capacity
-        // scale the *sender* observed at its pop (carried bit-exactly), so
-        // the queue trajectory matches the single-shard run even when the
-        // replay happens after this underlay's own fault clock moved on.
-        let (a, b) = Self::token_pair(queue);
-        self.interconnect_wait(a, b, size_bytes, depart, f64::from_bits(scale_bits))
     }
 
     fn on_run_end(&mut self, horizon: SimTime) {
@@ -712,9 +593,6 @@ mod tests {
             Delivery::After(d) => Ok(d),
             Delivery::Drop => Err(format!(
                 "packet {from}->{to} ({size} B) unexpectedly dropped at {now}"
-            )),
-            Delivery::Deferred { .. } => Err(format!(
-                "packet {from}->{to} ({size} B) unexpectedly deferred at {now}"
             )),
         }
     }
@@ -1018,138 +896,6 @@ mod tests {
         assert_eq!(gauge.current, 0);
         assert_eq!(gauge.peak, peak_before);
         Ok(())
-    }
-
-    #[test]
-    fn deferred_transit_replays_to_the_direct_delay() -> Result<(), String> {
-        let link = LinkModel {
-            interconnect_mbps: 1.0,
-            interconnect_max_wait_s: 1e9,
-            ..LinkModel::ideal()
-        };
-        let build = || {
-            let mut rng = SmallRng::seed_from_u64(11);
-            let mut b = TopologyBuilder::new();
-            let t = b.add_host(Isp::Tele, BandwidthClass::Campus, &mut rng);
-            let c = b.add_host(Isp::Cnc, BandwidthClass::Campus, &mut rng);
-            (Underlay::new(Arc::new(b.build()), link), t, c)
-        };
-        let size = 125_000; // 1 Mbit: a 1-second backlog per packet at 1 Mbit/s.
-        let times = [0u64, 0, 1, 3];
-
-        // Reference: direct transits on one underlay, queue grows in place.
-        let (mut direct, t, c) = build();
-        let mut rng = SmallRng::seed_from_u64(0);
-        let mut want = Vec::new();
-        for &s in &times {
-            want.push(transit_delay(
-                &mut direct,
-                t,
-                c,
-                size,
-                SimTime::from_secs(s),
-                &mut rng,
-            )?);
-        }
-
-        // Deferred: the sender's underlay never touches the queue; an
-        // owner underlay replays each enqueue in the same order.
-        let (mut sender, t, c) = build();
-        sender.defer_sources([true, false, false, false, false]);
-        let (mut owner, _, _) = build();
-        let mut rng = SmallRng::seed_from_u64(0);
-        for (&s, &expect) in times.iter().zip(&want) {
-            let now = SimTime::from_secs(s);
-            match Medium::<()>::transit(&mut sender, t, c, size, now, &mut rng) {
-                Delivery::Deferred {
-                    partial,
-                    queue,
-                    scale_bits,
-                } => {
-                    let wait =
-                        Medium::<()>::replay_enqueue(&mut owner, queue, size, now, scale_bits);
-                    assert_eq!(partial + wait, expect);
-                }
-                other => return Err(format!("expected a deferred delivery, got {other:?}")),
-            }
-        }
-        // The sender's own queue state never moved.
-        assert_eq!(sender.xlink_backlog, build().0.xlink_backlog);
-        Ok(())
-    }
-
-    #[test]
-    fn uncapped_pairs_are_never_deferred() {
-        let (mut u, x, y) = two_host_underlay(LinkModel::ideal());
-        // x is Tele, y is Foreign: no queue exists on the pair, so even a
-        // deferred source ISP delivers directly.
-        u.defer_sources([true; 5]);
-        let mut rng = SmallRng::seed_from_u64(0);
-        assert!(matches!(
-            Medium::<()>::transit(&mut u, x, y, 10, SimTime::ZERO, &mut rng),
-            Delivery::After(_)
-        ));
-    }
-
-    #[test]
-    fn deferred_sources_require_a_split_isp_and_a_queue() {
-        let mut rng = SmallRng::seed_from_u64(9);
-        let mut b = TopologyBuilder::new();
-        for isp in [Isp::Tele, Isp::Tele, Isp::Cnc, Isp::Foreign, Isp::Foreign] {
-            b.add_host(isp, BandwidthClass::Adsl, &mut rng);
-        }
-        let u = Underlay::new(Arc::new(b.build()), LinkModel::default());
-        // Tele split across shards 0/1, Foreign split across 0/1, Cnc whole.
-        let shard_of = vec![0, 1, 0, 0, 1];
-        let mask = u.deferred_sources(&shard_of);
-        assert!(mask[0], "split Tele has queues to Cnc/Cer/OtherCn");
-        assert!(!mask[1], "Cnc is not split");
-        assert!(!mask[4], "Foreign paths are uncapped: nothing to defer");
-        assert_eq!(
-            u.deferred_queue_count(&mask),
-            3,
-            "Tele -> {{Cnc, Cer, OtherCn}} are the finite-capacity queues"
-        );
-
-        // The ideal link model has no queues at all.
-        let ideal = Underlay::new(Arc::clone(u.topology()), LinkModel::ideal());
-        assert_eq!(ideal.deferred_sources(&shard_of), [false; 5]);
-    }
-
-    #[test]
-    fn conservative_lookahead_covers_deferred_same_shard_pairs() {
-        let mut rng = SmallRng::seed_from_u64(21);
-        let mut b = TopologyBuilder::new();
-        let mut ids = Vec::new();
-        for isp in [
-            Isp::Tele,
-            Isp::Tele,
-            Isp::Tele,
-            Isp::Cnc,
-            Isp::Cnc,
-            Isp::Cer,
-        ] {
-            ids.push(b.add_host(isp, BandwidthClass::Adsl, &mut rng));
-        }
-        let u = Underlay::new(Arc::new(b.build()), LinkModel::default());
-        // Tele splits across shards 0 and 1: its directed queues are
-        // deferred, so every (Tele -> queued pair) delivery crosses a
-        // window barrier even when both endpoints share a shard.
-        let shard_of = vec![0, 0, 1, 0, 0, 1];
-        let got = u.conservative_lookahead(&shard_of, 2).unwrap();
-        let topo = u.topology();
-        let brute = ids
-            .iter()
-            .flat_map(|&a| ids.iter().map(move |&b| (a, b)))
-            .filter(|&(a, b)| {
-                let cross = shard_of[a.index()] != shard_of[b.index()];
-                let (ia, ib) = (topo.host(a).isp, topo.host(b).isp);
-                cross || (ia == Isp::Tele && u.has_queue(ia, ib))
-            })
-            .map(|(a, b)| topo.base_one_way(a, b))
-            .min()
-            .unwrap();
-        assert_eq!(got, brute);
     }
 
     #[test]

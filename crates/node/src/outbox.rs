@@ -20,12 +20,17 @@
 //! only its own row) and the receiver drains column-wise after the
 //! barrier, in source order, making the drain sequence deterministic.
 //!
-//! Most slots carry nothing in most rounds (a Reduced world on 8 shards
-//! moves 8.7 items a round through 2 × 64 slots), so each slot has an
-//! occupancy flag beside its mutex: [`publish`] raises it while it holds
-//! the lock and [`drain`] reads it first and passes over an unpublished
-//! slot without locking it. A round locks the slots that carry a batch,
-//! not the whole grid.
+//! A round is two barriers: every source publishes at most one batch per
+//! destination before the first, and every destination drains its column
+//! before the second, so a slot is always empty when it is published
+//! into and [`publish`] is a plain swap.
+//!
+//! Most slots carry nothing in most rounds (a round spans one lookahead,
+//! 19 ms of simulated time in the paper-shaped worlds, and the grid has
+//! `shards²` slots), so each slot has an occupancy flag beside its mutex:
+//! [`publish`] raises it while it holds the lock and [`drain`] reads it
+//! first and passes over an unpublished slot without locking it. A round
+//! locks the slots that carry a batch, not the whole grid.
 //!
 //! [`publish`]: ShardExchange::publish
 //! [`drain`]: ShardExchange::drain
@@ -35,7 +40,7 @@ use std::sync::Mutex;
 
 /// A `shards × shards` mailbox grid carrying per-destination batches
 /// across window barriers. `T` is the wire form of whatever crosses the
-/// barrier (`WireEvent`, `WireIntent` — anything `Send`).
+/// barrier (the shard driver's `WireEvent` — anything `Send`).
 #[derive(Debug)]
 pub struct ShardExchange<T> {
     shards: usize,
@@ -73,18 +78,20 @@ impl<T> ShardExchange<T> {
 
     /// Publishes `staged` (source `src`'s batch for destination `dest`)
     /// into the grid and leaves an empty buffer — with whatever capacity
-    /// the slot held — in its place, ready for restaging. If the slot is
-    /// already occupied (a source can publish twice per round: its own
-    /// outbox, then owner-replayed arrivals), the batch is appended after
-    /// the earlier one instead, still retaining `staged`'s capacity.
+    /// the slot held — in its place, ready for restaging.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot still holds a batch: a source publishes at most
+    /// once per destination between two drains.
     pub fn publish(&self, src: usize, dest: usize, staged: &mut Vec<T>) {
         let i = dest * self.shards + src;
         let mut slot = self.slots[i].lock().expect("exchange slot poisoned");
-        if slot.is_empty() {
-            std::mem::swap(&mut *slot, staged);
-        } else {
-            slot.append(staged);
-        }
+        assert!(
+            slot.is_empty(),
+            "exchange slot {src} -> {dest} published twice before a drain"
+        );
+        std::mem::swap(&mut *slot, staged);
         self.occupied[i].store(true, Ordering::Release);
     }
 
@@ -123,15 +130,14 @@ mod tests {
         let mut got = Vec::new();
         ex.drain(0, |v| got.push(v));
         assert_eq!(got, vec![7, 10, 11], "drain follows source order");
+    }
 
-        // A second publish into an occupied slot appends after the first.
-        let mut a = vec![1];
-        let mut b = vec![2, 3];
-        ex.publish(2, 1, &mut a);
-        ex.publish(2, 1, &mut b);
-        let mut got = Vec::new();
-        ex.drain(1, |v| got.push(v));
-        assert_eq!(got, vec![1, 2, 3]);
+    #[test]
+    #[should_panic(expected = "exchange slot 2 -> 1 published twice before a drain")]
+    fn a_second_publish_before_the_drain_panics() {
+        let ex: ShardExchange<u32> = ShardExchange::new(3);
+        ex.publish(2, 1, &mut vec![1]);
+        ex.publish(2, 1, &mut vec![2, 3]);
     }
 
     #[test]

@@ -1,25 +1,24 @@
 //! Sharded deterministic worlds: one simulation, many cores.
 //!
-//! Space-partitions a world into host-group shards — sub-ISP when the
-//! requested shard count exceeds the populated ISP count — each owning its
-//! own scheduler, event pool and actor slice, and drives them in barrier
-//! rounds of conservative lookahead. The lookahead bound is physical: the
-//! underlay's smallest possible one-way delay along any path that crosses
-//! the window barrier (sender edge + inter-ISP core + receiver edge —
-//! jitter, queueing and fault factors only ever *add* to it), so no event
-//! created inside a window can be due before the destination's next window
-//! starts, and routing the cross-shard traffic at the window barrier is
-//! always early enough. Deferred-queue arrivals cross the barrier even
-//! between same-shard hosts, so the bound also spans every queued pair
-//! whose source ISP is split (see `Underlay::conservative_lookahead`).
+//! Space-partitions a world into shards of **whole ISPs** — the paper's
+//! unit of locality — each owning its own scheduler, event pool and actor
+//! slice, and drives them in barrier rounds of conservative lookahead. A
+//! request for more shards than the world has populated ISPs is clamped
+//! to that count. The lookahead bound is physical: the underlay's smallest
+//! possible one-way delay between hosts on different shards (sender edge +
+//! inter-ISP core + receiver edge — jitter, queueing and fault factors
+//! only ever *add* to it), so no event created inside a window can be due
+//! before the destination's next window starts, and routing the
+//! cross-shard traffic at the window barrier is always early enough.
 //!
 //! Every shard advances on the **same fixed-stride window**: round `r`
 //! runs each shard up to `r × lookahead`, and the round that reaches the
 //! horizon is the final, horizon-inclusive slice. Partitioning is
 //! **event-rate balanced** by one greedy packer ([`partition`]) over the
-//! per-host expected-event rates `WorldLayout` derives from the session
-//! plan. DESIGN.md §5 has the measurement that ruled out per-shard-pair
-//! windows on this all-to-all underlay.
+//! per-ISP sums of the per-host expected-event rates `WorldLayout` derives
+//! from the session plan. DESIGN.md §5 has the measurements that ruled out
+//! per-shard-pair windows on this all-to-all underlay and retired
+//! sub-ISP shards.
 //!
 //! Determinism is the point, not a best effort: every event carries the
 //! scheduling identity `(time, origin, seq)` its *sender* assigned, each
@@ -40,42 +39,26 @@
 //! steady-state allocations on the exchange path (pinned by the
 //! `outbox_alloc` test). A drain passes over every slot nothing was
 //! published into without locking it, so a round pays for the batches it
-//! carries, not for the `2 × shards²` slots of the two grids.
+//! carries, not for the `shards²` slots of the grid.
 //!
-//! The phases of a round are separated by a private `RoundBarrier`. On one
-//! driver thread it is free — `wait` returns immediately — and on several
-//! it spins briefly and then yields; it never parks a thread, because a
-//! round is a few microseconds of work and a sleep-and-wake costs more
-//! than the round (DESIGN.md §5 has the ledger). A driver that panics
-//! poisons the barrier so the others panic too instead of waiting forever.
+//! A round is two phases, each ended by a private `RoundBarrier`: run the
+//! window and publish the outbox; then drain the inbox (one thread also
+//! folds the depth replay). On one driver thread the barrier is free —
+//! `wait` returns immediately — and on several it spins briefly and then
+//! yields; it never parks a thread, because a round is a few microseconds
+//! of work and a sleep-and-wake costs more than the round (DESIGN.md §5
+//! has the ledger). A driver that panics poisons the barrier so the others
+//! panic too instead of waiting forever.
 //!
 //! What cannot be computed shard-locally is *reconstructed* exactly:
 //!
 //! * `peak_queue_depth` — each shard logs `(pop stamp, pushes)` per event;
 //!   the driver folds the logs in global stamp order and replays pops as
 //!   `-1` / pushes as `+1`, reproducing the single queue's depth
-//!   trajectory (cross-shard and deferred sends count at the *sender*,
-//!   where the single-shard run would have pushed). The shared window
-//!   makes rounds partition the stamp space — every round-`r` pop
-//!   outstamps every earlier round's — so each round's fold consumes the
-//!   whole buffer.
-//! * directed interconnect backlogs — the underlay's per-ISP-pair queues
-//!   are load-dependent shared state. While every ISP sits whole on one
-//!   shard each directed queue is touched by exactly one shard and needs
-//!   nothing special; once an ISP is *split*, every queue it sources is
-//!   assigned a single **owner shard** (the shard of the ISP's lowest-id
-//!   host). Senders everywhere — the owner's own hosts included — stop
-//!   touching queue state and instead emit stamp-ordered
-//!   [`plsim_des::QueueIntent`]s, with all random draws (loss, jitter)
-//!   and the capacity scale already resolved at the sender so its streams
-//!   and shadow-fault view match the single-shard run. At the window
-//!   barrier the owner replays the round's global intent set in `(pop
-//!   stamp, index-in-pop)` order — exactly the order the single-shard run
-//!   would have performed the enqueues — then forwards each finalized
-//!   arrival to the destination's shard. Per-round sorting reproduces
-//!   the global enqueue order because intent stamps never interleave
-//!   across rounds of the shared window. The owner-replay barrier phase
-//!   is elided entirely when the partition deferred no queue.
+//!   trajectory (cross-shard sends count at the *sender*, where the
+//!   single-shard run would have pushed). The shared window makes rounds
+//!   partition the stamp space — every round-`r` pop outstamps every
+//!   earlier round's — so each round's fold consumes the whole buffer.
 //! * probe captures — per-shard traces carry `(pop stamp, index-in-pop)`
 //!   sort keys and are merged into the global capture order.
 //! * metrics — per-shard registry snapshots are summed (counters,
@@ -93,7 +76,7 @@ use crate::outbox::ShardExchange;
 use crate::world::{materialize, ShardRole, WorldConfig, WorldLayout, WorldOutput};
 use crate::StatsSink;
 use plsim_capture::{merge_stamped, CaptureAggregates, FaultMark, StampedTrace};
-use plsim_des::{EventStamp, NodeId, PopRecord, QueueIntent, RemoteEvent, SimStats, SimTime};
+use plsim_des::{NodeId, PopRecord, RemoteEvent, SimStats, SimTime};
 use plsim_net::{Isp, Topology, Underlay};
 use plsim_proto::{Message, WireMessage};
 use plsim_telemetry::{GaugeValue, MetricsSnapshot};
@@ -104,24 +87,14 @@ use std::sync::Mutex;
 /// Assigns every host to a shard, packing summed per-host `weight`
 /// greedily, and returns `(shard_of_host, shard_count)`. The sharded run
 /// passes the per-host expected event rates (see
-/// [`crate::world::WorldLayout`]). Two regimes, both deterministic (the
-/// grouping depends only on the weights and paper order, never on
-/// world-seed-sampled values):
+/// [`crate::world::WorldLayout`]).
 ///
-/// * `want ≤ populated ISPs` — **ISP atoms**: ISPs in descending summed
-///   weight (ties in paper order) onto the currently lightest shard (ties
-///   on the lowest index). Every directed interconnect queue stays
-///   shard-local.
-/// * `want > populated ISPs` — **host-group atoms**: contiguous ranges of
-///   an ISP's id-ordered host list. While there are fewer atoms than
-///   shards the atom with the most hosts is split (so progress never
-///   stalls on a heavy single host); from then on the heaviest atom is
-///   split at its weight midpoint until none exceeds half the ideal shard
-///   weight. The atoms then feed the same greedy packer. Queues sourced
-///   by split ISPs are reconstructed by owner replay (see the module
-///   docs). `want` is clamped to the host count.
+/// The atoms are **whole ISPs**: ISPs in descending summed weight (ties in
+/// paper order) go onto the currently lightest shard (ties on the lowest
+/// index), so every directed interconnect queue stays shard-local. `want`
+/// is clamped to the populated-ISP count. The grouping depends only on the
+/// weights and paper order, never on world-seed-sampled values.
 pub(crate) fn partition(topology: &Topology, weight: &[u64], want: usize) -> (Vec<usize>, usize) {
-    let total = topology.len();
     let mut counts = [0usize; 5];
     let mut isp_weight = [0u64; 5];
     for (id, host) in topology.iter() {
@@ -130,102 +103,25 @@ pub(crate) fn partition(topology: &Topology, weight: &[u64], want: usize) -> (Ve
         isp_weight[i] += weight[id.index()];
     }
     let populated = counts.iter().filter(|&&c| c > 0).count();
-    let shards = want.clamp(1, total.max(1));
+    let shards = want.clamp(1, populated.max(1));
 
-    if shards <= populated.max(1) {
-        let mut order: Vec<usize> = (0..Isp::ALL.len()).collect();
-        order.sort_by_key(|&i| (std::cmp::Reverse(isp_weight[i]), i));
+    let mut order: Vec<usize> = (0..Isp::ALL.len()).collect();
+    order.sort_by_key(|&i| (std::cmp::Reverse(isp_weight[i]), i));
 
-        let mut group_of_isp = [0usize; 5];
-        let mut load = vec![0u64; shards];
-        for &i in &order {
-            let lightest = (0..shards)
-                .min_by_key(|&g| (load[g], g))
-                .expect("shards >= 1");
-            group_of_isp[i] = lightest;
-            load[lightest] += isp_weight[i];
-        }
-
-        let shard_of = topology
-            .iter()
-            .map(|(_, host)| group_of_isp[isp_index(host.isp)])
-            .collect();
-        return (shard_of, shards);
-    }
-
-    // Sub-ISP regime: atoms are contiguous ranges of an ISP's id-ordered
-    // host list, `(isp, lo, hi)`, weighed by per-ISP prefix sums.
-    let mut hosts_of: [Vec<usize>; 5] = Default::default();
-    for (id, host) in topology.iter() {
-        hosts_of[isp_index(host.isp)].push(id.index());
-    }
-    let prefix: Vec<Vec<u64>> = hosts_of
-        .iter()
-        .map(|hosts| {
-            let mut acc = Vec::with_capacity(hosts.len() + 1);
-            acc.push(0u64);
-            for &h in hosts {
-                acc.push(acc.last().expect("seeded with 0") + weight[h]);
-            }
-            acc
-        })
-        .collect();
-    let w = |i: usize, lo: usize, hi: usize| prefix[i][hi] - prefix[i][lo];
-
-    let mut atoms: Vec<(usize, usize, usize)> = (0..Isp::ALL.len())
-        .filter(|&i| counts[i] > 0)
-        .map(|i| (i, 0, counts[i]))
-        .collect();
-    // Splitting down to half the ideal load keeps the greedy packer's
-    // imbalance small without exploding the atom (and split-ISP) count.
-    let ideal = isp_weight.iter().sum::<u64>().div_ceil(shards as u64);
-    let threshold = ideal.div_ceil(2).max(1);
-    loop {
-        // Below the shard count, split the atom with the most *hosts* so
-        // a heavy single host can never stall atom production; from then
-        // on split the heaviest.
-        let below = atoms.len() < shards;
-        let (pos, &(isp, lo, hi)) = atoms
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, &(i, lo, hi))| {
-                let size = if below {
-                    (hi - lo) as u64
-                } else {
-                    w(i, lo, hi)
-                };
-                (size, std::cmp::Reverse(i), std::cmp::Reverse(lo))
-            })
-            .expect("want > populated implies at least one atom");
-        let count = hi - lo;
-        if count <= 1 || (!below && w(isp, lo, hi) <= threshold) {
-            break;
-        }
-        // Split at the weight midpoint: the smallest cut whose left half
-        // reaches half the atom's weight, clamped so both halves stay
-        // nonempty (a dominant last host is simply isolated). Unit
-        // weights reduce this to a ceil/floor host split.
-        let half = w(isp, lo, hi).div_ceil(2);
-        let mut mid = lo + 1;
-        while mid < hi - 1 && w(isp, lo, mid) < half {
-            mid += 1;
-        }
-        atoms[pos] = (isp, lo, mid);
-        atoms.push((isp, mid, hi));
-    }
-
-    atoms.sort_by_key(|&(i, lo, hi)| (std::cmp::Reverse(w(i, lo, hi)), i, lo));
+    let mut group_of_isp = [0usize; 5];
     let mut load = vec![0u64; shards];
-    let mut shard_of = vec![0usize; total];
-    for &(i, lo, hi) in &atoms {
+    for &i in &order {
         let lightest = (0..shards)
             .min_by_key(|&g| (load[g], g))
             .expect("shards >= 1");
-        load[lightest] += w(i, lo, hi);
-        for &h in &hosts_of[i][lo..hi] {
-            shard_of[h] = lightest;
-        }
+        group_of_isp[i] = lightest;
+        load[lightest] += isp_weight[i];
     }
+
+    let shard_of = topology
+        .iter()
+        .map(|(_, host)| group_of_isp[isp_index(host.isp)])
+        .collect();
     (shard_of, shards)
 }
 
@@ -253,14 +149,13 @@ fn isp_index(isp: Isp) -> usize {
 
 /// How a sharded run was partitioned — the honest-reporting companion to
 /// the run itself, in the spirit of the engine's `DispatchStats`: what the
-/// partitioner actually did (including imbalance, how many queues had to
-/// fall back to owner replay, and how many window rounds the run costs),
-/// not what was asked for.
+/// partitioner actually did (including imbalance and how many window
+/// rounds the run costs), not what was asked for.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartitionReport {
-    /// Shards the run actually used (the request is clamped to the host
-    /// count; degenerate requests collapse to the single-shard path and
-    /// produce no report).
+    /// Shards the run actually used (the request is clamped to the
+    /// populated-ISP count; degenerate requests collapse to the
+    /// single-shard path and produce no report).
     pub shards: usize,
     /// Worker threads that drove them.
     pub threads: usize,
@@ -268,11 +163,9 @@ pub struct PartitionReport {
     pub hosts: Vec<usize>,
     /// Distinct ISPs with at least one host, per shard.
     pub isps: Vec<usize>,
-    /// ISPs whose hosts span more than one shard (0 in the ISP-atom
-    /// regime).
+    /// Always 0: shards are whole ISPs, so no ISP spans two shards.
     pub split_isps: usize,
-    /// Directed interconnect queues reconstructed by owner replay because
-    /// their source ISP is split.
+    /// Always 0: with no split ISP, every interconnect queue is shard-local.
     pub deferred_queues: usize,
     /// Largest shard's host count over the ideal (total / shards); 1.0 is
     /// perfect balance.
@@ -300,7 +193,6 @@ impl PartitionReport {
         layout: &WorldLayout,
         shard_of: &[usize],
         shards: usize,
-        deferred_queues: usize,
         lookahead: SimTime,
     ) -> PartitionReport {
         let topology = &layout.topology;
@@ -315,9 +207,6 @@ impl PartitionReport {
             .iter()
             .map(|on| on.iter().filter(|&&b| b).count())
             .collect();
-        let split_isps = (0..5)
-            .filter(|&i| isp_on.iter().filter(|on| on[i]).count() > 1)
-            .count();
         let max = hosts.iter().copied().max().unwrap_or(0);
         let ideal = topology.len() as f64 / shards as f64;
         let imbalance = if ideal > 0.0 { max as f64 / ideal } else { 1.0 };
@@ -327,8 +216,8 @@ impl PartitionReport {
             threads: cfg.shard_threads.clamp(1, shards),
             hosts,
             isps,
-            split_isps,
-            deferred_queues,
+            split_isps: 0,
+            deferred_queues: 0,
             imbalance,
             rate_imbalance: rate_imbalance_of(shard_of, shards, &layout.rates),
             lookahead,
@@ -353,8 +242,6 @@ impl PartitionReport {
                 "  \"threads\": {},\n",
                 "  \"hosts_per_shard\": {},\n",
                 "  \"isps_per_shard\": {},\n",
-                "  \"split_isps\": {},\n",
-                "  \"deferred_queues\": {},\n",
                 "  \"imbalance\": {:.4},\n",
                 "  \"rate_imbalance\": {:.4},\n",
                 "  \"lookahead_ms\": {:.3},\n",
@@ -366,8 +253,6 @@ impl PartitionReport {
             self.threads,
             list(&self.hosts),
             list(&self.isps),
-            self.split_isps,
-            self.deferred_queues,
             self.imbalance,
             self.rate_imbalance,
             self.lookahead.as_secs_f64() * 1e3,
@@ -382,14 +267,11 @@ impl fmt::Display for PartitionReport {
         write!(
             f,
             "partition: {} shards on {} threads; hosts/shard {:?}; isps/shard {:?}; \
-             {} split ISP(s); {} owner-replayed queue(s); imbalance {:.2}x; \
-             rate imbalance {:.2}x; lookahead {:.1} ms; window rounds {}",
+             imbalance {:.2}x; rate imbalance {:.2}x; lookahead {:.1} ms; window rounds {}",
             self.shards,
             self.threads,
             self.hosts,
             self.isps,
-            self.split_isps,
-            self.deferred_queues,
             self.imbalance,
             self.rate_imbalance,
             self.lookahead.as_secs_f64() * 1e3,
@@ -398,38 +280,19 @@ impl fmt::Display for PartitionReport {
     }
 }
 
-/// Everything [`run_sharded`] decides before any thread starts: the
-/// partition, the deferred-queue mask, and the report describing both
-/// (which also carries the shared window stride).
-struct ShardPlan {
-    shard_of: Vec<usize>,
-    defer: [bool; 5],
-    report: PartitionReport,
-}
-
-/// Plans the sharded run for `cfg` over `layout`, or `None` when the
-/// partition degenerates (one shard, or no finite ≥ 1 µs lookahead) and
-/// the caller should fall back to the monolithic path.
-fn plan_shards(cfg: &WorldConfig, layout: &WorldLayout) -> Option<ShardPlan> {
+/// Plans the sharded run for `cfg` over `layout` — the partition and the
+/// report describing it (which also carries the shared window stride) —
+/// or `None` when the partition degenerates (one shard, or no finite
+/// ≥ 1 µs lookahead) and the caller should fall back to the monolithic
+/// path.
+fn plan_shards(cfg: &WorldConfig, layout: &WorldLayout) -> Option<(Vec<usize>, PartitionReport)> {
     let (shard_of, shards) = partition(&layout.topology, &layout.rates, cfg.shards);
     let probe = Underlay::new(std::sync::Arc::clone(&layout.topology), cfg.link);
     let lookahead = probe
         .conservative_lookahead(&shard_of, shards)
         .filter(|l| l.as_micros() >= 1)?;
-    let defer = probe.deferred_sources(&shard_of);
-    let report = PartitionReport::compute(
-        cfg,
-        layout,
-        &shard_of,
-        shards,
-        probe.deferred_queue_count(&defer),
-        lookahead,
-    );
-    Some(ShardPlan {
-        shard_of,
-        defer,
-        report,
-    })
+    let report = PartitionReport::compute(cfg, layout, &shard_of, shards, lookahead);
+    Some((shard_of, report))
 }
 
 /// What the partitioner would do for `cfg` — the same [`PartitionReport`]
@@ -441,7 +304,7 @@ fn plan_shards(cfg: &WorldConfig, layout: &WorldLayout) -> Option<ShardPlan> {
 #[must_use]
 pub fn partition_preview(cfg: &WorldConfig) -> Option<PartitionReport> {
     let layout = WorldLayout::compute(cfg);
-    plan_shards(cfg, &layout).map(|p| p.report)
+    plan_shards(cfg, &layout).map(|(_, report)| report)
 }
 
 /// A cross-shard event in transit between threads: a
@@ -455,42 +318,6 @@ struct WireEvent {
     to: NodeId,
     payload: WireMessage,
     size: u32,
-}
-
-/// A deferred-queue enqueue in transit to its owner shard: a
-/// [`QueueIntent`]`<Message>` with the payload flattened to its `Send`
-/// wire form. Sorted by `(stamp, idx)` — the global pop order of the
-/// sends — before replay.
-struct WireIntent {
-    stamp: EventStamp,
-    idx: u32,
-    from: NodeId,
-    to: NodeId,
-    payload: WireMessage,
-    size: u32,
-    seq: u64,
-    depart: SimTime,
-    partial: SimTime,
-    queue: u16,
-    scale_bits: u64,
-}
-
-impl WireIntent {
-    fn from_intent(it: QueueIntent<Message>) -> WireIntent {
-        WireIntent {
-            stamp: it.stamp,
-            idx: it.idx,
-            from: it.from,
-            to: it.to,
-            payload: it.payload.into_wire(),
-            size: it.size,
-            seq: it.seq,
-            depart: it.depart,
-            partial: it.partial,
-            queue: it.queue,
-            scale_bits: it.scale_bits,
-        }
-    }
 }
 
 /// The global queue-depth replay, folded once per round so no shard ever
@@ -519,7 +346,7 @@ impl DepthReplay {
 
 /// The barrier between the phases of a window round: sense-reversing, an
 /// arrival counter and a generation the last arriver advances. A run
-/// crosses it three times a round, hundreds of thousands of rounds a run,
+/// crosses it twice a round, hundreds of thousands of rounds a run,
 /// and a round is microseconds of work, so it never sleeps: with one
 /// driver thread `wait` returns at once (there is nobody to wait for), and
 /// with more a waiter spins on the generation for [`SPIN_TURNS`] and then
@@ -612,32 +439,15 @@ struct ShardResult {
 }
 
 /// Runs `cfg` space-partitioned over `cfg.shards` shards (clamped to the
-/// host count) and returns output bit-identical to the single-shard run.
-/// Falls back to the classic path when the partition degenerates to one
-/// shard.
+/// populated-ISP count) and returns output bit-identical to the
+/// single-shard run. Falls back to the classic path when the partition
+/// degenerates to one shard.
 pub(crate) fn run_sharded(cfg: &WorldConfig) -> WorldOutput {
     let layout = WorldLayout::compute(cfg);
-    let Some(plan) = plan_shards(cfg, &layout) else {
+    let Some((shard_of, report)) = plan_shards(cfg, &layout) else {
         return crate::World::build(cfg).run();
     };
-    let ShardPlan {
-        shard_of,
-        defer,
-        report,
-    } = plan;
     let shards = report.shards;
-    let has_deferred = defer.iter().any(|&d| d);
-    // Queues sourced by split ISPs are owner-replayed; the owner of all of
-    // ISP a's queues is the shard of a's lowest-id host.
-    let mut owner_of_isp = [0usize; 5];
-    let mut owner_seen = [false; 5];
-    for (id, host) in layout.topology.iter() {
-        let i = isp_index(host.isp);
-        if !owner_seen[i] {
-            owner_seen[i] = true;
-            owner_of_isp[i] = shard_of[id.index()];
-        }
-    }
 
     let locals: Vec<Vec<bool>> = (0..shards)
         .map(|s| shard_of.iter().map(|&g| g == s).collect())
@@ -645,7 +455,6 @@ pub(crate) fn run_sharded(cfg: &WorldConfig) -> WorldOutput {
     let threads = report.threads;
     let barrier = RoundBarrier::new(threads);
     let event_grid: ShardExchange<WireEvent> = ShardExchange::new(shards);
-    let intent_grid: ShardExchange<WireIntent> = ShardExchange::new(shards);
     let results: Vec<Mutex<Option<ShardResult>>> = (0..shards).map(|_| Mutex::new(None)).collect();
     let replay = Mutex::new(DepthReplay {
         // Every harness event is injected into exactly one shard, so the
@@ -662,9 +471,8 @@ pub(crate) fn run_sharded(cfg: &WorldConfig) -> WorldOutput {
     std::thread::scope(|scope| {
         for t in 0..threads {
             let (layout, shard_of, locals) = (&layout, &shard_of, &locals);
-            let (barrier, event_grid, intent_grid) = (&barrier, &event_grid, &intent_grid);
+            let (barrier, event_grid) = (&barrier, &event_grid);
             let (results, replay, sink) = (&results, &replay, &sink);
-            let owner_of_isp = &owner_of_isp;
             scope.spawn(move || {
                 let _poison = PoisonOnPanic(barrier);
                 // Round-robin shard ownership: with fewer threads than
@@ -676,7 +484,6 @@ pub(crate) fn run_sharded(cfg: &WorldConfig) -> WorldOutput {
                             index: s,
                             count: shards,
                             local: &locals[s],
-                            defer,
                         };
                         (s, materialize(cfg, layout, sink, Some(role)))
                     })
@@ -685,15 +492,12 @@ pub(crate) fn run_sharded(cfg: &WorldConfig) -> WorldOutput {
                 let mut final_stats: Vec<Option<SimStats>> =
                     (0..sims.len()).map(|_| None).collect();
                 let mut outbuf: Vec<RemoteEvent<Message>> = Vec::new();
-                let mut intbuf: Vec<QueueIntent<Message>> = Vec::new();
                 let mut pops: Vec<PopRecord> = Vec::new();
                 // Per-destination staging buffers: filled locally, handed
                 // to the grid with a buffer swap, received back empty with
                 // capacity intact — the exchange path allocates nothing in
                 // steady state.
                 let mut stage_ev: Vec<Vec<WireEvent>> = (0..shards).map(|_| Vec::new()).collect();
-                let mut stage_int: Vec<Vec<WireIntent>> = (0..shards).map(|_| Vec::new()).collect();
-                let mut replay_buf: Vec<WireIntent> = Vec::new();
 
                 // Every thread steps the same fixed stride, so no window
                 // state crosses threads.
@@ -726,19 +530,6 @@ pub(crate) fn run_sharded(cfg: &WorldConfig) -> WorldOutput {
                                 event_grid.publish(*s, dest, buf);
                             }
                         }
-                        if has_deferred {
-                            shard.sim.drain_intents(&mut intbuf);
-                            for it in intbuf.drain(..) {
-                                let owner =
-                                    owner_of_isp[isp_index(Underlay::queue_source(it.queue))];
-                                stage_int[owner].push(WireIntent::from_intent(it));
-                            }
-                            for (dest, buf) in stage_int.iter_mut().enumerate() {
-                                if !buf.is_empty() {
-                                    intent_grid.publish(*s, dest, buf);
-                                }
-                            }
-                        }
                         shard.sim.drain_pop_log(&mut pops);
                     }
                     if !pops.is_empty() {
@@ -748,53 +539,9 @@ pub(crate) fn run_sharded(cfg: &WorldConfig) -> WorldOutput {
                             .buf
                             .append(&mut pops);
                     }
-                    // Barrier 1: every outbox batch and intent is
-                    // published, every pop logged.
+                    // Barrier 1: every outbox batch is published, every
+                    // pop logged.
                     barrier.wait();
-                    if has_deferred {
-                        // Owner replay: perform the round's deferred
-                        // enqueues in global pop order, then forward each
-                        // finalized arrival to its destination shard. The
-                        // lookahead spans deferred same-shard pairs, so
-                        // every arrival lies at or beyond the next window
-                        // and ingesting after the replay barrier is early
-                        // enough even for same-shard destinations; after
-                        // the final round the destination simply keeps the
-                        // event unpopped, exactly like the residents a
-                        // single-shard run leaves queued.
-                        for (s, shard) in &mut sims {
-                            intent_grid.drain(*s, |w| replay_buf.push(w));
-                            replay_buf.sort_unstable_by_key(|w| (w.stamp, w.idx));
-                            for w in replay_buf.drain(..) {
-                                let at = shard.sim.replay_intent(
-                                    w.queue,
-                                    w.size,
-                                    w.depart,
-                                    w.partial,
-                                    w.scale_bits,
-                                );
-                                let dest = shard_of[w.to.index()];
-                                stage_ev[dest].push(WireEvent {
-                                    at,
-                                    origin: w.from.0 + 1,
-                                    seq: w.seq,
-                                    from: w.from,
-                                    to: w.to,
-                                    payload: w.payload,
-                                    size: w.size,
-                                });
-                            }
-                            for (dest, buf) in stage_ev.iter_mut().enumerate() {
-                                if !buf.is_empty() {
-                                    event_grid.publish(*s, dest, buf);
-                                }
-                            }
-                        }
-                        // Barrier 2 (deferred queues only): every replayed
-                        // arrival is published before any inbox is
-                        // drained.
-                        barrier.wait();
-                    }
                     for (s, shard) in &mut sims {
                         event_grid.drain(*s, |w| {
                             shard.sim.ingest_remote(RemoteEvent {
@@ -813,7 +560,7 @@ pub(crate) fn run_sharded(cfg: &WorldConfig) -> WorldOutput {
                         // the others drain their inboxes.
                         replay.lock().expect("replay poisoned").fold();
                     }
-                    // Barrier 3: every inbox is drained before any shard
+                    // Barrier 2: every inbox is drained before any shard
                     // advances into the round those events belong to.
                     barrier.wait();
                 }
@@ -944,48 +691,31 @@ mod tests {
     }
 
     #[test]
-    fn partition_splits_isps_beyond_the_isp_count() {
+    fn partition_clamps_to_the_populated_isp_count() {
         let cfg = small_world(11, 1, 1);
         let layout = WorldLayout::compute(&cfg);
-        let total = layout.topology.len();
-        for want in [8, 12] {
-            let (unit, ushards) = partition(&layout.topology, &vec![1u64; total], want);
+        let populated: std::collections::BTreeSet<Isp> =
+            layout.topology.iter().map(|(_, h)| h.isp).collect();
+        assert_eq!(populated.len(), 5, "the test world populates every ISP");
+        for want in [5, 8, 12] {
             let (shard_of, shards) = partition(&layout.topology, &layout.rates, want);
-            assert_eq!(shards, want.min(total));
-            assert_eq!(ushards, shards);
-            // Under unit weights the packer balances host counts: no shard
-            // exceeds ideal + half-ideal (the greedy bound for half-ideal
-            // atoms).
-            let mut uhosts = vec![0usize; shards];
-            for &s in &unit {
-                uhosts[s] += 1;
-            }
-            let ideal = total.div_ceil(shards);
-            for (s, &h) in uhosts.iter().enumerate() {
-                assert!(h > 0, "host-count shard {s} owns no host (want {want})");
-                assert!(
-                    h <= ideal + ideal.div_ceil(2),
-                    "shard {s} holds {h} hosts, ideal {ideal} (want {want})"
-                );
-            }
-            // The rate-weighted split leaves no shard empty either.
-            for s in 0..shards {
-                assert!(
-                    shard_of.contains(&s),
-                    "shard {s} owns no host (want {want})"
-                );
-            }
-            // At least one ISP is split (that is the point of the regime).
-            let split = Isp::ALL.iter().any(|&isp| {
+            assert_eq!(shards, 5, "want {want}");
+            // One ISP per shard, whole, and no shard left empty.
+            for &isp in &populated {
                 let shards_of_isp: std::collections::BTreeSet<usize> = layout
                     .topology
                     .iter()
                     .filter(|(_, h)| h.isp == isp)
                     .map(|(id, _)| shard_of[id.index()])
                     .collect();
-                shards_of_isp.len() > 1
-            });
-            assert!(split, "want {want} produced no split ISP");
+                assert_eq!(shards_of_isp.len(), 1, "{isp:?} split (want {want})");
+            }
+            for s in 0..shards {
+                assert!(
+                    shard_of.contains(&s),
+                    "shard {s} owns no host (want {want})"
+                );
+            }
         }
     }
 
@@ -1015,10 +745,10 @@ mod tests {
 
     #[test]
     fn partition_report_prices_the_fixed_window_in_closed_form() {
-        let cfg = small_world(42, 8, 4);
-        let report = partition_preview(&cfg).expect("8-way split plans a sharded run");
-        assert_eq!(report.shards, 8);
-        let rounds = 8 * cfg
+        let cfg = small_world(42, 5, 4);
+        let report = partition_preview(&cfg).expect("5-way split plans a sharded run");
+        assert_eq!(report.shards, 5);
+        let rounds = 5 * cfg
             .duration
             .as_micros()
             .div_ceil(report.lookahead.as_micros());
@@ -1098,35 +828,6 @@ mod tests {
         let reference = run_world(&small_world(42, 1, 1));
         for (shards, threads) in [(2, 2), (4, 2), (4, 1)] {
             let sharded = run_world(&small_world(42, shards, threads));
-            assert_eq!(
-                sharded.sim, reference.sim,
-                "{shards} shards / {threads} threads"
-            );
-            assert_eq!(
-                sharded.metrics, reference.metrics,
-                "{shards} shards / {threads} threads"
-            );
-            assert_eq!(
-                sharded.records, reference.records,
-                "{shards} shards / {threads} threads"
-            );
-            assert_eq!(sharded.peer_stats, reference.peer_stats);
-            assert_eq!(sharded.fault_marks, reference.fault_marks);
-        }
-    }
-
-    #[test]
-    fn sub_isp_sharded_world_is_bit_identical_to_single_shard() {
-        let reference = run_world(&small_world(42, 1, 1));
-        assert!(reference.partition.is_none());
-        for (shards, threads) in [(8, 4), (8, 1), (12, 4)] {
-            let sharded = run_world(&small_world(42, shards, threads));
-            let report = sharded.partition.as_ref().expect("sub-ISP run reports");
-            assert!(report.split_isps > 0, "{shards} shards split no ISP");
-            assert!(
-                report.deferred_queues > 0,
-                "{shards} shards deferred no queue"
-            );
             assert_eq!(
                 sharded.sim, reference.sim,
                 "{shards} shards / {threads} threads"

@@ -100,7 +100,9 @@ pub struct WorldConfig {
     /// How many space-partition shards drive the run (see
     /// [`crate::shard`]). Defaults to 1, the classic single-threaded
     /// path. Output is bit-identical for every value; > 1 runs the world
-    /// on multiple cores under conservative lookahead.
+    /// on multiple cores under conservative lookahead. A shard is a set of
+    /// whole ISPs, so the partitioner uses at most as many shards as the
+    /// world has populated ISPs (its report says how many it used).
     pub shards: usize,
     /// Worker threads available for shard driving. Defaults to the
     /// machine's parallelism; the driver never uses more threads than
@@ -361,11 +363,6 @@ pub(crate) struct ShardRole<'a> {
     pub(crate) count: usize,
     /// `local[node]` — whether the node lives on this shard.
     pub(crate) local: &'a [bool],
-    /// Source ISPs whose interconnect queues are reconstructed by owner
-    /// replay (ISPs split across shards — see [`crate::shard`]). The same
-    /// mask is applied to every shard's medium so that senders everywhere,
-    /// the owner included, defer instead of touching local queue state.
-    pub(crate) defer: [bool; 5],
 }
 
 /// One materialized (sub-)world: the simulation plus the thread-local
@@ -414,9 +411,6 @@ pub(crate) fn materialize(
     let mut underlay =
         Underlay::new(Arc::clone(topology), cfg.link).with_faults(cfg.faults.link_faults());
     underlay.attach_metrics(&registry);
-    if let Some(r) = role {
-        underlay.defer_sources(r.defer);
-    }
     let mut sim: Simulation<Message> =
         Simulation::with_scheduler(cfg.seed, underlay, registry.clone(), cfg.scheduler);
     sim.set_monitor(tap.clone());

@@ -48,26 +48,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// One full exchange round over every directed pair, including the
-/// owner-replay pattern (a second publish into an already-occupied slot,
-/// which appends instead of swapping).
-fn round(
-    grid: &ShardExchange<u64>,
-    stage: &mut [Vec<u64>],
-    replay_stage: &mut [Vec<u64>],
-    sink: &mut u64,
-) {
+/// One full exchange round over every directed pair: each source publishes
+/// one batch per destination, then every destination drains its column.
+fn round(grid: &ShardExchange<u64>, stage: &mut [Vec<u64>], sink: &mut u64) {
     let shards = grid.shards();
     for src in 0..shards {
         for (dest, buf) in stage.iter_mut().enumerate() {
             buf.extend((0..32).map(|i| (src * shards + dest) as u64 + i));
             grid.publish(src, dest, buf);
         }
-        // Owner replay: the same source publishes a second, smaller batch
-        // for one destination in the same round.
-        let dest = (src + 1) % shards;
-        replay_stage[dest].extend(0..8u64);
-        grid.publish(src, dest, &mut replay_stage[dest]);
     }
     for dest in 0..shards {
         grid.drain(dest, |v| *sink = sink.wrapping_add(v));
@@ -79,18 +68,17 @@ fn steady_state_exchange_rounds_allocate_nothing() {
     const SHARDS: usize = 4;
     let grid: ShardExchange<u64> = ShardExchange::new(SHARDS);
     let mut stage: Vec<Vec<u64>> = (0..SHARDS).map(|_| Vec::new()).collect();
-    let mut replay_stage: Vec<Vec<u64>> = (0..SHARDS).map(|_| Vec::new()).collect();
     let mut sink = 0u64;
 
     // Warmup: let every buffer (stage-side and slot-side — they swap
     // identities round to round) reach its high-water capacity.
     for _ in 0..8 {
-        round(&grid, &mut stage, &mut replay_stage, &mut sink);
+        round(&grid, &mut stage, &mut sink);
     }
 
     ARMED.with(|f| f.set(true));
     for _ in 0..256 {
-        round(&grid, &mut stage, &mut replay_stage, &mut sink);
+        round(&grid, &mut stage, &mut sink);
     }
     ARMED.with(|f| f.set(false));
     let delta = ALLOCS.load(Ordering::Relaxed);

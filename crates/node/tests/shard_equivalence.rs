@@ -2,9 +2,9 @@
 //! run — same `SimStats`, same metrics snapshot, same capture bytes, same
 //! peer stats and fault marks — for 1/2/4/8 shards at the same seed, over
 //! random small worlds, with and without a fault plan whose events cross
-//! shard boundaries. Eight shards exceeds the populated ISP count, so
-//! those runs exercise the sub-ISP host-group partition, where split
-//! ISPs' directed interconnect queues are reconstructed by owner replay.
+//! shard boundaries. Shards are whole ISPs, so a request for eight is
+//! clamped to the world's populated-ISP count: those runs are the
+//! one-ISP-per-shard partition.
 
 use plsim_des::SimTime;
 use plsim_net::{Isp, LinkFault, LinkModel};
@@ -41,24 +41,8 @@ fn probe(isp: Isp) -> ProbeSpec {
 }
 
 fn world(seed: u64, shards: usize, nat_fraction: f64, faulted: bool) -> WorldConfig {
-    skewed_world(seed, shards, nat_fraction, faulted, None)
-}
-
-/// Like [`world`], with an optional ISP-weight override so the property
-/// can sample heavily uneven ISP mixes (one dominant ISP is the regime
-/// where sub-ISP splitting has to carry almost the whole load).
-fn skewed_world(
-    seed: u64,
-    shards: usize,
-    nat_fraction: f64,
-    faulted: bool,
-    isp_weights: Option<[f64; 5]>,
-) -> WorldConfig {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut spec = PopulationSpec::tiny(ChannelClass::Unpopular);
-    if let Some(w) = isp_weights {
-        spec.isp_weights = w;
-    }
+    let spec = PopulationSpec::tiny(ChannelClass::Unpopular);
     let plan = SessionPlan::generate(&spec, 120.0, &mut rng);
     let mut cfg = WorldConfig::new(seed, plan, SimTime::from_secs(120));
     // Probes in three ISPs, so captures span several shards.
@@ -149,45 +133,6 @@ proptest! {
     }
 }
 
-/// Uneven ISP mixes for the sub-ISP property: one dominant ISP (the
-/// split-heavy regime), a dominant pair, and the calibrated default.
-fn isp_weights_strategy() -> impl Strategy<Value = Option<[f64; 5]>> {
-    prop_oneof![
-        Just(None),
-        Just(Some([0.85, 0.05, 0.02, 0.04, 0.04])),
-        Just(Some([0.05, 0.85, 0.02, 0.04, 0.04])),
-        Just(Some([0.46, 0.46, 0.02, 0.03, 0.03])),
-    ]
-}
-
-proptest! {
-    /// Sub-ISP equivalence: eight shards over a five-ISP world forces the
-    /// host-group partition (split ISPs, owner-replayed queues), and the
-    /// run must stay bit-identical to the single-shard reference across
-    /// uneven ISP sizes × fault plans × all five selection policies.
-    #[test]
-    fn sub_isp_splits_are_bit_identical(
-        seed in 0u64..1_000_000,
-        weights in isp_weights_strategy(),
-        policy in policy_strategy(),
-        faulted in any::<bool>(),
-    ) {
-        let mut reference_cfg = skewed_world(seed, 1, 0.0, faulted, weights);
-        reference_cfg.policy = policy;
-        let reference = run_world(&reference_cfg);
-        let mut sharded_cfg = skewed_world(seed, 8, 0.0, faulted, weights);
-        sharded_cfg.policy = policy;
-        let sharded = run_world(&sharded_cfg);
-        let report = sharded.partition.as_ref().expect("8-shard run reports its partition");
-        prop_assert!(report.split_isps > 0, "8 shards over 5 ISPs must split at least one");
-        assert_identical(
-            &sharded,
-            &reference,
-            &format!("seed {seed}, weights {weights:?}, policy {policy:?}, faulted {faulted}"),
-        );
-    }
-}
-
 /// The fault preset pinned explicitly (the property above only sometimes
 /// draws `faulted = true`): every fault category crossing shard
 /// boundaries, 1 vs 2 vs 4 shards, including a thread count smaller than
@@ -207,16 +152,17 @@ fn faulted_world_is_bit_identical_across_shard_counts() {
     }
 }
 
-/// Regression: a split ISP's directed-queue backlog trajectory is
-/// reconstructed event-for-event. The interconnect is squeezed so every
-/// cross-ISP transfer queues, then the per-enqueue wait distribution
-/// (`net.interconnect_wait_s` — one observation per enqueue, in order)
-/// and the settled backlog gauge of the 8-shard sub-ISP run are compared
-/// against the single-shard run's. Any replay performed out of order, at
-/// the wrong capacity scale, or dropped would shift at least one wait
-/// observation into a different bucket.
+/// Regression: the directed-queue backlog trajectories of a sharded run
+/// match the single-shard run's event for event. The interconnect is
+/// squeezed so every cross-ISP transfer queues, then the per-enqueue wait
+/// distribution (`net.interconnect_wait_s` — one observation per enqueue,
+/// in order) and the settled backlog gauge of the one-ISP-per-shard run
+/// are compared against the single-shard run's. Every queue lives on its
+/// source ISP's shard; an enqueue made on the wrong shard, out of order or
+/// at the wrong capacity scale would shift at least one wait observation
+/// into a different bucket.
 #[test]
-fn split_isp_backlog_trajectory_matches_single_shard() {
+fn squeezed_interconnect_backlog_matches_single_shard() {
     let squeeze = |shards: usize| {
         let mut cfg = world(19, shards, 0.0, true);
         cfg.link = LinkModel {
@@ -226,16 +172,12 @@ fn split_isp_backlog_trajectory_matches_single_shard() {
         cfg
     };
     let reference = run_world(&squeeze(1));
-    let sharded = run_world(&squeeze(8));
+    let sharded = run_world(&squeeze(5));
     let report = sharded
         .partition
         .as_ref()
-        .expect("8-shard run reports its partition");
-    assert!(report.split_isps > 0, "the run must split at least one ISP");
-    assert!(
-        report.deferred_queues > 0,
-        "a split source ISP with finite queues must defer"
-    );
+        .expect("5-shard run reports its partition");
+    assert_eq!(report.isps, vec![1; 5], "one ISP per shard");
 
     let waits = |out: &WorldOutput| {
         out.metrics
@@ -258,14 +200,14 @@ fn split_isp_backlog_trajectory_matches_single_shard() {
         reference.metrics.gauge("net.interconnect_backlog_bits"),
         "settled backlog gauge diverged"
     );
-    assert_identical(&sharded, &reference, "squeezed interconnect, 8 shards");
+    assert_identical(&sharded, &reference, "squeezed interconnect, 5 shards");
 }
 
 /// The acceptance pin for 10×-Paper-scale worlds: a world with the
 /// `Paper10x` population preset (10× the paper's unpopular-channel
 /// audience — the popular channel is 7000 viewers and belongs in the
-/// `--ignored` tier) is bit-identical across 1/2/4/8 shards, with at
-/// least one ISP split across shards at 8. The horizon is shortened so
+/// `--ignored` tier) is bit-identical across 1/2/4/5 shards, and a request
+/// for 8 is clamped to the 5 populated ISPs. The horizon is shortened so
 /// the suite stays runnable in debug CI; the population, and therefore
 /// the partition shape, is the Paper10x one.
 #[test]
@@ -289,23 +231,13 @@ fn paper10x_world_is_bit_identical_across_shard_counts() {
     };
     let reference = run_world(&paper10x(1));
     assert!(reference.partition.is_none());
-    for shards in [2usize, 4, 8] {
+    for shards in [2usize, 4, 5, 8] {
         let sharded = run_world(&paper10x(shards));
         let report = sharded
             .partition
             .as_ref()
             .expect("sharded run reports its partition");
-        assert_eq!(report.shards, shards);
-        if shards == 8 {
-            assert!(
-                report.split_isps > 0,
-                "8 shards over 5 ISPs must split at least one"
-            );
-            assert!(
-                report.deferred_queues > 0,
-                "split source ISPs must defer their queues"
-            );
-        }
+        assert_eq!(report.shards, shards.min(5), "{shards} requested");
         assert_identical(&sharded, &reference, &format!("paper10x, {shards} shards"));
     }
 }

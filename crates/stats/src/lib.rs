@@ -7,8 +7,8 @@
 //!   + b`, whose CCDF is a Weibull);
 //! * [`pearson`] / [`log_log_correlation`] — the request-count vs RTT
 //!   correlations of Figures 15–18;
-//! * [`top_share`], [`ecdf`] — contribution CDFs and the "top 10% of peers
-//!   provide ~70% of traffic" headline numbers;
+//! * [`top_share`] — the "top 10% of peers provide ~70% of traffic"
+//!   headline numbers;
 //! * [`weibull`] etc. — variates for synthetic workload generation.
 //!
 //! # Examples
@@ -42,4 +42,4 @@ pub use fit::{
     linear_fit, log_log_correlation, pearson, stretched_exp_fit, zipf_fit, LinearFit,
     StretchedExpFit, ZipfFit,
 };
-pub use summary::{ecdf, mean, quantile, rank_descending, std_dev, top_share};
+pub use summary::{mean, quantile, rank_descending, std_dev, top_share};

@@ -1,4 +1,4 @@
-//! Basic descriptive statistics and empirical distributions.
+//! Basic descriptive statistics and contribution shares.
 
 /// Arithmetic mean; `None` for an empty slice.
 #[must_use]
@@ -37,19 +37,6 @@ pub fn quantile(values: &[f64], q: f64) -> Option<f64> {
     let hi = pos.ceil() as usize;
     let frac = pos - lo as f64;
     Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
-}
-
-/// Empirical CDF: returns `(x, F(x))` points at each sorted sample.
-#[must_use]
-pub fn ecdf(values: &[f64]) -> Vec<(f64, f64)> {
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("non-NaN values"));
-    let n = sorted.len() as f64;
-    sorted
-        .iter()
-        .enumerate()
-        .map(|(i, &x)| (x, (i + 1) as f64 / n))
-        .collect()
 }
 
 /// Sorts contributions descending and returns them: a rank distribution
@@ -103,15 +90,6 @@ mod tests {
         assert_eq!(quantile(&v, 0.0), Some(1.0));
         assert_eq!(quantile(&v, 1.0), Some(4.0));
         assert_eq!(quantile(&v, 0.5), Some(2.5));
-    }
-
-    #[test]
-    fn ecdf_is_monotone_and_ends_at_one() {
-        let v = [3.0, 1.0, 2.0, 2.0];
-        let cdf = ecdf(&v);
-        assert_eq!(cdf.len(), 4);
-        assert!(cdf.windows(2).all(|w| w[0].0 <= w[1].0 && w[0].1 <= w[1].1));
-        assert_eq!(cdf.last().unwrap().1, 1.0);
     }
 
     #[test]

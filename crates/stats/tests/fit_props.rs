@@ -4,21 +4,6 @@ use plsim_stats::*;
 use proptest::prelude::*;
 
 proptest! {
-    /// ECDF is monotone, bounded by (0, 1], and has one point per sample.
-    #[test]
-    fn ecdf_invariants(values in proptest::collection::vec(-1e6f64..1e6, 1..200)) {
-        let cdf = ecdf(&values);
-        prop_assert_eq!(cdf.len(), values.len());
-        for w in cdf.windows(2) {
-            prop_assert!(w[0].0 <= w[1].0);
-            prop_assert!(w[0].1 <= w[1].1);
-        }
-        for &(_, f) in &cdf {
-            prop_assert!(f > 0.0 && f <= 1.0 + 1e-12);
-        }
-        prop_assert!((cdf.last().unwrap().1 - 1.0).abs() < 1e-12);
-    }
-
     /// top_share is monotone in the fraction and reaches 1.0 at frac = 1.
     #[test]
     fn top_share_monotone(values in proptest::collection::vec(0.1f64..1e4, 2..200)) {

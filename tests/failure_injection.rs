@@ -5,9 +5,10 @@
 //! mere entry points, churn is survivable, locality orderings hold where
 //! the mesh survives — and (b) pass the runtime invariant checker, so a
 //! faulted run that silently corrupts the simulation fails loudly instead
-//! of producing quietly-wrong figures. Every scenario also runs on eight
-//! shards — past the five populated ISPs, so on the sub-ISP partition with
-//! owner-replayed queues — and must come out byte-equal and just as clean.
+//! of producing quietly-wrong figures. Every scenario also asks for eight
+//! shards — past the five populated ISPs, so the request exercises the
+//! clamp to one whole ISP per shard — and must come out byte-equal and
+//! just as clean.
 
 use plsim_capture::{Direction, KindRef};
 use plsim_des::SimTime;
@@ -16,8 +17,8 @@ use plsim_workload::ChannelClass;
 use pplive_locality::{FaultPlan, ProbeSite, Scale, Scenario, ScenarioRun};
 
 /// Runs `scenario` unsharded and returns that run, after checking that
-/// the same scenario on eight shards reproduces it exactly and passes the
-/// invariant checker too.
+/// the same scenario asking for eight shards (clamped to the populated
+/// ISPs) reproduces it exactly and passes the invariant checker too.
 fn run_checked(scenario: &Scenario) -> ScenarioRun {
     let run = scenario.run();
     let mut sharded = scenario.clone();

@@ -1,9 +1,10 @@
 //! Integration test: the sharded window loop, where Tier-1 runs.
 //!
 //! One `Scale::Tiny` unpopular session over a grid of shard and thread
-//! counts — past the five-ISP ceiling at 8, so the sub-ISP partition and
-//! owner replay run too — plus one faulted session at 8 shards. Every
-//! output must equal the `shards = 1` run at the same seed. The
+//! counts — past the five populated ISPs at 8, which the partitioner
+//! clamps to 5 because shards are whole ISPs — plus one faulted session at
+//! 8 shards. Every output must equal the `shards = 1` run at the same
+//! seed. The
 //! property-based version of this contract lives in
 //! `crates/node/tests/shard_equivalence.rs`; this file exists so that the
 //! root package's `cargo test` notices a broken window loop.
@@ -48,11 +49,9 @@ fn sharded_session_is_byte_equal_to_the_single_shard_run() {
             assert_identical(&sharded, &reference, &what);
 
             let report = sharded.partition.as_ref().expect("sharded run reports");
-            assert_eq!(report.shards, shards, "{what}");
+            assert_eq!(report.shards, shards.min(5), "{what}");
             if shards == 8 {
-                assert!(report.split_isps > 0, "{what}: no ISP split");
-                assert!(report.deferred_queues > 0, "{what}: no deferred queue");
-                let rounds = 8 * cfg
+                let rounds = 5 * cfg
                     .duration
                     .as_micros()
                     .div_ceil(report.lookahead.as_micros());
