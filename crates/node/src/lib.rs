@@ -46,10 +46,12 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 mod bootstrap;
+mod chunks;
 mod config;
 mod det;
 mod fault;
 mod invariants;
+mod neighbors;
 mod outbox;
 mod peer;
 pub mod policy;
