@@ -58,7 +58,7 @@ use plsim_proto::{ChunkId, Message};
 use plsim_telemetry::{P2Quantile, StreamingMoments};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -383,7 +383,10 @@ pub fn merge_stamped(
 /// [`drain`]: ProbeTap::drain
 #[derive(Debug, Clone)]
 pub struct ProbeTap {
-    probes: Arc<HashSet<NodeId>>,
+    /// `probes[id]`: whether `id` is a probe, for every id up to the
+    /// largest probe; ids past the end are not probes. Read on every send
+    /// and delivery, so a dense lookup rather than a hash.
+    probes: Arc<[bool]>,
     topology: Arc<Topology>,
     state: Rc<RefCell<TapState>>,
 }
@@ -408,8 +411,15 @@ impl ProbeTap {
             window: config.aggregate_window.filter(|w| *w > SimTime::ZERO),
             ..TapState::default()
         };
+        let mut table = Vec::new();
+        for p in probes {
+            if p.index() >= table.len() {
+                table.resize(p.index() + 1, false);
+            }
+            table[p.index()] = true;
+        }
         ProbeTap {
-            probes: Arc::new(probes.into_iter().collect()),
+            probes: table.into(),
             topology,
             state: Rc::new(RefCell::new(state)),
         }
@@ -419,12 +429,6 @@ impl ProbeTap {
     /// [`RemoteKind::Peer`]).
     pub fn mark_remote(&self, node: NodeId, kind: RemoteKind) {
         self.state.borrow_mut().remote_kinds.insert(node, kind);
-    }
-
-    /// The probes being observed.
-    #[must_use]
-    pub fn probes(&self) -> &HashSet<NodeId> {
-        &self.probes
     }
 
     /// Pre-reserves capture storage for roughly `additional` more records.
@@ -513,6 +517,10 @@ impl ProbeTap {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    fn is_probe(&self, node: NodeId) -> bool {
+        self.probes.get(node.index()).copied().unwrap_or(false)
     }
 
     /// Packs one captured message straight into a store row — no owned
@@ -625,13 +633,13 @@ impl ProbeTap {
 
 impl Monitor<Message> for ProbeTap {
     fn on_send(&mut self, now: SimTime, from: NodeId, to: NodeId, payload: &Message, size: u32) {
-        if self.probes.contains(&from) {
+        if self.is_probe(from) {
             self.record(now, from, to, Direction::Outbound, payload, size);
         }
     }
 
     fn on_deliver(&mut self, now: SimTime, from: NodeId, to: NodeId, payload: &Message, size: u32) {
-        if self.probes.contains(&to) {
+        if self.is_probe(to) {
             self.record(now, to, from, Direction::Inbound, payload, size);
         }
     }
@@ -684,6 +692,26 @@ mod tests {
                 .rows()
                 .map(|r| r.direction)
                 .eq([Direction::Outbound, Direction::Inbound]));
+        });
+    }
+
+    #[test]
+    fn ids_past_the_probe_table_are_not_probes() {
+        // The table ends at the largest probe (2): ids inside it that are
+        // not probes, and ids past its end, capture nothing.
+        let mut t = ProbeTap::new([NodeId(2), NodeId(0)], tap().topology.clone());
+        let msg = Message::TrackerQuery {
+            channel: ChannelId(1),
+        };
+        for to in [NodeId(1), NodeId(3), NodeId(11), NodeId(u32::MAX)] {
+            t.on_deliver(SimTime::ZERO, NodeId(5), to, &msg, 46);
+            t.on_send(SimTime::ZERO, to, NodeId(5), &msg, 46);
+        }
+        assert!(t.is_empty());
+        t.on_deliver(SimTime::ZERO, NodeId(5), NodeId(2), &msg, 46);
+        t.records(|store| {
+            assert_eq!(store.len(), 1);
+            assert_eq!(store.rows().next().unwrap().probe, NodeId(2));
         });
     }
 

@@ -38,6 +38,10 @@ fn gossip_race_digest_is_pinned() {
     // when a scheduler edit redirects requests; these do.
     let counter = |name| run.metrics().counter(name);
     assert_eq!(counter("node.data_requests_sent"), Some(135_922));
+    // Replies and rejects are the paths that hand a claim back to the
+    // scheduler (a reject, a short reply) or keep it (an exact reply).
+    assert_eq!(counter("node.data_replies_received"), Some(116_983));
+    assert_eq!(counter("node.data_rejects_received"), Some(16_039));
     assert_eq!(counter("node.bytes_down"), Some(968_630_280));
     assert_eq!(counter("node.stalls"), Some(22));
     assert_eq!(counter("node.chunks_played"), Some(22_921));
