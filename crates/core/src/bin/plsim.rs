@@ -17,6 +17,11 @@
 //! `--partition-json <path>` archives it as JSON.
 //! `run --capture-budget N[K|M|G]` bounds the resident trace: sealed pages
 //! past the budget spill to a per-run temporary file.
+//!
+//! A reader that stops early (`plsim run … | head -1`) is not an error:
+//! once stdout is closed `plsim` prints nothing more, still writes every
+//! file it was asked for, and exits 0. Any other failure to write stdout
+//! exits 1 with a message on stderr.
 
 use plsim_telemetry::parse_byte_budget;
 use plsim_workload::{ChannelClass, SeWorkloadSpec};
@@ -28,6 +33,8 @@ use pplive_locality::{
     suite_metrics_json, underlay_ablation_on, workload_round_trip, JobPool, ProbeSite, Scale,
     Scenario, Suite,
 };
+use std::io::{ErrorKind, Write};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 const USAGE: &str = "\
 usage: plsim [--threads N] [--metrics-json <path>] <command>
@@ -44,7 +51,36 @@ commands:
   export <dir> [scale] [seed]                           dump figure data as CSV
 flags:
   --threads N             worker threads (job pool; shard drivers of run); default: all cores
-  --metrics-json <path>   dump the end-of-run metrics snapshot (run/figures/export)";
+  --metrics-json <path>   dump the end-of-run metrics snapshot (run/figures/export)
+exit status: 0 on success, also when the reader of stdout stops early (output is cut,
+  files are still written); 1 when a file or stdout cannot be written; 2 on a bad argument";
+
+/// Set once a stdout write has failed because the reader is gone.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// `println!` for everything `plsim` prints on stdout, with the closed-pipe
+/// rule of the module docs in place of `println!`'s panic.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        print_line(format_args!($($arg)*))
+    };
+}
+
+fn print_line(line: std::fmt::Arguments<'_>) {
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    match writeln!(std::io::stdout().lock(), "{line}") {
+        Ok(()) => {}
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => {
+            STDOUT_CLOSED.store(true, Ordering::Relaxed);
+        }
+        Err(e) => {
+            eprintln!("plsim: writing to stdout failed: {e}");
+            std::process::exit(1);
+        }
+    }
+}
 
 // The parsers default only an *absent* token; a token that is present but
 // unrecognised is an error, never a silent fallback (which would print a
@@ -237,7 +273,7 @@ impl Options {
 
 fn write_file(what: &str, path: &str, contents: &str) {
     match std::fs::write(path, contents) {
-        Ok(()) => println!("{what} written to {path}"),
+        Ok(()) => outln!("{what} written to {path}"),
         Err(e) => {
             eprintln!("writing {what} to {path} failed: {e}");
             std::process::exit(1);
@@ -248,7 +284,7 @@ fn write_file(what: &str, path: &str, contents: &str) {
 fn cmd_run(args: &[String], opts: &Options) {
     let class = or_usage(parse_class(args.first().map(String::as_str)));
     let (scale, seed) = scale_and_seed(args, 1);
-    println!(
+    outln!(
         "simulating {} channel at {scale:?} scale, seed {seed}...",
         class.label()
     );
@@ -262,7 +298,7 @@ fn cmd_run(args: &[String], opts: &Options) {
     // asked for. Single-shard runs print nothing — their output text is
     // pinned by the golden-output tests.
     if let Some(report) = &run.output.partition {
-        println!("{report}");
+        outln!("{report}");
         if let Some(asked) = opts.shards.filter(|&n| n > report.shards) {
             eprintln!(
                 "note: --shards {asked} clamped to {k}: shards are whole ISPs and this world \
@@ -274,7 +310,7 @@ fn cmd_run(args: &[String], opts: &Options) {
         // time-slices every shard, so sharded wall-clock is not a
         // parallelism measurement.
         if report.threads == 1 && report.shards > 1 {
-            println!(
+            outln!(
                 "warning: 1 thread backs {} shards: sharded wall-clock measures \
                  windowing overhead, not parallelism",
                 report.shards
@@ -285,14 +321,14 @@ fn cmd_run(args: &[String], opts: &Options) {
         // thread. Say so; the run's output does not depend on it.
         let cores = std::thread::available_parallelism().map_or(1, usize::from);
         if report.threads > cores {
-            println!(
+            outln!(
                 "warning: {} shard threads on {cores} core(s): the drivers time-slice the \
                  cores, so expect this run to be slower than --threads {cores}",
                 report.threads
             );
         }
     } else if opts.shards.is_some_and(|n| n > 1) {
-        println!(
+        outln!(
             "partition: degenerated to the single-shard path (one populated ISP or zero lookahead)"
         );
     }
@@ -304,7 +340,7 @@ fn cmd_run(args: &[String], opts: &Options) {
             None => eprintln!("--partition-json: run was not sharded, no report written"),
         }
     }
-    println!(
+    outln!(
         "events: {}, messages: {} ({} dropped)\n",
         run.output.sim.events_processed,
         run.output.sim.messages_sent,
@@ -313,7 +349,7 @@ fn cmd_run(args: &[String], opts: &Options) {
     // Only budgeted runs print capture-memory facts: the unbudgeted
     // output is pinned by the golden-output tests.
     if let Some(budget) = run.output.records.budget() {
-        println!(
+        outln!(
             "capture budget {budget} B: spilled {} pages, peak resident {} B\n",
             run.output.records.spilled_pages(),
             run.output.records.peak_resident_bytes()
@@ -321,7 +357,7 @@ fn cmd_run(args: &[String], opts: &Options) {
     }
     for site in ProbeSite::ALL {
         let r = run.report(site);
-        println!(
+        outln!(
             "{:6} probe: locality {:>6}, {} transmissions, {} connected peers, overlay same-ISP edges {:>6}, assortativity {:+.3}",
             site.label(),
             pct(r.locality()),
@@ -353,35 +389,38 @@ fn cmd_figures(args: &[String], pool: &JobPool, opts: &Options) {
     let (scale, seed) = scale_and_seed(args, 0);
     let suite = run_suite(pool, scale, seed, opts);
     for fig in figs_2_to_5(&suite) {
-        println!("{}", fig.render());
+        outln!("{}", fig.render());
     }
     let cells = response_times(&suite);
-    println!("{}", render_fig7_10(&cells));
-    println!("{}", render_table1(&cells));
-    println!("{}", render_fig11_14(&figs_11_to_14(&suite)));
-    println!("{}", render_fig15_18(&figs_15_to_18(&suite)));
+    outln!("{}", render_fig7_10(&cells));
+    outln!("{}", render_table1(&cells));
+    outln!("{}", render_fig11_14(&figs_11_to_14(&suite)));
+    outln!("{}", render_fig15_18(&figs_15_to_18(&suite)));
 }
 
 fn cmd_fig6(args: &[String], pool: &JobPool) {
     let days = or_usage(parse_days(args.first().map(String::as_str)));
     let (scale, seed) = scale_and_seed(args, 1);
-    println!("{}", fig_6_on(pool, days, scale, seed).render());
+    outln!("{}", fig_6_on(pool, days, scale, seed).render());
 }
 
 fn cmd_ablation(args: &[String], pool: &JobPool) {
     let (scale, seed) = scale_and_seed(args, 0);
-    println!("{}", render_ablation(&ablation_on(pool, scale, seed)));
+    outln!("{}", render_ablation(&ablation_on(pool, scale, seed)));
     let underlay = underlay_ablation_on(pool, scale, seed);
-    println!("{}", render_underlay_ablation(&underlay));
+    outln!("{}", render_underlay_ablation(&underlay));
 }
 
 fn cmd_workload(args: &[String]) {
     let rt = workload_round_trip(or_usage(parse_workload(args)), 2008);
-    println!(
+    outln!(
         "generated SE workload (c={:.2}, a={:.2}, n={}, noise={})",
-        rt.spec.c, rt.spec.a, rt.spec.n, rt.spec.noise_sigma
+        rt.spec.c,
+        rt.spec.a,
+        rt.spec.n,
+        rt.spec.noise_sigma
     );
-    println!(
+    outln!(
         "refit: c={:.2}, a={:.2}, R²={:.4}; zipf R²={:.4}; top-10% share {:.1}%",
         rt.refit.0,
         rt.refit.1,
@@ -396,7 +435,7 @@ fn cmd_export(args: &[String], pool: &JobPool, opts: &Options) {
     let (scale, seed) = scale_and_seed(args, 1);
     let suite = run_suite(pool, scale, seed, opts);
     match export_suite(&suite, std::path::Path::new(dir)) {
-        Ok(()) => println!("figure data written to {dir}/"),
+        Ok(()) => outln!("figure data written to {dir}/"),
         Err(e) => {
             eprintln!("export failed: {e}");
             std::process::exit(1);
@@ -412,17 +451,17 @@ fn cmd_frontier(args: &[String], pool: &JobPool, opts: &Options) {
     }));
     let sweep = if smoke { "smoke" } else { "full" };
     let (table, csv) = if seeds == 1 {
-        println!("sweeping {sweep} selection policies at {scale:?} scale, seed {seed}...");
+        outln!("sweeping {sweep} selection policies at {scale:?} scale, seed {seed}...");
         let points = locality_frontier_on(pool, scale, seed, smoke);
         (render_frontier(&points), frontier_csv(&points))
     } else {
-        println!(
+        outln!(
             "sweeping {sweep} selection policies at {scale:?} scale, seeds {seed}..{last_seed}..."
         );
         let bands = frontier_bands(&locality_frontier_seeds(pool, scale, seed, smoke, seeds));
         (render_frontier_bands(&bands), frontier_bands_csv(&bands))
     };
-    println!("{table}");
+    outln!("{table}");
     if let Some(path) = &opts.csv {
         write_file("frontier CSV", path, &csv);
     }

@@ -4,7 +4,7 @@
 //! malformed flag value must be an error naming the token, never a silent
 //! default.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 /// The retired ambient knobs, set to values that used to change the run.
 /// (The last name is spelled in two halves so that a grep for the deleted
@@ -255,4 +255,27 @@ fn metrics_json_is_rejected_where_no_snapshot_is_written() {
     assert!(out.status.success());
     assert!(std::fs::read_to_string(path).is_ok_and(|s| s.starts_with('{')));
     std::fs::remove_file(path).expect("snapshot removed");
+}
+
+#[test]
+fn a_closed_stdout_ends_the_run_quietly_with_status_0() {
+    // `plsim run … | head -1`: the reader is gone before the run prints
+    // its results, so every print after the first fails with a broken pipe.
+    let path = scratch_path("closed-stdout.json");
+    let path_str = path.to_str().expect("utf-8 temp path");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_plsim"))
+        .args(["--metrics-json", path_str, "run", "unpopular", "tiny", "42"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("plsim starts");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("plsim exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    // The file it was asked for is still written.
+    assert!(std::fs::read_to_string(&path).is_ok_and(|s| s.starts_with('{')));
+    std::fs::remove_file(&path).expect("snapshot removed");
 }

@@ -62,7 +62,7 @@ mod world;
 
 pub use bootstrap::BootstrapServer;
 pub use config::{ConnectPolicy, DataSelection, PeerConfig, StreamParams};
-pub use det::{DetHashMap, DetHashSet, Fnv1a};
+pub use det::{DetHashMap, Fnv1a};
 pub use fault::{Fault, FaultBoundary, FaultPlan};
 pub use invariants::{check_world, InvariantReport, InvariantViolation};
 pub use outbox::ShardExchange;

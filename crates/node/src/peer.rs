@@ -18,7 +18,7 @@
 
 use crate::chunks::{ChunkBook, PendingData, PendingGossip, PendingRequests};
 use crate::config::{ConnectPolicy, DataSelection, PeerConfig};
-use crate::det::{DetHashMap, DetHashSet};
+use crate::det::{DetHashMap, NodeSet};
 use crate::neighbors::{lag, NeighborTable};
 use crate::policy::{CandidateLink, GossipRace, SelectionPolicy};
 use crate::stats::{NodeMetrics, PeerStats, StatsSink};
@@ -111,7 +111,7 @@ pub struct PeerNode {
     neighbors: NeighborTable,
     pending_handshakes: DetHashMap<NodeId, SimTime>,
     candidates: VecDeque<PeerEntry>,
-    candidate_set: DetHashSet<NodeId>,
+    candidate_set: NodeSet,
 
     /// chunk index → bitmasks of held and of requested sub-pieces, and
     /// the claimed frontier `schedule_requests` starts from.
@@ -132,12 +132,16 @@ pub struct PeerNode {
     busy_until: SimTime,
     next_req_id: u64,
     maintenance_rounds: u64,
-    data_servers: DetHashSet<NodeId>,
+    data_servers: NodeSet,
     stats: PeerStats,
     metrics: NodeMetrics,
     /// Shared peer-list arena all outgoing lists intern into; the world
     /// builder swaps in the world-wide arena via [`PeerNode::attach_arena`].
     arena: PeerListArena,
+    /// `my_peer_list`'s last intern, served until the neighbour table
+    /// or the arena changes: `add_neighbor`, `drop_neighbor`,
+    /// `forget_neighbors` and `attach_arena` drop it.
+    referral_list: Option<SharedPeerList>,
     // Reusable scratch buffers so the steady-state loops allocate nothing.
     scratch_eligible: Vec<(NodeId, f64)>,
     scratch_ids: Vec<NodeId>,
@@ -220,7 +224,7 @@ impl PeerNode {
             neighbors: NeighborTable::default(),
             pending_handshakes: DetHashMap::default(),
             candidates: VecDeque::new(),
-            candidate_set: DetHashSet::default(),
+            candidate_set: NodeSet::default(),
             chunks: ChunkBook::new(cfg.stream.full_mask()),
             pending_data: PendingRequests::default(),
             pending_gossip: DetHashMap::default(),
@@ -233,10 +237,11 @@ impl PeerNode {
             busy_until: SimTime::ZERO,
             next_req_id: 0,
             maintenance_rounds: 0,
-            data_servers: DetHashSet::default(),
+            data_servers: NodeSet::default(),
             stats: PeerStats::new(me.node, isp, SimTime::ZERO),
             metrics: NodeMetrics::default(),
             arena: PeerListArena::new(),
+            referral_list: None,
             scratch_eligible: Vec::new(),
             scratch_ids: Vec::new(),
             scratch_ids2: Vec::new(),
@@ -256,6 +261,7 @@ impl PeerNode {
     /// one, so every outgoing list interns into the same block pool.
     pub fn attach_arena(&mut self, arena: &PeerListArena) {
         self.arena = arena.clone();
+        self.referral_list = None;
     }
 
     /// Replaces the default [`GossipRace`] neighbor-selection policy.
@@ -325,26 +331,32 @@ impl PeerNode {
         Some(hold + PROCESSING_DELAY)
     }
 
-    fn my_peer_list(&self) -> SharedPeerList {
+    fn my_peer_list(&mut self) -> SharedPeerList {
         // "A normal peer returns its recently connected peers." The epoch
-        // walk is already in referral order, so this is one arena intern —
-        // no collect, no sort, no allocation once the arena has warmed up.
-        self.arena
-            .intern(self.neighbors.iter_epoch().map(|n| n.entry))
+        // walk is already in referral order, so this is one arena intern per
+        // neighbour-table change; every list in between is a refcount bump.
+        // An entry's address and `connected_at` are fixed at insert, so the
+        // cached list holds exactly what a fresh intern would.
+        let (arena, neighbors) = (&self.arena, &self.neighbors);
+        self.referral_list
+            .get_or_insert_with(|| arena.intern(neighbors.iter_epoch().map(|n| n.entry)))
+            .clone()
     }
 
     fn add_candidates<'a, I: IntoIterator<Item = &'a PeerEntry>>(&mut self, entries: I) {
         for e in entries {
-            if e.node == self.me.node
+            // The tests are pure, so their order is free: most entries are
+            // already candidates, and the bitmap is the cheapest test.
+            if self.candidate_set.contains(e.node)
+                || e.node == self.me.node
                 || self.neighbors.contains(e.node)
                 || self.pending_handshakes.contains_key(&e.node)
-                || self.candidate_set.contains(&e.node)
             {
                 continue;
             }
             if self.candidates.len() >= self.cfg.candidate_pool {
                 if let Some(old) = self.candidates.pop_front() {
-                    self.candidate_set.remove(&old.node);
+                    self.candidate_set.remove(old.node);
                 }
             }
             self.candidate_set.insert(e.node);
@@ -363,7 +375,7 @@ impl PeerNode {
         let window = self.candidates.len().min(40);
         let idx = self.candidates.len() - 1 - rng.random_range(0..window);
         let entry = self.candidates.swap_remove_back(idx)?;
-        self.candidate_set.remove(&entry.node);
+        self.candidate_set.remove(entry.node);
         Some(entry)
     }
 
@@ -638,7 +650,7 @@ impl PeerNode {
     }
 
     fn add_neighbor(&mut self, entry: PeerEntry, now: SimTime) {
-        self.candidate_set.remove(&entry.node);
+        self.candidate_set.remove(entry.node);
         if self.neighbors.contains(entry.node) {
             // Already connected (e.g. the same peer arrived via a tracker
             // reply and a gossip payload): the table dedups, and the
@@ -646,6 +658,7 @@ impl PeerNode {
             return;
         }
         self.neighbors.insert_new(entry, now, self.cfg.latency_bias);
+        self.referral_list = None;
         if self.topology.host(entry.node).isp != self.my_isp {
             self.cross_isp_neighbors += 1;
         }
@@ -654,7 +667,11 @@ impl PeerNode {
     fn drop_neighbor(&mut self, node: NodeId) {
         // Outstanding requests to a removed neighbor time out via
         // maintenance.
-        if self.neighbors.remove(node) && self.topology.host(node).isp != self.my_isp {
+        if !self.neighbors.remove(node) {
+            return;
+        }
+        self.referral_list = None;
+        if self.topology.host(node).isp != self.my_isp {
             self.cross_isp_neighbors = self.cross_isp_neighbors.saturating_sub(1);
         }
     }
@@ -759,9 +776,16 @@ impl PeerNode {
         for t in &self.trackers {
             ctx.send(t.node, Message::Goodbye, goodbye_size);
         }
-        self.neighbors.clear();
-        self.cross_isp_neighbors = 0;
+        self.forget_neighbors();
         self.flush_stats();
+    }
+
+    /// Empties the neighbour table, the quota count and the cached
+    /// referral list together: a departed peer keeps no connections.
+    fn forget_neighbors(&mut self) {
+        self.neighbors.clear();
+        self.referral_list = None;
+        self.cross_isp_neighbors = 0;
     }
 
     fn on_gossip_round(&mut self, ctx: &mut Context<'_, Message>) {
@@ -1405,6 +1429,7 @@ mod tests {
     use crate::neighbors::Neighbor;
     use crate::policy::{BiasedLocality, PolicySpec};
     use plsim_net::{BandwidthClass, TopologyBuilder};
+    use proptest::prelude::*;
     use rand::SeedableRng;
     use std::collections::BTreeMap;
 
@@ -1482,6 +1507,70 @@ mod tests {
         assert!(peer.candidates.is_empty());
     }
 
+    #[derive(Debug, Clone)]
+    enum TableEdit {
+        /// Connect to host `n` after `dt` seconds (0 puts it in the
+        /// equal-time prefix of the referral order).
+        Add {
+            n: u32,
+            dt: u64,
+        },
+        Drop(u32),
+        Leave,
+    }
+
+    fn table_edit() -> impl Strategy<Value = TableEdit> {
+        (0u32..20, 1u32..80, 0u64..2).prop_map(|(kind, n, dt)| match kind {
+            0..=12 => TableEdit::Add { n, dt },
+            13..=18 => TableEdit::Drop(n),
+            _ => TableEdit::Leave,
+        })
+    }
+
+    /// Hosts 0..40 in TELE, 40..80 in CNC: enough for a table past the
+    /// 60-entry referral cap.
+    fn wide_topology() -> Arc<Topology> {
+        let mut rng = SmallRng::seed_from_u64(9);
+        let mut b = TopologyBuilder::new();
+        for isp in [Isp::Tele, Isp::Cnc] {
+            for _ in 0..40 {
+                b.add_host(isp, BandwidthClass::Adsl, &mut rng);
+            }
+        }
+        Arc::new(b.build())
+    }
+
+    proptest! {
+        #[test]
+        fn cached_referral_list_is_a_fresh_intern(
+            edits in collection::vec(table_edit(), 1..160)
+        ) {
+            let topo = wide_topology();
+            let mut peer = viewer(&topo, PolicySpec::GossipRace);
+            let arena = peer.arena.clone();
+            let mut now = SimTime::from_secs(1);
+            for edit in edits {
+                match edit {
+                    TableEdit::Add { n, dt } => {
+                        now += SimTime::from_secs(dt);
+                        peer.add_neighbor(entry(&topo, n), now);
+                    }
+                    TableEdit::Drop(n) => peer.drop_neighbor(NodeId(n)),
+                    TableEdit::Leave => peer.forget_neighbors(),
+                }
+                let served = peer.my_peer_list();
+                let fresh = arena.intern(peer.neighbors.iter_epoch().map(|n| n.entry));
+                prop_assert_eq!(served.with(<[_]>::to_vec), fresh.with(<[_]>::to_vec));
+                drop(fresh);
+                // No edit in between: a cache hit interns nothing.
+                let live = arena.live_blocks();
+                let again = peer.my_peer_list();
+                prop_assert_eq!(arena.live_blocks(), live);
+                prop_assert_eq!(&again, &served);
+            }
+        }
+    }
+
     #[test]
     fn departure_resets_quota_accounting() {
         let topo = mixed_topology();
@@ -1490,8 +1579,7 @@ mod tests {
         peer.add_neighbor(entry(&topo, 6), SimTime::from_secs(1));
         assert_eq!(peer.cross_isp_neighbor_count(), 2);
         assert!(!peer.policy_admits(NodeId(7)));
-        peer.neighbors.clear();
-        peer.cross_isp_neighbors = 0; // what on_leave does
+        peer.forget_neighbors();
         assert!(peer.policy_admits(NodeId(7)));
     }
 

@@ -45,6 +45,14 @@ fn gossip_race_digest_is_pinned() {
     assert_eq!(counter("node.bytes_down"), Some(968_630_280));
     assert_eq!(counter("node.stalls"), Some(22));
     assert_eq!(counter("node.chunks_played"), Some(22_921));
+    // The gossip path: requests sent, replies taken in, and the data
+    // servers each peer came to download from (a per-peer set, summed).
+    assert_eq!(counter("node.gossip_requests_sent"), Some(14_975));
+    assert_eq!(counter("node.gossip_responses_received"), Some(14_724));
+    let peers = &run.output.peer_stats;
+    assert_eq!(peers.len(), 81);
+    let servers: u64 = peers.iter().map(|p| p.unique_data_peers).sum();
+    assert_eq!(servers, 1_712);
 }
 
 #[test]
