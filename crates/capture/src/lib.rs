@@ -50,7 +50,7 @@
 
 mod store;
 
-pub use store::{KindRef, RecordRef, Rows, RowsFor, TraceStore};
+pub use store::{RecordRef, Rows, RowsFor, TraceStore};
 
 use plsim_des::{EventStamp, FaultEvent, Monitor, NodeId, SimTime};
 use plsim_net::Topology;
@@ -62,8 +62,6 @@ use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 use std::sync::Arc;
-
-use store::{KindTag, Row};
 
 /// Direction of a captured message relative to the probe host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -90,10 +88,11 @@ pub enum RemoteKind {
     Source,
 }
 
-/// Payload summary of one captured message (owned interchange row; the
-/// store's cursors yield the borrowing [`KindRef`] instead).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum RecordKind {
+/// Payload summary of one captured message. `L` holds a peer list's
+/// advertised addresses: owned in the interchange row ([`TraceRecord`]),
+/// borrowed from the store's address arena in a [`KindRef`].
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub enum RecordKind<L = Vec<Ipv4Addr>> {
     /// Bootstrap channel-list request/response or channel join exchange.
     Bootstrap,
     /// Peer-list query to a tracker.
@@ -101,7 +100,7 @@ pub enum RecordKind {
     /// Tracker's peer list, with the advertised addresses.
     TrackerResponse {
         /// Addresses on the returned list.
-        peer_ips: Vec<Ipv4Addr>,
+        peer_ips: L,
     },
     /// Gossip query to a neighbor (carries the sender's own list).
     PeerListRequest {
@@ -113,7 +112,7 @@ pub enum RecordKind {
         /// Correlation id.
         req_id: u64,
         /// Addresses on the returned list.
-        peer_ips: Vec<Ipv4Addr>,
+        peer_ips: L,
     },
     /// Connection handshake.
     Handshake,
@@ -149,6 +148,105 @@ pub enum RecordKind {
     Announce,
     /// Departure notice.
     Goodbye,
+}
+
+/// Borrowed view of a record's payload summary: [`RecordKind`] with the
+/// peer-list addresses borrowed from the store's address arena. What the
+/// store's cursors yield.
+pub type KindRef<'a> = RecordKind<&'a [Ipv4Addr]>;
+
+impl<L> RecordKind<L> {
+    /// The same summary with the address list passed through `f`.
+    fn map_ips<'a, M>(&'a self, f: impl FnOnce(&'a L) -> M) -> RecordKind<M> {
+        match self {
+            RecordKind::Bootstrap => RecordKind::Bootstrap,
+            RecordKind::TrackerQuery => RecordKind::TrackerQuery,
+            RecordKind::TrackerResponse { peer_ips } => RecordKind::TrackerResponse {
+                peer_ips: f(peer_ips),
+            },
+            RecordKind::PeerListRequest { req_id } => {
+                RecordKind::PeerListRequest { req_id: *req_id }
+            }
+            RecordKind::PeerListResponse { req_id, peer_ips } => RecordKind::PeerListResponse {
+                req_id: *req_id,
+                peer_ips: f(peer_ips),
+            },
+            RecordKind::Handshake => RecordKind::Handshake,
+            RecordKind::HandshakeAck { accepted } => RecordKind::HandshakeAck {
+                accepted: *accepted,
+            },
+            RecordKind::DataRequest { seq, chunk } => RecordKind::DataRequest {
+                seq: *seq,
+                chunk: *chunk,
+            },
+            RecordKind::DataReply {
+                seq,
+                chunk,
+                payload_bytes,
+            } => RecordKind::DataReply {
+                seq: *seq,
+                chunk: *chunk,
+                payload_bytes: *payload_bytes,
+            },
+            RecordKind::DataReject { seq, busy } => RecordKind::DataReject {
+                seq: *seq,
+                busy: *busy,
+            },
+            RecordKind::Announce => RecordKind::Announce,
+            RecordKind::Goodbye => RecordKind::Goodbye,
+        }
+    }
+}
+
+impl RecordKind {
+    /// Borrowed view of this payload summary.
+    #[must_use]
+    pub fn as_ref(&self) -> KindRef<'_> {
+        self.map_ips(Vec::as_slice)
+    }
+}
+
+impl KindRef<'_> {
+    /// Clones into an owned [`RecordKind`].
+    #[must_use]
+    pub fn to_owned(&self) -> RecordKind {
+        self.map_ips(|ips| ips.to_vec())
+    }
+}
+
+/// The capture summary of `msg`, with the addresses of a peer list it
+/// carries copied in order into `ips` (reused across calls); `None` for a
+/// timer, which never crosses the wire.
+fn summarize<'a>(msg: &Message, ips: &'a mut Vec<Ipv4Addr>) -> Option<KindRef<'a>> {
+    ips.clear();
+    if let Message::TrackerResponse { peers, .. } | Message::PeerListResponse { peers, .. } = msg {
+        peers.with(|entries| ips.extend(entries.iter().map(|e| e.ip)));
+    }
+    let peer_ips: &[Ipv4Addr] = ips;
+    Some(match *msg {
+        Message::BootstrapRequest
+        | Message::BootstrapResponse { .. }
+        | Message::JoinRequest { .. }
+        | Message::JoinResponse { .. } => KindRef::Bootstrap,
+        // A biased query is still a tracker query on the wire; the
+        // locality hint changes the reply, not the request's shape.
+        Message::TrackerQuery { .. } | Message::TrackerQueryBiased { .. } => KindRef::TrackerQuery,
+        Message::TrackerResponse { .. } => KindRef::TrackerResponse { peer_ips },
+        Message::PeerListRequest { req_id, .. } => KindRef::PeerListRequest { req_id },
+        Message::PeerListResponse { req_id, .. } => KindRef::PeerListResponse { req_id, peer_ips },
+        Message::Handshake { .. } => KindRef::Handshake,
+        Message::HandshakeAck { accepted, .. } => KindRef::HandshakeAck { accepted },
+        Message::DataRequest { seq, chunk, .. } => KindRef::DataRequest { seq, chunk },
+        Message::DataReply { seq, chunk, .. } => KindRef::DataReply {
+            seq,
+            chunk,
+            payload_bytes: msg.payload_bytes(),
+        },
+        Message::DataReject { seq, busy, .. } => KindRef::DataReject { seq, busy },
+        Message::Announce { .. } => KindRef::Announce,
+        Message::Goodbye => KindRef::Goodbye,
+        Message::Timer(_) => return None,
+    })
 }
 
 /// One captured message at a probe (owned interchange row).
@@ -292,6 +390,8 @@ struct TapState {
     current_pop: EventStamp,
     /// Records captured so far within the current pop.
     idx_in_pop: u32,
+    /// Reused buffer for the addresses of the peer list being recorded.
+    ips: Vec<Ipv4Addr>,
 }
 
 /// One shard's captured traffic in thread-handoff form: the drained store
@@ -523,8 +623,9 @@ impl ProbeTap {
         self.probes.get(node.index()).copied().unwrap_or(false)
     }
 
-    /// Packs one captured message straight into a store row — no owned
-    /// [`TraceRecord`], no per-list `Vec` allocation.
+    /// Records one captured message: its summary goes to the store's row
+    /// encoder ([`TraceStore::push_ref`]) — no owned [`TraceRecord`], no
+    /// per-list allocation — or, in aggregate mode, into the window counters.
     fn record(
         &self,
         now: SimTime,
@@ -534,14 +635,15 @@ impl ProbeTap {
         payload: &Message,
         size: u32,
     ) {
-        if matches!(payload, Message::Timer(_)) {
+        let mut state = self.state.borrow_mut();
+        let state = &mut *state;
+        let Some(kind) = summarize(payload, &mut state.ips) else {
             return;
-        }
+        };
         let remote_ip = self
             .topology
             .try_host(remote)
             .map_or(Ipv4Addr::UNSPECIFIED, |h| h.ip);
-        let mut state = self.state.borrow_mut();
         if let Some(window) = state.window {
             // Aggregate mode: fold into O(windows) state, record no row.
             // Stamping is moot — there are no rows to merge by stamp; the
@@ -554,14 +656,13 @@ impl ProbeTap {
                 Direction::Outbound => w.bytes_out += u64::from(size),
                 Direction::Inbound => w.bytes_in += u64::from(size),
             }
-            match payload {
-                Message::DataReply { count, .. } if direction == Direction::Inbound => {
-                    w.data_payload_bytes_in +=
-                        u64::from(*count) * u64::from(plsim_proto::SUB_PIECE_BYTES);
+            match kind {
+                KindRef::DataReply { payload_bytes, .. } if direction == Direction::Inbound => {
+                    w.data_payload_bytes_in += u64::from(payload_bytes);
                 }
-                Message::TrackerResponse { peers, .. }
-                | Message::PeerListResponse { peers, .. } => {
-                    w.peer_list_entries += peers.with(|entries| entries.len() as u64);
+                KindRef::TrackerResponse { peer_ips }
+                | KindRef::PeerListResponse { peer_ips, .. } => {
+                    w.peer_list_entries += peer_ips.len() as u64;
                 }
                 _ => {}
             }
@@ -569,64 +670,19 @@ impl ProbeTap {
             agg.wire_bytes_p95.observe(f64::from(size));
             return;
         }
-        if state.stamps.is_some() {
-            let key = (state.current_pop, state.idx_in_pop);
+        if let Some(stamps) = &mut state.stamps {
+            stamps.push((state.current_pop, state.idx_in_pop));
             state.idx_in_pop += 1;
-            state.stamps.as_mut().expect("checked above").push(key);
         }
-        let remote_kind = state.remote_kinds.get(&remote).copied().unwrap_or_default();
-        let store = &mut state.records;
-        let (tag, seq, aux, payload_bytes) = match payload {
-            Message::BootstrapRequest
-            | Message::BootstrapResponse { .. }
-            | Message::JoinRequest { .. }
-            | Message::JoinResponse { .. } => (KindTag::Bootstrap, 0, 0, 0),
-            // A biased query is still a tracker query on the wire; the
-            // locality hint changes the reply, not the request's shape.
-            Message::TrackerQuery { .. } | Message::TrackerQueryBiased { .. } => {
-                (KindTag::TrackerQuery, 0, 0, 0)
-            }
-            Message::TrackerResponse { peers, .. } => {
-                let span = peers.with(|entries| store.intern_ips(entries.iter().map(|e| e.ip)));
-                (KindTag::TrackerResponse, 0, span, 0)
-            }
-            Message::PeerListRequest { req_id, .. } => (KindTag::PeerListRequest, *req_id, 0, 0),
-            Message::PeerListResponse { peers, req_id, .. } => {
-                let span = peers.with(|entries| store.intern_ips(entries.iter().map(|e| e.ip)));
-                (KindTag::PeerListResponse, *req_id, span, 0)
-            }
-            Message::Handshake { .. } => (KindTag::Handshake, 0, 0, 0),
-            Message::HandshakeAck { accepted, .. } => {
-                (KindTag::HandshakeAck, 0, u64::from(*accepted), 0)
-            }
-            Message::DataRequest { seq, chunk, .. } => (KindTag::DataRequest, *seq, chunk.0, 0),
-            Message::DataReply {
-                seq, chunk, count, ..
-            } => (
-                KindTag::DataReply,
-                *seq,
-                chunk.0,
-                u32::from(*count) * plsim_proto::SUB_PIECE_BYTES,
-            ),
-            Message::DataReject { seq, busy, .. } => {
-                (KindTag::DataReject, *seq, u64::from(*busy), 0)
-            }
-            Message::Announce { .. } => (KindTag::Announce, 0, 0, 0),
-            Message::Goodbye => (KindTag::Goodbye, 0, 0, 0),
-            Message::Timer(_) => unreachable!("timers filtered above"),
-        };
-        store.push_row(Row {
+        state.records.push_ref(RecordRef {
             t: now,
-            seq,
-            aux,
             probe,
             remote,
             remote_ip,
-            wire_bytes: size,
-            payload: payload_bytes,
-            remote_kind,
+            remote_kind: state.remote_kinds.get(&remote).copied().unwrap_or_default(),
             direction,
-            tag,
+            kind,
+            wire_bytes: size,
         });
     }
 }
@@ -716,41 +772,6 @@ mod tests {
     }
 
     #[test]
-    fn peer_list_addresses_are_preserved() {
-        let mut t = tap();
-        let peers: SharedPeerList = (1..=3)
-            .map(|n| PeerEntry::new(NodeId(n), Ipv4Addr::new(58, 0, 0, n as u8)))
-            .collect();
-        let msg = Message::PeerListResponse {
-            channel: ChannelId(1),
-            peers,
-            req_id: 7,
-        };
-        t.on_deliver(SimTime::from_secs(1), NodeId(9), NodeId(0), &msg, 100);
-        t.records(|store| match store.rows().next().unwrap().kind {
-            KindRef::PeerListResponse { req_id, peer_ips } => {
-                assert_eq!(req_id, 7);
-                assert_eq!(peer_ips.len(), 3);
-                assert_eq!(peer_ips[0], Ipv4Addr::new(58, 0, 0, 1));
-            }
-            other => panic!("wrong kind: {other:?}"),
-        });
-    }
-
-    #[test]
-    fn timers_are_never_captured() {
-        let mut t = tap();
-        t.on_send(
-            SimTime::ZERO,
-            NodeId(0),
-            NodeId(0),
-            &Message::Timer(plsim_proto::TimerKind::GossipRound),
-            0,
-        );
-        assert!(t.is_empty());
-    }
-
-    #[test]
     fn remote_kind_marking_is_applied() {
         let mut t = tap();
         t.mark_remote(NodeId(5), RemoteKind::Tracker);
@@ -817,27 +838,6 @@ mod tests {
         assert!(t.is_empty());
         assert_eq!(t.drain_faults().len(), 2);
         assert!(t.fault_markers().is_empty());
-    }
-
-    #[test]
-    fn data_reply_payload_bytes_computed() {
-        let mut t = tap();
-        let msg = Message::DataReply {
-            chunk: ChunkId(3),
-            offset: 0,
-            count: 7,
-            seq: 42,
-        };
-        t.on_deliver(SimTime::ZERO, NodeId(2), NodeId(0), &msg, msg.wire_size());
-        t.records(|store| match store.rows().next().unwrap().kind {
-            KindRef::DataReply {
-                seq, payload_bytes, ..
-            } => {
-                assert_eq!(seq, 42);
-                assert_eq!(payload_bytes, 7 * plsim_proto::SUB_PIECE_BYTES);
-            }
-            other => panic!("wrong kind: {other:?}"),
-        });
     }
 
     #[test]
@@ -930,37 +930,150 @@ mod tests {
     }
 
     #[test]
-    fn capture_matches_row_conversion_roundtrip() {
-        // The direct message→columns encoding must agree with the
-        // row-based conversion path for every captured message.
-        let mut t = tap();
-        let peers: SharedPeerList = (1..=2)
-            .map(|n| PeerEntry::new(NodeId(n), Ipv4Addr::new(58, 0, 0, n as u8)))
-            .collect();
-        let msgs = [
-            Message::TrackerQuery {
-                channel: ChannelId(1),
-            },
-            Message::PeerListResponse {
-                channel: ChannelId(1),
-                peers,
-                req_id: 3,
-            },
-            Message::DataRequest {
-                channel: ChannelId(1),
-                seq: 5,
-                chunk: ChunkId(9),
-                offset: 0,
-                count: 1,
-            },
-            Message::Goodbye,
+    fn the_tap_records_each_message_variant_as_its_wire_kind() {
+        use plsim_proto::{TimerKind, SUB_PIECE_BYTES};
+        // Addresses out of sorted order: the tap keeps the list's order.
+        let ips = [
+            Ipv4Addr::new(61, 0, 0, 9),
+            Ipv4Addr::new(58, 0, 0, 1),
+            Ipv4Addr::new(58, 0, 0, 5),
         ];
-        for (i, m) in msgs.iter().enumerate() {
-            t.on_deliver(SimTime::from_secs(i as u64), NodeId(4), NodeId(0), m, 64);
+        let list = || -> SharedPeerList {
+            (1..)
+                .zip(ips)
+                .map(|(n, ip)| PeerEntry::new(NodeId(n), ip))
+                .collect()
+        };
+        let channel = ChannelId(1);
+        let chunk = ChunkId(9);
+        // One instance of every message variant, with the kind the tap must
+        // record for it (`None`: no row).
+        let cases = [
+            (Message::BootstrapRequest, Some(RecordKind::Bootstrap)),
+            (
+                Message::BootstrapResponse {
+                    channels: vec![channel],
+                },
+                Some(RecordKind::Bootstrap),
+            ),
+            (
+                Message::JoinRequest { channel },
+                Some(RecordKind::Bootstrap),
+            ),
+            (
+                Message::JoinResponse {
+                    channel,
+                    trackers: vec![PeerEntry::new(NodeId(7), ips[0])],
+                },
+                Some(RecordKind::Bootstrap),
+            ),
+            (
+                Message::TrackerQuery { channel },
+                Some(RecordKind::TrackerQuery),
+            ),
+            (
+                Message::TrackerQueryBiased {
+                    channel,
+                    want_same_isp: 30,
+                },
+                Some(RecordKind::TrackerQuery),
+            ),
+            (
+                Message::TrackerResponse {
+                    channel,
+                    peers: list(),
+                },
+                Some(RecordKind::TrackerResponse {
+                    peer_ips: ips.to_vec(),
+                }),
+            ),
+            (Message::Announce { channel }, Some(RecordKind::Announce)),
+            (Message::Handshake { channel }, Some(RecordKind::Handshake)),
+            (
+                Message::HandshakeAck {
+                    channel,
+                    accepted: true,
+                },
+                Some(RecordKind::HandshakeAck { accepted: true }),
+            ),
+            (
+                Message::PeerListRequest {
+                    channel,
+                    my_peers: list(),
+                    req_id: 5,
+                },
+                Some(RecordKind::PeerListRequest { req_id: 5 }),
+            ),
+            (
+                Message::PeerListResponse {
+                    channel,
+                    peers: list(),
+                    req_id: 6,
+                },
+                Some(RecordKind::PeerListResponse {
+                    req_id: 6,
+                    peer_ips: ips.to_vec(),
+                }),
+            ),
+            (
+                Message::DataRequest {
+                    channel,
+                    chunk,
+                    offset: 2,
+                    count: 3,
+                    seq: 7,
+                },
+                Some(RecordKind::DataRequest { seq: 7, chunk }),
+            ),
+            (
+                Message::DataReply {
+                    chunk,
+                    offset: 2,
+                    count: 3,
+                    seq: 7,
+                },
+                Some(RecordKind::DataReply {
+                    seq: 7,
+                    chunk,
+                    payload_bytes: 3 * SUB_PIECE_BYTES,
+                }),
+            ),
+            (
+                Message::DataReject {
+                    chunk,
+                    seq: 8,
+                    busy: true,
+                },
+                Some(RecordKind::DataReject { seq: 8, busy: true }),
+            ),
+            (Message::Goodbye, Some(RecordKind::Goodbye)),
+            (Message::Timer(TimerKind::Scheduler), None),
+        ];
+        let variants: std::collections::HashSet<_> = cases
+            .iter()
+            .map(|(msg, _)| std::mem::discriminant(msg))
+            .collect();
+        assert_eq!(variants.len(), cases.len(), "a variant is listed twice");
+        // One tap for all of them, so the reused address buffer is
+        // exercised too.
+        let mut t = tap();
+        let remote_ip = t.topology.host(NodeId(4)).ip;
+        let mut want = Vec::new();
+        for (i, (msg, kind)) in (0..).zip(cases) {
+            let at = SimTime::from_secs(i);
+            t.on_deliver(at, NodeId(4), NodeId(0), &msg, msg.wire_size());
+            want.extend(kind.map(|kind| TraceRecord {
+                t: at,
+                probe: NodeId(0),
+                remote: NodeId(4),
+                remote_ip,
+                remote_kind: RemoteKind::Peer,
+                direction: Direction::Inbound,
+                kind,
+                wire_bytes: msg.wire_size(),
+            }));
         }
-        let rows = t.records(TraceStore::to_records);
-        let rebuilt = TraceStore::from_records(&rows);
-        t.records(|store| assert_eq!(*store, rebuilt));
+        assert_eq!(t.records(TraceStore::to_records), want);
     }
 
     #[test]
@@ -1038,6 +1151,14 @@ mod tests {
             &Message::Goodbye,
             46,
         );
+        let gossip = Message::PeerListResponse {
+            channel: ChannelId(1),
+            peers: (1..=3)
+                .map(|n| PeerEntry::new(NodeId(n), Ipv4Addr::new(58, 0, 0, n as u8)))
+                .collect(),
+            req_id: 2,
+        };
+        t.on_deliver(SimTime::from_secs(12), NodeId(3), NodeId(0), &gossip, 64);
         assert!(t.is_empty(), "aggregate mode records no rows");
         let aggs = t.drain_aggregates();
         let probe = &aggs.probes[&NodeId(0)];
@@ -1050,10 +1171,12 @@ mod tests {
             w0.data_payload_bytes_in,
             2 * 4 * u64::from(plsim_proto::SUB_PIECE_BYTES)
         );
+        assert_eq!(w0.peer_list_entries, 0);
         let w1 = &probe.windows[&1];
-        assert_eq!(w1.records, 1);
+        assert_eq!(w1.records, 2);
         assert_eq!(w1.bytes_out, 46);
-        assert_eq!(probe.wire_bytes.count(), 3);
+        assert_eq!(w1.peer_list_entries, 3);
+        assert_eq!(probe.wire_bytes.count(), 4);
         assert_eq!(probe.wire_bytes.max(), 200);
         assert!(t.drain_aggregates().probes.is_empty(), "drain empties");
     }

@@ -33,7 +33,7 @@
 //! directly and [`TraceStore::from_records`] / [`TraceStore::to_records`]
 //! convert losslessly.
 
-use crate::{Direction, RecordKind, RemoteKind, TraceRecord};
+use crate::{Direction, KindRef, RemoteKind, TraceRecord};
 use plsim_des::{NodeId, SimTime};
 use plsim_proto::ChunkId;
 use plsim_telemetry::{SpillFile, SpillFrame};
@@ -46,8 +46,10 @@ use std::sync::Arc;
 pub(crate) const PAGE_ROWS: usize = 8192;
 
 /// Which [`RecordKind`] variant a row holds.
+///
+/// [`RecordKind`]: crate::RecordKind
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum KindTag {
+enum KindTag {
     Bootstrap,
     TrackerQuery,
     TrackerResponse,
@@ -141,22 +143,22 @@ const SPILL_ROW_BYTES: usize = 3 * 8 + 5 * 4 + 3;
 /// shares, the variant tag and three variant-dependent payload words
 /// (see [`TraceStore::push_ref`] for what each variant puts in them).
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Row {
-    pub t: SimTime,
+struct Row {
+    t: SimTime,
     /// Sequence / correlation id (`0` for variants without one).
-    pub seq: u64,
+    seq: u64,
     /// Chunk id, `(offset << 32) | len` span into the address arena, or
     /// a boolean flag.
-    pub aux: u64,
-    pub probe: NodeId,
-    pub remote: NodeId,
-    pub remote_ip: Ipv4Addr,
-    pub wire_bytes: u32,
+    aux: u64,
+    probe: NodeId,
+    remote: NodeId,
+    remote_ip: Ipv4Addr,
+    wire_bytes: u32,
     /// Media payload bytes (data replies; `0` otherwise).
-    pub payload: u32,
-    pub remote_kind: RemoteKind,
-    pub direction: Direction,
-    pub tag: KindTag,
+    payload: u32,
+    remote_kind: RemoteKind,
+    direction: Direction,
+    tag: KindTag,
 }
 
 // A new field changes the resident footprint and the spill format: decide
@@ -219,141 +221,6 @@ fn decode_frame(frame: &[u8], rows: &mut Vec<Row>) {
     assert!(ragged.is_empty(), "ragged spill frame");
     rows.clear();
     rows.extend(chunks.iter().map(Row::decode));
-}
-
-/// Borrowed view of a record's payload summary: [`RecordKind`] with the
-/// peer-list payload borrowed from the store's address arena.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum KindRef<'a> {
-    /// Bootstrap channel-list request/response or channel join exchange.
-    Bootstrap,
-    /// Peer-list query to a tracker.
-    TrackerQuery,
-    /// Tracker's peer list, with the advertised addresses.
-    TrackerResponse {
-        /// Addresses on the returned list.
-        peer_ips: &'a [Ipv4Addr],
-    },
-    /// Gossip query to a neighbor.
-    PeerListRequest {
-        /// Correlation id.
-        req_id: u64,
-    },
-    /// Neighbor's gossip reply, with the advertised addresses.
-    PeerListResponse {
-        /// Correlation id.
-        req_id: u64,
-        /// Addresses on the returned list.
-        peer_ips: &'a [Ipv4Addr],
-    },
-    /// Connection handshake.
-    Handshake,
-    /// Handshake acknowledgment.
-    HandshakeAck {
-        /// Whether the connection was accepted.
-        accepted: bool,
-    },
-    /// Data request.
-    DataRequest {
-        /// Request sequence number.
-        seq: u64,
-        /// Requested chunk.
-        chunk: ChunkId,
-    },
-    /// Data delivery.
-    DataReply {
-        /// Echoed sequence number.
-        seq: u64,
-        /// Delivered chunk.
-        chunk: ChunkId,
-        /// Media payload bytes carried.
-        payload_bytes: u32,
-    },
-    /// Negative data response.
-    DataReject {
-        /// Echoed sequence number.
-        seq: u64,
-        /// Whether the refusal was overload rather than missing data.
-        busy: bool,
-    },
-    /// Tracker announce.
-    Announce,
-    /// Departure notice.
-    Goodbye,
-}
-
-impl KindRef<'_> {
-    /// Clones into an owned [`RecordKind`].
-    #[must_use]
-    pub fn to_owned(&self) -> RecordKind {
-        match *self {
-            KindRef::Bootstrap => RecordKind::Bootstrap,
-            KindRef::TrackerQuery => RecordKind::TrackerQuery,
-            KindRef::TrackerResponse { peer_ips } => RecordKind::TrackerResponse {
-                peer_ips: peer_ips.to_vec(),
-            },
-            KindRef::PeerListRequest { req_id } => RecordKind::PeerListRequest { req_id },
-            KindRef::PeerListResponse { req_id, peer_ips } => RecordKind::PeerListResponse {
-                req_id,
-                peer_ips: peer_ips.to_vec(),
-            },
-            KindRef::Handshake => RecordKind::Handshake,
-            KindRef::HandshakeAck { accepted } => RecordKind::HandshakeAck { accepted },
-            KindRef::DataRequest { seq, chunk } => RecordKind::DataRequest { seq, chunk },
-            KindRef::DataReply {
-                seq,
-                chunk,
-                payload_bytes,
-            } => RecordKind::DataReply {
-                seq,
-                chunk,
-                payload_bytes,
-            },
-            KindRef::DataReject { seq, busy } => RecordKind::DataReject { seq, busy },
-            KindRef::Announce => RecordKind::Announce,
-            KindRef::Goodbye => RecordKind::Goodbye,
-        }
-    }
-}
-
-impl RecordKind {
-    /// Borrowed view of this payload summary.
-    #[must_use]
-    pub fn as_ref(&self) -> KindRef<'_> {
-        match self {
-            RecordKind::Bootstrap => KindRef::Bootstrap,
-            RecordKind::TrackerQuery => KindRef::TrackerQuery,
-            RecordKind::TrackerResponse { peer_ips } => KindRef::TrackerResponse { peer_ips },
-            RecordKind::PeerListRequest { req_id } => KindRef::PeerListRequest { req_id: *req_id },
-            RecordKind::PeerListResponse { req_id, peer_ips } => KindRef::PeerListResponse {
-                req_id: *req_id,
-                peer_ips,
-            },
-            RecordKind::Handshake => KindRef::Handshake,
-            RecordKind::HandshakeAck { accepted } => KindRef::HandshakeAck {
-                accepted: *accepted,
-            },
-            RecordKind::DataRequest { seq, chunk } => KindRef::DataRequest {
-                seq: *seq,
-                chunk: *chunk,
-            },
-            RecordKind::DataReply {
-                seq,
-                chunk,
-                payload_bytes,
-            } => KindRef::DataReply {
-                seq: *seq,
-                chunk: *chunk,
-                payload_bytes: *payload_bytes,
-            },
-            RecordKind::DataReject { seq, busy } => KindRef::DataReject {
-                seq: *seq,
-                busy: *busy,
-            },
-            RecordKind::Announce => KindRef::Announce,
-            RecordKind::Goodbye => KindRef::Goodbye,
-        }
-    }
 }
 
 /// Borrowed view of one captured record: copied scalars plus a payload
@@ -495,14 +362,14 @@ impl TraceStore {
         self.ips.reserve(additional);
     }
 
-    pub(crate) fn intern_ips(&mut self, ips: impl Iterator<Item = Ipv4Addr>) -> u64 {
+    fn intern_ips(&mut self, ips: impl Iterator<Item = Ipv4Addr>) -> u64 {
         let offset = self.ips.len() as u64;
         self.ips.extend(ips);
         let len = self.ips.len() as u64 - offset;
         (offset << 32) | len
     }
 
-    pub(crate) fn push_row(&mut self, row: Row) {
+    fn push_row(&mut self, row: Row) {
         if self.len.is_multiple_of(PAGE_ROWS) {
             self.pages.push(Vec::with_capacity(PAGE_ROWS));
         }
@@ -842,6 +709,7 @@ impl<'a> Iterator for RowsFor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RecordKind;
 
     fn record(i: u64, kind: RecordKind) -> TraceRecord {
         TraceRecord {

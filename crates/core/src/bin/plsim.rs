@@ -3,7 +3,8 @@
 //!
 //! This file is the only place user configuration enters the program:
 //! the library reads no environment variable, and every flag is parsed and
-//! validated once, into [`Options`], before any command runs.
+//! validated once, into [`Options`], before any command runs. A token past
+//! a command's last positional argument is an error, not ignored.
 //!
 //! `--threads N` sizes the job pool the multi-session commands fan out
 //! over and the shard-driver threads of `run`; output never depends on it.
@@ -142,6 +143,18 @@ fn parse_budget(v: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("--capture-budget requires N[K|M|G] bytes, got {v:?}"))
 }
 
+/// Fails naming the first token past a command's `n` positionals: a
+/// misspelt flag (`--shard 5`) or a stray word must not leave the run
+/// looking as if it was asked for.
+fn at_most(args: &[String], n: usize) -> Result<(), String> {
+    match args.get(n) {
+        Some(extra) => Err(format!(
+            "unexpected argument {extra:?}: the command takes at most {n} positional arguments"
+        )),
+        None => Ok(()),
+    }
+}
+
 /// `workload [n] [c] [a] [noise]`: absent tokens keep the Figure 11(b)
 /// fit and 0.25 noise. The bounds keep every generated value finite and
 /// positive (the largest is (1 + a·log10 n)^(1/c) · e^(8.6·noise)) over at
@@ -153,6 +166,7 @@ fn parse_workload(args: &[String]) -> Result<SeWorkloadSpec, String> {
     let stretch = |c: &f64| (0.05..=10.0).contains(c);
     let slope = |a: &f64| *a > 0.0 && *a <= 1e6;
     let sigma = |x: &f64| (0.0..=10.0).contains(x);
+    at_most(args, 4)?;
     Ok(SeWorkloadSpec {
         n: parse_num(token(0), fig11.n, "workload n (3..=1000000)", ranks)?,
         c: parse_num(token(1), fig11.c, "workload c (0.05..=10)", stretch)?,
@@ -170,8 +184,9 @@ fn or_usage<T>(parsed: Result<T, String>) -> T {
 }
 
 /// The `[scale] [seed]` pair every simulating command ends with, starting
-/// at `args[at]`.
+/// at `args[at]`; nothing may follow it.
 fn scale_and_seed(args: &[String], at: usize) -> (Scale, u64) {
+    or_usage(at_most(args, at + 2));
     (
         or_usage(parse_scale(args.get(at).map(String::as_str))),
         or_usage(parse_seed(args.get(at + 1).map(String::as_str))),

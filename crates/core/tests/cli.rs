@@ -53,6 +53,8 @@ fn bad_values_exit_2_naming_the_token() {
     let nowhere = nowhere.to_str().expect("utf-8 temp path");
     let unsharded = scratch_path("unsharded.json");
     let unsharded = unsharded.to_str().expect("utf-8 temp path");
+    let export_dir = scratch_path("surplus-export");
+    let export_dir = export_dir.to_str().expect("utf-8 temp path");
     for (args, token) in [
         (
             &["run", "popular", "tiny", "42", "--capture-budget", "12q"][..],
@@ -122,6 +124,21 @@ fn bad_values_exit_2_naming_the_token() {
             ],
             "--partition-json",
         ),
+        // A token past the last positional, such as a misspelt flag, is
+        // not ignored: `--shard 5` must not quietly run unsharded.
+        (
+            &["run", "unpopular", "tiny", "42", "--shard", "5"],
+            "\"--shard\"",
+        ),
+        (&["figures", "tiny", "42", "again"], "\"again\""),
+        (&["fig6", "1", "tiny", "42", "more"], "\"more\""),
+        (&["ablation", "tiny", "42", "extra"], "\"extra\""),
+        (
+            &["locality_frontier", "--smoke", "tiny", "42", "wide"],
+            "\"wide\"",
+        ),
+        (&["workload", "50", "0.3", "0.5", "0.1", "loud"], "\"loud\""),
+        (&["export", export_dir, "tiny", "42", "junk"], "\"junk\""),
     ] {
         let out = plsim(args, &[]);
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -130,6 +147,7 @@ fn bad_values_exit_2_naming_the_token() {
         assert!(out.stdout.is_empty(), "{args:?} printed a table anyway");
     }
     assert!(!std::path::Path::new(unsharded).exists());
+    assert!(!std::path::Path::new(export_dir).exists());
 }
 
 #[test]

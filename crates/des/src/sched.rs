@@ -206,8 +206,8 @@ struct Node {
 /// same-origin same-timestamp FIFO bursts, where `seq` only ever grows —
 /// appends at the tail in O(1). Anything else walks from the head, which
 /// is short because occupancy is held at two keys per bucket, the width
-/// is learned from the keys the walk would be among (see
-/// [`CalendarScheduler::rebuild`]) and a chain past `hot_bar` learns it
+/// is learned from the keys the walk would be among (see `rebuild`) and a
+/// chain past `hot_bar` learns it
 /// again. A popped cell goes on the intrusive free chain and is the next
 /// one a push reuses, so the queue's whole footprint is its peak depth in
 /// 32-byte cells plus 12 bytes per bucket, and the part the cursor is
@@ -222,7 +222,7 @@ struct Node {
 /// occupancy exceeds two keys per bucket and halves it when occupancy
 /// drops below one key per eight buckets, re-estimating the bucket width
 /// from the gaps between the *nearest* live instants on every rebuild
-/// (see [`CalendarScheduler::rebuild`]) — where the next pops and pushes
+/// (see `rebuild`) — where the next pops and pushes
 /// land. A far-future tail (session-length timers above a sub-second band
 /// of in-flight messages) has no say in the width, however much of the
 /// queue it is: its keys wrap around the calendar and wait at the tail of

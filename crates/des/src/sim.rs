@@ -370,6 +370,23 @@ pub struct RemoteEvent<P> {
     pub size: u32,
 }
 
+impl<P> RemoteEvent<P> {
+    /// The same event with its payload passed through `f` — how a payload
+    /// changes form to cross a thread boundary and back.
+    #[must_use]
+    pub fn map<Q>(self, f: impl FnOnce(P) -> Q) -> RemoteEvent<Q> {
+        RemoteEvent {
+            at: self.at,
+            origin: self.origin,
+            seq: self.seq,
+            from: self.from,
+            to: self.to,
+            payload: f(self.payload),
+            size: self.size,
+        }
+    }
+}
+
 /// One entry of a shard's pop log: the popped event's scheduling identity
 /// plus how many events its processing scheduled (local pushes and
 /// cross-shard emissions alike). Merging the logs of all shards in stamp

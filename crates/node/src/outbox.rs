@@ -40,7 +40,8 @@ use std::sync::Mutex;
 
 /// A `shards × shards` mailbox grid carrying per-destination batches
 /// across window barriers. `T` is the wire form of whatever crosses the
-/// barrier (the shard driver's `WireEvent` — anything `Send`).
+/// barrier (the shard driver's `RemoteEvent<WireMessage>` — anything
+/// `Send`).
 #[derive(Debug)]
 pub struct ShardExchange<T> {
     shards: usize,

@@ -193,8 +193,9 @@ impl SelectionPolicy for BiasedLocality {
 }
 
 /// Delay-based admission: refuse links slower than `cutoff`, unless the
-/// peer is starving (below [`STARVATION_FLOOR`] neighbors it takes what it
-/// can get — a viewer with an empty table must not refuse bootstrap help).
+/// peer is starving (below `STARVATION_FLOOR`, four neighbors, it takes
+/// what it can get — a viewer with an empty table must not refuse bootstrap
+/// help).
 #[derive(Debug, Clone, Copy)]
 pub struct RttThreshold {
     /// Maximum acceptable base RTT.

@@ -76,7 +76,7 @@ use crate::outbox::ShardExchange;
 use crate::world::{materialize, ShardRole, WorldConfig, WorldLayout, WorldOutput};
 use crate::StatsSink;
 use plsim_capture::{merge_stamped, CaptureAggregates, FaultMark, StampedTrace};
-use plsim_des::{NodeId, PopRecord, RemoteEvent, SimStats, SimTime};
+use plsim_des::{PopRecord, RemoteEvent, SimStats, SimTime};
 use plsim_net::{Isp, Topology, Underlay};
 use plsim_proto::{Message, WireMessage};
 use plsim_telemetry::{GaugeValue, MetricsSnapshot};
@@ -307,19 +307,6 @@ pub fn partition_preview(cfg: &WorldConfig) -> Option<PartitionReport> {
     plan_shards(cfg, &layout).map(|(_, report)| report)
 }
 
-/// A cross-shard event in transit between threads: a
-/// [`RemoteEvent`]`<Message>` with the payload flattened to its `Send`
-/// wire form.
-struct WireEvent {
-    at: SimTime,
-    origin: u32,
-    seq: u64,
-    from: NodeId,
-    to: NodeId,
-    payload: WireMessage,
-    size: u32,
-}
-
 /// The global queue-depth replay, folded once per round so no shard ever
 /// accumulates an unbounded pop log.
 struct DepthReplay {
@@ -454,7 +441,7 @@ pub(crate) fn run_sharded(cfg: &WorldConfig) -> WorldOutput {
         .collect();
     let threads = report.threads;
     let barrier = RoundBarrier::new(threads);
-    let event_grid: ShardExchange<WireEvent> = ShardExchange::new(shards);
+    let event_grid: ShardExchange<RemoteEvent<WireMessage>> = ShardExchange::new(shards);
     let results: Vec<Mutex<Option<ShardResult>>> = (0..shards).map(|_| Mutex::new(None)).collect();
     let replay = Mutex::new(DepthReplay {
         // Every harness event is injected into exactly one shard, so the
@@ -497,7 +484,8 @@ pub(crate) fn run_sharded(cfg: &WorldConfig) -> WorldOutput {
                 // to the grid with a buffer swap, received back empty with
                 // capacity intact — the exchange path allocates nothing in
                 // steady state.
-                let mut stage_ev: Vec<Vec<WireEvent>> = (0..shards).map(|_| Vec::new()).collect();
+                let mut stage_ev: Vec<Vec<RemoteEvent<WireMessage>>> =
+                    (0..shards).map(|_| Vec::new()).collect();
 
                 // Every thread steps the same fixed stride, so no window
                 // state crosses threads.
@@ -515,15 +503,7 @@ pub(crate) fn run_sharded(cfg: &WorldConfig) -> WorldOutput {
                         shard.sim.drain_outbox(&mut outbuf);
                         for ev in outbuf.drain(..) {
                             let dest = shard_of[ev.to.index()];
-                            stage_ev[dest].push(WireEvent {
-                                at: ev.at,
-                                origin: ev.origin,
-                                seq: ev.seq,
-                                from: ev.from,
-                                to: ev.to,
-                                payload: ev.payload.into_wire(),
-                                size: ev.size,
-                            });
+                            stage_ev[dest].push(ev.map(Message::into_wire));
                         }
                         for (dest, buf) in stage_ev.iter_mut().enumerate() {
                             if !buf.is_empty() {
@@ -544,15 +524,9 @@ pub(crate) fn run_sharded(cfg: &WorldConfig) -> WorldOutput {
                     barrier.wait();
                     for (s, shard) in &mut sims {
                         event_grid.drain(*s, |w| {
-                            shard.sim.ingest_remote(RemoteEvent {
-                                at: w.at,
-                                origin: w.origin,
-                                seq: w.seq,
-                                from: w.from,
-                                to: w.to,
-                                payload: w.payload.into_message(&shard.arena),
-                                size: w.size,
-                            });
+                            shard
+                                .sim
+                                .ingest_remote(w.map(|p| p.into_message(&shard.arena)));
                         });
                     }
                     if t == 0 {

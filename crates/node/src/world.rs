@@ -97,8 +97,8 @@ pub struct WorldConfig {
     /// Which kernel event scheduler the run uses. Defaults to the calendar
     /// queue; either choice produces bit-identical output.
     pub scheduler: SchedulerKind,
-    /// How many space-partition shards drive the run (see
-    /// [`crate::shard`]). Defaults to 1, the classic single-threaded
+    /// How many space-partition shards drive the run (see the `shard`
+    /// module). Defaults to 1, the classic single-threaded
     /// path. Output is bit-identical for every value; > 1 runs the world
     /// on multiple cores under conservative lookahead. A shard is a set of
     /// whole ISPs, so the partitioner uses at most as many shards as the
@@ -585,7 +585,7 @@ pub struct WorldOutput {
 }
 
 /// A fully assembled, not-yet-run scenario (single-threaded path; the
-/// sharded runner drives [`materialize`] directly).
+/// sharded runner drives `materialize` directly).
 #[derive(Debug)]
 pub struct World {
     sim: Simulation<Message>,
@@ -652,7 +652,7 @@ impl World {
 
 /// Builds and runs in one call. With `cfg.shards > 1` the world is driven
 /// by the sharded runner (multi-core, conservative lookahead, bit-identical
-/// output — see [`crate::shard`]); otherwise by the classic path.
+/// output — see the `shard` module); otherwise by the classic path.
 #[must_use]
 pub fn run_world(cfg: &WorldConfig) -> WorldOutput {
     if cfg.shards > 1 {

@@ -229,13 +229,14 @@ pub enum TimerKind {
 
 /// Every payload the simulation can carry: protocol messages plus timers.
 ///
-/// Peer-list payloads are [`SharedPeerList`]s, so cloning a message on the
-/// hot path bumps an arena refcount instead of deep-copying a
-/// `Vec<PeerEntry>`; the DES kernel's event pool recycles the slots that
-/// carry these payloads, making the steady-state send/receive loop
-/// allocation-free.
+/// `L` is the peer-list payload. In the simulation it is a
+/// [`SharedPeerList`], so cloning a message on the hot path bumps an arena
+/// refcount instead of deep-copying a `Vec<PeerEntry>`; the DES kernel's
+/// event pool recycles the slots that carry these payloads, making the
+/// steady-state send/receive loop allocation-free. Between shards it is an
+/// owned [`PeerList`] ([`WireMessage`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Message {
+pub enum Message<L = SharedPeerList> {
     /// Client → bootstrap: request the active channel list.
     BootstrapRequest,
     /// Bootstrap → client: the active channels.
@@ -276,7 +277,7 @@ pub enum Message {
         /// Channel of interest.
         channel: ChannelId,
         /// Up to 60 active peers.
-        peers: SharedPeerList,
+        peers: L,
     },
     /// Client → tracker: periodic membership announce.
     Announce {
@@ -301,7 +302,7 @@ pub enum Message {
         /// Channel in question.
         channel: ChannelId,
         /// The requester's own current peer list, enclosed per protocol.
-        my_peers: SharedPeerList,
+        my_peers: L,
         /// Correlates the eventual response.
         req_id: u64,
     },
@@ -310,7 +311,7 @@ pub enum Message {
         /// Channel in question.
         channel: ChannelId,
         /// The neighbor's peer list (≤ 60 entries).
-        peers: SharedPeerList,
+        peers: L,
         /// Echo of the request id.
         req_id: u64,
     },

@@ -1,263 +1,72 @@
-//! A `Send` mirror of [`Message`] for crossing shard boundaries.
+//! The `Send` form of [`Message`] for crossing shard boundaries.
 //!
 //! [`Message`] itself is deliberately `!Send`: its peer-list payloads are
 //! [`SharedPeerList`]s backed by a thread-local [`PeerListArena`] (an `Rc`
 //! refcount bump per clone on the hot path). A sharded world, however, must
-//! hand messages between threads. [`WireMessage`] is the materialised form
-//! that travels: peer lists are flattened to owned [`PeerList`]s — exactly
-//! the bytes the message carries on the simulated wire — and re-interned
-//! into the *receiving* shard's arena on ingest. Because
-//! [`SharedPeerList`]'s equality is representation-independent and interning
-//! preserves (≤ 60, deduped) list contents, a message that round-trips
-//! through its wire form is indistinguishable from one delivered locally.
+//! hand messages between threads. [`WireMessage`] is the same enum with the
+//! peer lists flattened to owned [`PeerList`]s — exactly the bytes the
+//! message carries on the simulated wire — and re-interned into the
+//! *receiving* shard's arena on ingest. Because [`SharedPeerList`]'s
+//! equality is representation-independent and interning preserves (≤ 60,
+//! deduped) list contents, a message that round-trips through its wire form
+//! is indistinguishable from one delivered locally.
+//!
+//! [`SharedPeerList`]: crate::SharedPeerList
 
-use crate::{ChannelId, ChunkId, Message, PeerEntry, PeerList, PeerListArena, TimerKind};
+use crate::{Message, PeerList, PeerListArena};
 
-/// [`Message`], with every arena-backed peer list flattened to an owned
-/// [`PeerList`] so the value is `Send`. See the module docs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WireMessage {
-    /// Mirror of [`Message::BootstrapRequest`].
-    BootstrapRequest,
-    /// Mirror of [`Message::BootstrapResponse`].
-    BootstrapResponse {
-        /// Channels currently on air.
-        channels: Vec<ChannelId>,
-    },
-    /// Mirror of [`Message::JoinRequest`].
-    JoinRequest {
-        /// The chosen channel.
-        channel: ChannelId,
-    },
-    /// Mirror of [`Message::JoinResponse`].
-    JoinResponse {
-        /// The channel being joined.
-        channel: ChannelId,
-        /// One tracker address per group.
-        trackers: Vec<PeerEntry>,
-    },
-    /// Mirror of [`Message::TrackerQuery`].
-    TrackerQuery {
-        /// Channel of interest.
-        channel: ChannelId,
-    },
-    /// Mirror of [`Message::TrackerQueryBiased`].
-    TrackerQueryBiased {
-        /// Channel of interest.
-        channel: ChannelId,
-        /// How many same-ISP entries the client asks for.
-        want_same_isp: u16,
-    },
-    /// Mirror of [`Message::TrackerResponse`].
-    TrackerResponse {
-        /// Channel of interest.
-        channel: ChannelId,
-        /// Up to 60 active peers, flattened.
-        peers: PeerList,
-    },
-    /// Mirror of [`Message::Announce`].
-    Announce {
-        /// Channel the client is watching.
-        channel: ChannelId,
-    },
-    /// Mirror of [`Message::Handshake`].
-    Handshake {
-        /// Channel the client is watching.
-        channel: ChannelId,
-    },
-    /// Mirror of [`Message::HandshakeAck`].
-    HandshakeAck {
-        /// Channel in question.
-        channel: ChannelId,
-        /// Whether the peer accepted.
-        accepted: bool,
-    },
-    /// Mirror of [`Message::PeerListRequest`].
-    PeerListRequest {
-        /// Channel in question.
-        channel: ChannelId,
-        /// The requester's own peer list, flattened.
-        my_peers: PeerList,
-        /// Correlates the eventual response.
-        req_id: u64,
-    },
-    /// Mirror of [`Message::PeerListResponse`].
-    PeerListResponse {
-        /// Channel in question.
-        channel: ChannelId,
-        /// The neighbor's peer list, flattened.
-        peers: PeerList,
-        /// Echo of the request id.
-        req_id: u64,
-    },
-    /// Mirror of [`Message::DataRequest`].
-    DataRequest {
-        /// Channel in question.
-        channel: ChannelId,
-        /// Requested chunk.
-        chunk: ChunkId,
-        /// First sub-piece index.
-        offset: u16,
-        /// Number of sub-pieces requested.
-        count: u16,
-        /// Requester-unique sequence number.
-        seq: u64,
-    },
-    /// Mirror of [`Message::DataReply`].
-    DataReply {
-        /// Chunk delivered.
-        chunk: ChunkId,
-        /// First sub-piece index.
-        offset: u16,
-        /// Number of sub-pieces delivered.
-        count: u16,
-        /// Echo of the request sequence number.
-        seq: u64,
-    },
-    /// Mirror of [`Message::DataReject`].
-    DataReject {
-        /// Chunk that was requested.
-        chunk: ChunkId,
-        /// Echo of the request sequence number.
-        seq: u64,
-        /// True when the refusal is due to overload.
-        busy: bool,
-    },
-    /// Mirror of [`Message::Goodbye`].
-    Goodbye,
-    /// Mirror of [`Message::Timer`]. Timers never cross the wire in the
-    /// protocol, but the mirror is total so conversion never panics.
-    Timer(TimerKind),
-}
+/// [`Message`] with every peer list an owned [`PeerList`], so the value is
+/// `Send`. See the module docs.
+pub type WireMessage = Message<PeerList>;
 
-impl Message {
-    /// Flattens this message into its `Send` wire form (arena-backed peer
-    /// lists become owned [`PeerList`]s).
+impl<L> Message<L> {
+    /// The same message with every peer list passed through `f`; every
+    /// other field moves across unchanged.
     #[must_use]
-    pub fn into_wire(self) -> WireMessage {
+    pub fn map_lists<M>(self, mut f: impl FnMut(L) -> M) -> Message<M> {
         match self {
-            Message::BootstrapRequest => WireMessage::BootstrapRequest,
-            Message::BootstrapResponse { channels } => WireMessage::BootstrapResponse { channels },
-            Message::JoinRequest { channel } => WireMessage::JoinRequest { channel },
+            Message::BootstrapRequest => Message::BootstrapRequest,
+            Message::BootstrapResponse { channels } => Message::BootstrapResponse { channels },
+            Message::JoinRequest { channel } => Message::JoinRequest { channel },
             Message::JoinResponse { channel, trackers } => {
-                WireMessage::JoinResponse { channel, trackers }
-            }
-            Message::TrackerQuery { channel } => WireMessage::TrackerQuery { channel },
-            Message::TrackerQueryBiased {
-                channel,
-                want_same_isp,
-            } => WireMessage::TrackerQueryBiased {
-                channel,
-                want_same_isp,
-            },
-            Message::TrackerResponse { channel, peers } => WireMessage::TrackerResponse {
-                channel,
-                peers: peers.to_list(),
-            },
-            Message::Announce { channel } => WireMessage::Announce { channel },
-            Message::Handshake { channel } => WireMessage::Handshake { channel },
-            Message::HandshakeAck { channel, accepted } => {
-                WireMessage::HandshakeAck { channel, accepted }
-            }
-            Message::PeerListRequest {
-                channel,
-                my_peers,
-                req_id,
-            } => WireMessage::PeerListRequest {
-                channel,
-                my_peers: my_peers.to_list(),
-                req_id,
-            },
-            Message::PeerListResponse {
-                channel,
-                peers,
-                req_id,
-            } => WireMessage::PeerListResponse {
-                channel,
-                peers: peers.to_list(),
-                req_id,
-            },
-            Message::DataRequest {
-                channel,
-                chunk,
-                offset,
-                count,
-                seq,
-            } => WireMessage::DataRequest {
-                channel,
-                chunk,
-                offset,
-                count,
-                seq,
-            },
-            Message::DataReply {
-                chunk,
-                offset,
-                count,
-                seq,
-            } => WireMessage::DataReply {
-                chunk,
-                offset,
-                count,
-                seq,
-            },
-            Message::DataReject { chunk, seq, busy } => {
-                WireMessage::DataReject { chunk, seq, busy }
-            }
-            Message::Goodbye => WireMessage::Goodbye,
-            Message::Timer(kind) => WireMessage::Timer(kind),
-        }
-    }
-}
-
-impl WireMessage {
-    /// Rebuilds the in-simulation [`Message`], interning peer lists into the
-    /// receiving shard's `arena`.
-    #[must_use]
-    pub fn into_message(self, arena: &PeerListArena) -> Message {
-        match self {
-            WireMessage::BootstrapRequest => Message::BootstrapRequest,
-            WireMessage::BootstrapResponse { channels } => Message::BootstrapResponse { channels },
-            WireMessage::JoinRequest { channel } => Message::JoinRequest { channel },
-            WireMessage::JoinResponse { channel, trackers } => {
                 Message::JoinResponse { channel, trackers }
             }
-            WireMessage::TrackerQuery { channel } => Message::TrackerQuery { channel },
-            WireMessage::TrackerQueryBiased {
+            Message::TrackerQuery { channel } => Message::TrackerQuery { channel },
+            Message::TrackerQueryBiased {
                 channel,
                 want_same_isp,
             } => Message::TrackerQueryBiased {
                 channel,
                 want_same_isp,
             },
-            WireMessage::TrackerResponse { channel, peers } => Message::TrackerResponse {
+            Message::TrackerResponse { channel, peers } => Message::TrackerResponse {
                 channel,
-                peers: arena.intern(peers.iter().copied()),
+                peers: f(peers),
             },
-            WireMessage::Announce { channel } => Message::Announce { channel },
-            WireMessage::Handshake { channel } => Message::Handshake { channel },
-            WireMessage::HandshakeAck { channel, accepted } => {
+            Message::Announce { channel } => Message::Announce { channel },
+            Message::Handshake { channel } => Message::Handshake { channel },
+            Message::HandshakeAck { channel, accepted } => {
                 Message::HandshakeAck { channel, accepted }
             }
-            WireMessage::PeerListRequest {
+            Message::PeerListRequest {
                 channel,
                 my_peers,
                 req_id,
             } => Message::PeerListRequest {
                 channel,
-                my_peers: arena.intern(my_peers.iter().copied()),
+                my_peers: f(my_peers),
                 req_id,
             },
-            WireMessage::PeerListResponse {
+            Message::PeerListResponse {
                 channel,
                 peers,
                 req_id,
             } => Message::PeerListResponse {
                 channel,
-                peers: arena.intern(peers.iter().copied()),
+                peers: f(peers),
                 req_id,
             },
-            WireMessage::DataRequest {
+            Message::DataRequest {
                 channel,
                 chunk,
                 offset,
@@ -270,7 +79,7 @@ impl WireMessage {
                 count,
                 seq,
             },
-            WireMessage::DataReply {
+            Message::DataReply {
                 chunk,
                 offset,
                 count,
@@ -281,18 +90,35 @@ impl WireMessage {
                 count,
                 seq,
             },
-            WireMessage::DataReject { chunk, seq, busy } => {
-                Message::DataReject { chunk, seq, busy }
-            }
-            WireMessage::Goodbye => Message::Goodbye,
-            WireMessage::Timer(kind) => Message::Timer(kind),
+            Message::DataReject { chunk, seq, busy } => Message::DataReject { chunk, seq, busy },
+            Message::Goodbye => Message::Goodbye,
+            Message::Timer(kind) => Message::Timer(kind),
         }
+    }
+}
+
+impl Message {
+    /// Flattens this message into its `Send` wire form (arena-backed peer
+    /// lists become owned [`PeerList`]s).
+    #[must_use]
+    pub fn into_wire(self) -> WireMessage {
+        self.map_lists(|list| list.to_list())
+    }
+}
+
+impl WireMessage {
+    /// Rebuilds the in-simulation [`Message`], interning peer lists into the
+    /// receiving shard's `arena`.
+    #[must_use]
+    pub fn into_message(self, arena: &PeerListArena) -> Message {
+        self.map_lists(|list| arena.intern(list.iter().copied()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ChannelId, ChunkId, PeerEntry, TimerKind};
     use plsim_des::NodeId;
     use std::net::Ipv4Addr;
 
@@ -307,58 +133,92 @@ mod tests {
         assert_send::<WireMessage>();
     }
 
-    #[test]
-    fn peer_list_messages_round_trip_through_wire_form() {
-        let sender_arena = PeerListArena::new();
-        let receiver_arena = PeerListArena::new();
-        let peers = sender_arena.intern((0..25).map(entry));
-        let original = Message::TrackerResponse {
-            channel: ChannelId(3),
-            peers,
-        };
-        let size = original.wire_size();
-        let round_tripped = original.clone().into_wire().into_message(&receiver_arena);
-        assert_eq!(round_tripped, original);
-        assert_eq!(round_tripped.wire_size(), size);
-    }
-
-    #[test]
-    fn plain_messages_round_trip_unchanged() {
-        let arena = PeerListArena::new();
-        for msg in [
-            Message::BootstrapRequest,
-            Message::HandshakeAck {
-                channel: ChannelId(1),
+    /// The instance that follows `msg` in [`one_of_each`]. The match is
+    /// exhaustive, so a new variant does not compile until it has an arm
+    /// here; the arm before it in the list must return it.
+    fn next_instance(msg: &Message, arena: &PeerListArena) -> Option<Message> {
+        let channel = ChannelId(2);
+        Some(match msg {
+            Message::BootstrapRequest => Message::BootstrapResponse {
+                channels: vec![ChannelId(1), ChannelId(4)],
+            },
+            Message::BootstrapResponse { .. } => Message::JoinRequest { channel },
+            Message::JoinRequest { .. } => Message::JoinResponse {
+                channel,
+                trackers: vec![entry(900), entry(901)],
+            },
+            Message::JoinResponse { .. } => Message::TrackerQuery { channel },
+            Message::TrackerQuery { .. } => Message::TrackerQueryBiased {
+                channel,
+                want_same_isp: 60,
+            },
+            Message::TrackerQueryBiased { .. } => Message::TrackerResponse {
+                channel,
+                peers: arena.intern((0..25).map(entry)),
+            },
+            Message::TrackerResponse { .. } => Message::Announce { channel },
+            Message::Announce { .. } => Message::Handshake { channel },
+            Message::Handshake { .. } => Message::HandshakeAck {
+                channel,
                 accepted: true,
             },
-            Message::DataRequest {
-                channel: ChannelId(1),
+            Message::HandshakeAck { .. } => Message::PeerListRequest {
+                channel,
+                my_peers: arena.intern((0..60).map(entry)),
+                req_id: 7,
+            },
+            Message::PeerListRequest { .. } => Message::PeerListResponse {
+                channel,
+                peers: arena.intern((30..40).rev().map(entry)),
+                req_id: 7,
+            },
+            Message::PeerListResponse { .. } => Message::DataRequest {
+                channel,
                 chunk: ChunkId(9),
                 offset: 3,
                 count: 7,
                 seq: 41,
             },
-            Message::Goodbye,
-            Message::Timer(TimerKind::GossipRound),
-            Message::TrackerQueryBiased {
-                channel: ChannelId(2),
-                want_same_isp: 60,
+            Message::DataRequest { .. } => Message::DataReply {
+                chunk: ChunkId(9),
+                offset: 3,
+                count: 7,
+                seq: 41,
             },
-        ] {
-            assert_eq!(msg.clone().into_wire().into_message(&arena), msg);
-        }
+            Message::DataReply { .. } => Message::DataReject {
+                chunk: ChunkId(9),
+                seq: 42,
+                busy: true,
+            },
+            Message::DataReject { .. } => Message::Goodbye,
+            Message::Goodbye => Message::Timer(TimerKind::GossipRound),
+            Message::Timer(_) => return None,
+        })
+    }
+
+    /// One instance of every [`Message`] variant, peer lists interned in
+    /// `arena`.
+    fn one_of_each(arena: &PeerListArena) -> Vec<Message> {
+        std::iter::successors(Some(Message::BootstrapRequest), |m| next_instance(m, arena))
+            .collect()
     }
 
     #[test]
-    fn gossip_request_keeps_enclosed_list_through_wire_form() {
-        let arena = PeerListArena::new();
-        let my_peers = arena.intern((0..60).map(entry));
-        let msg = Message::PeerListRequest {
-            channel: ChannelId(2),
-            my_peers,
-            req_id: 7,
-        };
-        let back = msg.clone().into_wire().into_message(&arena);
-        assert_eq!(back, msg);
+    fn every_variant_round_trips_unchanged() {
+        let sender_arena = PeerListArena::new();
+        let receiver_arena = PeerListArena::new();
+        let all = one_of_each(&sender_arena);
+        let variants: std::collections::HashSet<_> =
+            all.iter().map(std::mem::discriminant).collect();
+        assert_eq!(variants.len(), all.len(), "a variant is listed twice");
+        for msg in all {
+            let size = msg.wire_size();
+            let back = msg.clone().into_wire().into_message(&receiver_arena);
+            assert_eq!(back, msg);
+            assert_eq!(back.wire_size(), size, "{msg:?}");
+        }
+        // Every list was re-interned on the receiving side and is gone
+        // with the messages.
+        assert_eq!(receiver_arena.live_blocks(), 0);
     }
 }
