@@ -68,8 +68,7 @@ pub use frontier::{
 };
 pub use plsim_net::LinkFault;
 pub use plsim_node::{
-    check_world, Fault, FaultPlan, InvariantReport, InvariantViolation, PlaybackSummary,
-    PolicySpec, SelectionPolicy,
+    check_world, Fault, FaultPlan, InvariantReport, InvariantViolation, PlaybackSummary, PolicySpec,
 };
 pub use plsim_telemetry::{GaugeValue, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use render::{pct, render_table, secs};

@@ -131,8 +131,6 @@ pub struct Scenario {
     pub day: Option<DayFactor>,
     /// Deterministic fault schedule (empty = fault-free baseline).
     pub faults: FaultPlan,
-    /// Fraction of viewers behind NATs (probes are always reachable).
-    pub nat_fraction: f64,
     /// Capture memory policy: optional resident-byte budget (spill past it)
     /// and optional capture-time aggregation window. Defaults to no
     /// budget and no aggregation; analysis output is bit-identical for
@@ -162,7 +160,6 @@ impl Scenario {
             link: LinkModel::default(),
             day: None,
             faults: FaultPlan::new(),
-            nat_fraction: 0.0,
             capture: CaptureConfig::default(),
             shards: None,
             shard_threads: None,
@@ -197,7 +194,6 @@ impl Scenario {
         cfg.policy = self.policy;
         cfg.link = self.link;
         cfg.faults = self.faults.clone();
-        cfg.nat_fraction = self.nat_fraction;
         cfg.capture = self.capture;
         cfg.probes = self.probes.iter().map(|p| p.spec()).collect();
         if let Some(shards) = self.shards {

@@ -474,12 +474,6 @@ impl Underlay {
     pub fn topology(&self) -> &Arc<Topology> {
         &self.topology
     }
-
-    /// The link model in force.
-    #[must_use]
-    pub fn link_model(&self) -> LinkModel {
-        self.link
-    }
 }
 
 impl<P> Medium<P> for Underlay {

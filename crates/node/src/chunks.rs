@@ -6,6 +6,7 @@
 //! order (chunk index, request sequence number), so each access is an
 //! index into a ring, never a hash or a tree walk.
 
+use crate::config::FULL_MASK;
 use plsim_des::{NodeId, SimTime};
 use std::collections::VecDeque;
 
@@ -37,10 +38,8 @@ use std::collections::VecDeque;
 ///
 /// The scheduler may therefore start at `scan_from(base)` instead of
 /// `base`: every chunk it skips has no sub-piece to request.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct ChunkBook {
-    /// The mask of a complete chunk.
-    full: u64,
     base: u64,
     masks: VecDeque<(u64, u64)>,
     floor: u64,
@@ -48,17 +47,6 @@ pub(crate) struct ChunkBook {
 }
 
 impl ChunkBook {
-    /// An empty book for chunks of which `full` is the complete mask.
-    pub(crate) fn new(full: u64) -> Self {
-        ChunkBook {
-            full,
-            base: 0,
-            masks: VecDeque::new(),
-            floor: 0,
-            frontier: 0,
-        }
-    }
-
     /// Position of `chunk` in `masks`, if it is at or above `base`.
     fn index(&self, chunk: u64) -> Option<usize> {
         usize::try_from(chunk.checked_sub(self.base)?).ok()
@@ -74,13 +62,13 @@ impl ChunkBook {
 
     /// Whether every sub-piece of `chunk` is held.
     pub(crate) fn is_full(&self, chunk: u64) -> bool {
-        self.get(chunk).0 == self.full
+        self.get(chunk).0 == FULL_MASK
     }
 
     /// The sub-pieces of `chunk` neither held nor in flight.
     pub(crate) fn need(&self, chunk: u64) -> u64 {
         let (have, inflight) = self.get(chunk);
-        self.full & !(have | inflight)
+        FULL_MASK & !(have | inflight)
     }
 
     /// The masks of `chunk`, growing the run to reach it.
@@ -160,7 +148,7 @@ impl ChunkBook {
         self.masks
             .iter()
             .skip(skip as usize)
-            .position(|&(have, _)| have == self.full)
+            .position(|&(have, _)| have == FULL_MASK)
             .map(|i| self.base + skip + i as u64)
     }
 
@@ -297,10 +285,18 @@ pub(crate) struct PendingGossip {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::CHUNK_SUBPIECES;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
-    const FULL: u64 = 7;
+    /// A 3-bit mask blown up to the chunk's sub-pieces, each bit standing
+    /// for a third of them, so that random masks fill a chunk often.
+    fn spread(bits: u64) -> u64 {
+        let third = FULL_MASK >> (2 * CHUNK_SUBPIECES / 3);
+        (0..3)
+            .filter(|i| bits >> i & 1 == 1)
+            .fold(0, |m, i| m | third << (i * CHUNK_SUBPIECES / 3))
+    }
 
     /// What the book must read like: a sparse `(have, inflight)` map.
     #[derive(Default)]
@@ -312,7 +308,7 @@ mod tests {
         }
         fn need(&self, c: u64) -> u64 {
             let (have, inflight) = self.get(c);
-            FULL & !(have | inflight)
+            FULL_MASK & !(have | inflight)
         }
         fn first_needy(&self, from: u64) -> u64 {
             (from..)
@@ -326,8 +322,8 @@ mod tests {
         /// under scheduler-shaped sequences: claim, hold, release, exact or
         /// short deliveries, trims, base moves (mostly forward), clears and
         /// scans that claim a random share of what each chunk needs. Masks
-        /// come from `0..8` with `FULL = 7` so claimed chunks actually
-        /// occur; keys straddle the run on both sides, so trims are
+        /// are `spread` from `0..8`, so claimed chunks actually occur; keys
+        /// straddle the run on both sides, so trims are
         /// followed by writes below `base` and writes across gaps.
         ///
         /// After every step, every chunk from the base to the scan start
@@ -337,32 +333,33 @@ mod tests {
         fn chunk_book_reads_like_a_sparse_map_and_never_skips_a_needy_chunk(
             ops in proptest::collection::vec((0u32..9, 0u64..48, 0u64..8, 0u64..8), 1..160),
         ) {
-            let mut book = ChunkBook::new(FULL);
+            let mut book = ChunkBook::default();
             let mut model = Oracle::default();
             let mut base = 1010;
             for (op, key, a, b) in ops {
                 let key = 1000 + key;
+                let (ma, mb) = (spread(a), spread(b));
                 match op {
                     0 => {
-                        book.claim(key, a);
-                        model.0.entry(key).or_default().1 |= a;
+                        book.claim(key, ma);
+                        model.0.entry(key).or_default().1 |= ma;
                     }
                     1 => {
-                        book.hold(key, a);
-                        model.0.entry(key).or_default().0 |= a;
+                        book.hold(key, ma);
+                        model.0.entry(key).or_default().0 |= ma;
                     }
                     2 => {
-                        book.release(key, a);
+                        book.release(key, ma);
                         if let Some(m) = model.0.get_mut(&key) {
-                            m.1 &= !a;
+                            m.1 &= !ma;
                         }
                     }
                     3 => {
                         // `b` odd: exact delivery; even: a short one.
-                        let got = if b % 2 == 1 { a } else { a & b };
-                        book.deliver(key, a, got);
+                        let got = if b % 2 == 1 { ma } else { ma & mb };
+                        book.deliver(key, ma, got);
                         if let Some(m) = model.0.get_mut(&key) {
-                            m.1 &= !a;
+                            m.1 &= !ma;
                         }
                         model.0.entry(key).or_default().0 |= got;
                     }
@@ -388,7 +385,7 @@ mod tests {
                         let start = book.scan_from(base);
                         for c in start..start + key % 8 {
                             let need = model.need(c);
-                            let take = if b == 0 { need & a } else { need };
+                            let take = if b == 0 { need & ma } else { need };
                             book.claim(c, take);
                             model.0.entry(c).or_default().1 |= take;
                             if need & !take != 0 {
@@ -401,7 +398,7 @@ mod tests {
                 // Every start below, inside and past the run.
                 for c in 990..1080 {
                     prop_assert_eq!(book.get(c), model.get(c), "chunk {}", c);
-                    let first = model.0.range(c..).find(|(_, m)| m.0 == FULL).map(|(&k, _)| k);
+                    let first = model.0.range(c..).find(|(_, m)| m.0 == FULL_MASK).map(|(&k, _)| k);
                     prop_assert_eq!(book.first_full_from(c), first, "from {}", c);
                 }
                 prop_assert_eq!(book.get(0), (0, 0));

@@ -1,7 +1,62 @@
-//! Peer behaviour configuration.
+//! Peer behaviour configuration: the four settings experiments vary
+//! ([`PeerConfig`]), and the PPLive protocol constants every peer shares.
+//!
+//! The constants are the ones reverse-engineered in §2 of the paper
+//! (20-second gossip, 5-minute tracker fallback, ≤60-entry lists,
+//! 1380-byte sub-pieces) plus the client's scheduling and buffering
+//! parameters, which no experiment varies.
 
 use plsim_des::SimTime;
 use serde::{Deserialize, Serialize};
+
+/// Gossip round period ("once every 20 seconds").
+pub const GOSSIP_INTERVAL: SimTime = SimTime::from_secs(20);
+/// Neighbors asked per gossip round.
+pub const GOSSIP_FANOUT: usize = 10;
+/// Chunk-scheduler tick.
+pub const SCHEDULER_INTERVAL: SimTime = SimTime::from_millis(250);
+/// Maintenance (timeout/eviction/stats-flush) tick.
+pub const MAINTENANCE_INTERVAL: SimTime = SimTime::from_secs(5);
+/// Data / gossip request timeout.
+pub const REQUEST_TIMEOUT: SimTime = SimTime::from_millis(2500);
+/// Handshake timeout.
+pub const HANDSHAKE_TIMEOUT: SimTime = SimTime::from_secs(4);
+/// Maximum data requests a viewer keeps in flight in total.
+pub const MAX_OUTSTANDING: usize = 24;
+/// Maximum data requests a viewer keeps in flight per neighbor.
+pub const PER_NEIGHBOR_OUTSTANDING: u32 = 8;
+/// Candidates contacted per received peer list.
+pub const CONNECT_BURST: usize = 5;
+/// Upper bound on the remembered-candidate pool.
+pub const CANDIDATE_POOL: usize = 300;
+/// Neighbor slots a viewer actively fills; the source fills three times
+/// as many.
+pub const MAX_NEIGHBORS: usize = 18;
+/// Inbound connections a viewer accepts beyond [`MAX_NEIGHBORS`]; the
+/// source accepts three times as many.
+pub const ACCEPT_SLACK: usize = 14;
+
+/// Sub-pieces per chunk (one chunk per second of video: 30 × 1380 B ≈
+/// 331 kbit/s).
+pub const CHUNK_SUBPIECES: u16 = 30;
+/// Bitmask with one bit per sub-piece of a full chunk (a chunk of 64 or
+/// more sub-pieces fails to compile here).
+pub const FULL_MASK: u64 = (1 << CHUNK_SUBPIECES) - 1;
+/// Sub-pieces requested per data request.
+pub const BATCH_SUBPIECES: u16 = 7;
+/// Chunks the source keeps available behind the live edge.
+pub const LIVE_WINDOW: u64 = 240;
+/// How many chunks ahead of the playhead a viewer tries to buffer.
+pub const BUFFER_TARGET: u64 = 12;
+/// Minimum complete chunks needed before playback starts.
+pub const STARTUP_CHUNKS: u64 = 4;
+/// Extra startup buffering sampled per viewer in `0..=STARTUP_JITTER`
+/// chunks. Viewers therefore play at different lags behind the live edge
+/// and hold different stream windows — the content-availability diversity
+/// that makes same-ISP supply scarce in small channels.
+pub const STARTUP_JITTER: u64 = 26;
+/// Chunks a viewer keeps behind its playhead for serving others.
+pub const SERVE_WINDOW: u64 = 45;
 
 /// How a peer turns candidate lists into connections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -27,135 +82,39 @@ pub enum DataSelection {
     Uniform,
 }
 
-/// Media-stream shape: one chunk per second of video, split into
-/// 1380-byte sub-pieces, pulled in batches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StreamParams {
-    /// Sub-pieces per chunk (35 × 1380 B ≈ 384 kbit/s video).
-    pub chunk_subpieces: u16,
-    /// Sub-pieces requested per data request.
-    pub batch_subpieces: u16,
-    /// Chunks the source keeps available behind the live edge.
-    pub live_window: u64,
-    /// How many chunks ahead of the playhead a viewer tries to buffer.
-    pub buffer_target: u64,
-    /// Minimum complete chunks needed before playback starts.
-    pub startup_chunks: u64,
-    /// Extra startup buffering sampled per peer in `0..=startup_jitter`
-    /// chunks. Viewers therefore play at different lags behind the live
-    /// edge and hold different stream windows — the content-availability
-    /// diversity that makes same-ISP supply scarce in small channels.
-    pub startup_jitter: u64,
-    /// Chunks a viewer keeps behind its playhead for serving others.
-    pub serve_window: u64,
-}
-
-impl Default for StreamParams {
-    fn default() -> Self {
-        StreamParams {
-            chunk_subpieces: 30,
-            batch_subpieces: 7,
-            live_window: 240,
-            buffer_target: 12,
-            startup_chunks: 4,
-            startup_jitter: 26,
-            serve_window: 45,
-        }
-    }
-}
-
-impl StreamParams {
-    /// Bitmask with one bit per sub-piece of a full chunk.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_subpieces` exceeds 64 (mask representation limit).
-    #[must_use]
-    pub fn full_mask(&self) -> u64 {
-        assert!(
-            self.chunk_subpieces <= 64,
-            "at most 64 sub-pieces per chunk"
-        );
-        if self.chunk_subpieces == 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.chunk_subpieces) - 1
-        }
-    }
-}
-
-/// Full behaviour knob set of a peer.
+/// The peer behaviour the ablations vary; everything else is a protocol
+/// constant of this module.
 ///
-/// Defaults reproduce the PPLive protocol constants reverse-engineered in
-/// §2 of the paper (20-second gossip, 5-minute tracker fallback, ≤60-entry
-/// lists, immediate connection on list receipt).
+/// Defaults reproduce the PPLive client: neighbor referral, immediate
+/// connection on list receipt and latency-weighted data scheduling.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PeerConfig {
-    /// Neighbor slots the peer actively fills.
-    pub max_neighbors: usize,
-    /// Extra inbound connections accepted beyond `max_neighbors`.
-    pub accept_slack: usize,
-    /// Gossip round period ("once every 20 seconds").
-    pub gossip_interval: SimTime,
-    /// Neighbors asked per gossip round.
-    pub gossip_fanout: usize,
-    /// Tracker query period while playback is not yet satisfactory.
-    pub tracker_interval_hungry: SimTime,
-    /// Tracker query period once satisfied ("once every five minutes").
-    pub tracker_interval_satisfied: SimTime,
-    /// Chunk-scheduler tick.
-    pub scheduler_interval: SimTime,
-    /// Maintenance (timeout/eviction/stats-flush) tick.
-    pub maintenance_interval: SimTime,
-    /// Data / gossip request timeout.
-    pub request_timeout: SimTime,
-    /// Handshake timeout.
-    pub handshake_timeout: SimTime,
-    /// Maximum data requests in flight in total.
-    pub max_outstanding: usize,
-    /// Maximum data requests in flight per neighbor.
-    pub per_neighbor_outstanding: usize,
-    /// Candidates contacted per received peer list.
-    pub connect_burst: usize,
-    /// Upper bound on the remembered-candidate pool.
-    pub candidate_pool: usize,
     /// Exponent applied to the response-time term of the scheduling weight
     /// (`weight = reliability / resp^latency_bias`); larger values chase
     /// fast neighbors harder. Ignored under [`DataSelection::Uniform`].
+    ///
+    /// A field rather than a constant on purpose: with the exponent known
+    /// at compile time the optimizer folds `powf(x, -1.0)` into `1.0 / x`,
+    /// which differs in the last bit for some `x` and so would move
+    /// neighbor weights and the random picks made from them.
     pub latency_bias: f64,
     /// Whether the peer gossips with neighbors (true = PPLive referral;
-    /// false = tracker-only BitTorrent-style baseline).
+    /// false = tracker-only BitTorrent-style baseline, which also polls
+    /// its trackers faster).
     pub referral: bool,
     /// Connection policy (see [`ConnectPolicy`]).
     pub connect_policy: ConnectPolicy,
     /// Data-scheduling policy (see [`DataSelection`]).
     pub data_selection: DataSelection,
-    /// Stream shape.
-    pub stream: StreamParams,
 }
 
 impl Default for PeerConfig {
     fn default() -> Self {
         PeerConfig {
-            max_neighbors: 18,
-            accept_slack: 14,
-            gossip_interval: SimTime::from_secs(20),
-            gossip_fanout: 10,
-            tracker_interval_hungry: SimTime::from_secs(40),
-            tracker_interval_satisfied: SimTime::from_secs(300),
-            scheduler_interval: SimTime::from_millis(250),
-            maintenance_interval: SimTime::from_secs(5),
-            request_timeout: SimTime::from_millis(2500),
-            handshake_timeout: SimTime::from_secs(4),
-            max_outstanding: 24,
-            per_neighbor_outstanding: 8,
-            connect_burst: 5,
-            candidate_pool: 300,
             latency_bias: 1.0,
             referral: true,
             connect_policy: ConnectPolicy::Immediate,
             data_selection: DataSelection::LatencyWeighted,
-            stream: StreamParams::default(),
         }
     }
 }
@@ -170,10 +129,20 @@ impl PeerConfig {
             referral: false,
             connect_policy: ConnectPolicy::DelayedRandom,
             data_selection: DataSelection::Uniform,
-            tracker_interval_hungry: SimTime::from_secs(30),
-            tracker_interval_satisfied: SimTime::from_secs(60),
             ..PeerConfig::default()
         }
+    }
+
+    /// Tracker query period while playback is not yet satisfactory: 40 s,
+    /// or 30 s for a peer whose tracker is its only peer source.
+    pub(crate) fn tracker_interval_hungry(&self) -> SimTime {
+        SimTime::from_secs(if self.referral { 40 } else { 30 })
+    }
+
+    /// Tracker query period once satisfied ("once every five minutes"), or
+    /// 60 s for a peer whose tracker is its only peer source.
+    pub(crate) fn tracker_interval_satisfied(&self) -> SimTime {
+        SimTime::from_secs(if self.referral { 300 } else { 60 })
     }
 }
 
@@ -184,34 +153,16 @@ mod tests {
     #[test]
     fn default_matches_paper_constants() {
         let cfg = PeerConfig::default();
-        assert_eq!(cfg.gossip_interval, SimTime::from_secs(20));
-        assert_eq!(cfg.tracker_interval_satisfied, SimTime::from_secs(300));
+        assert_eq!(GOSSIP_INTERVAL, SimTime::from_secs(20));
+        assert_eq!(cfg.tracker_interval_satisfied(), SimTime::from_secs(300));
         assert!(cfg.referral);
         assert_eq!(cfg.connect_policy, ConnectPolicy::Immediate);
     }
 
     #[test]
     fn full_mask_has_one_bit_per_subpiece() {
-        let s = StreamParams {
-            chunk_subpieces: 35,
-            ..StreamParams::default()
-        };
-        assert_eq!(s.full_mask().count_ones(), 35);
-        let s64 = StreamParams {
-            chunk_subpieces: 64,
-            ..StreamParams::default()
-        };
-        assert_eq!(s64.full_mask(), u64::MAX);
-    }
-
-    #[test]
-    #[should_panic(expected = "64")]
-    fn oversized_chunk_rejected() {
-        let s = StreamParams {
-            chunk_subpieces: 65,
-            ..StreamParams::default()
-        };
-        let _ = s.full_mask();
+        assert_eq!(FULL_MASK.count_ones(), u32::from(CHUNK_SUBPIECES));
+        assert_eq!(FULL_MASK.trailing_ones(), u32::from(CHUNK_SUBPIECES));
     }
 
     #[test]
@@ -220,5 +171,7 @@ mod tests {
         assert!(!cfg.referral);
         assert_eq!(cfg.data_selection, DataSelection::Uniform);
         assert_eq!(cfg.connect_policy, ConnectPolicy::DelayedRandom);
+        assert_eq!(cfg.tracker_interval_hungry(), SimTime::from_secs(30));
+        assert_eq!(cfg.tracker_interval_satisfied(), SimTime::from_secs(60));
     }
 }

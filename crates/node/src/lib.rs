@@ -16,8 +16,10 @@
 //! Under the default [`PolicySpec::GossipRace`] selection policy peers
 //! never see topology information; locality *emerges* from timing, as the
 //! paper claims. The [`policy`] module adds engineered-locality strategies
-//! (quota-biased, RTT-gated, ISP-managed) behind the [`SelectionPolicy`]
-//! trait for the transit-savings frontier studies. The [`World`] builder
+//! (quota-biased, RTT-gated, ISP-managed) as further [`PolicySpec`]
+//! variants for the transit-savings frontier studies; the [`config`]
+//! module holds the four peer settings the ablations vary and the protocol
+//! constants every peer shares. The [`World`] builder
 //! assembles a full scenario (topology + infrastructure + population +
 //! probes + capture) and runs it.
 //!
@@ -47,7 +49,7 @@
 
 mod bootstrap;
 mod chunks;
-mod config;
+pub mod config;
 mod det;
 mod fault;
 mod invariants;
@@ -61,14 +63,14 @@ mod tracker;
 mod world;
 
 pub use bootstrap::BootstrapServer;
-pub use config::{ConnectPolicy, DataSelection, PeerConfig, StreamParams};
+pub use config::{ConnectPolicy, DataSelection, PeerConfig};
 pub use det::{DetHashMap, Fnv1a};
 pub use fault::{Fault, FaultBoundary, FaultPlan};
 pub use invariants::{check_world, InvariantReport, InvariantViolation};
 pub use outbox::ShardExchange;
 pub use peer::{PeerNode, Role};
 pub use plsim_capture::{CaptureAggregates, CaptureConfig};
-pub use policy::{CandidateLink, PolicySpec, SelectionPolicy};
+pub use policy::{CandidateLink, PolicySpec};
 pub use shard::{partition_preview, PartitionReport};
 pub use stats::{PeerStats, PlaybackSummary, StatsSink};
 pub use tracker::TrackerServer;

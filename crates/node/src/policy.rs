@@ -1,33 +1,33 @@
-//! Pluggable neighbor-selection policies: the locality laboratory.
+//! Neighbor-selection policies: the locality laboratory.
 //!
 //! The paper's deployed system selects neighbors with a topology-blind
 //! gossip race and lets locality *emerge* from timing. The follow-on
 //! literature ("Pushing BitTorrent Locality to the Limit", "Deep Diving
 //! into BitTorrent Locality") instead *engineers* locality and charts the
-//! transit-savings vs quality-of-experience frontier. This module turns the
-//! single hard-coded behaviour into a [`SelectionPolicy`] trait so both
-//! regimes — and the frontier between them — run in one simulator.
+//! transit-savings vs quality-of-experience frontier. [`PolicySpec`] names
+//! each regime, and its hooks ([`admits`](PolicySpec::admits),
+//! [`wants_isp_hint`](PolicySpec::wants_isp_hint),
+//! [`adapt_config`](PolicySpec::adapt_config)) are what a peer runs, so
+//! both regimes — and the frontier between them — run in one simulator.
 //!
 //! Determinism contract: every hook is a **pure function** of its inputs —
 //! no RNG, no interior state, no clocks. Policies therefore never perturb
 //! the per-actor random streams, which keeps every policy bit-identical
 //! across sequential, `JobPool` and sharded execution, and keeps the
-//! default [`GossipRace`] policy bit-identical to the pre-policy code path
-//! (its hooks are the trait's admit-everything defaults).
+//! default [`PolicySpec::GossipRace`] bit-identical to the pre-policy code
+//! path (it admits everyone and changes nothing).
 
-use crate::config::{ConnectPolicy, DataSelection, PeerConfig};
+use crate::config::PeerConfig;
 use plsim_des::SimTime;
 use serde::{Deserialize, Serialize};
-use std::fmt::Debug;
-use std::sync::Arc;
 
 /// Below this many connected neighbors an admission-gating policy accepts
 /// anyone: a starving peer must not refuse the only partners it can find.
 const STARVATION_FLOOR: usize = 4;
 
-/// A serializable, copyable description of a selection policy — the form
-/// that travels through [`crate::WorldConfig`] and across shard threads.
-/// [`PolicySpec::build`] turns it into the behaviour object.
+/// A neighbor-selection policy: serializable and copyable, so the same
+/// value travels through [`crate::WorldConfig`], across shard threads and
+/// into every peer.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PolicySpec {
     /// The paper's deployed behaviour: topology-blind gossip race. The
@@ -40,22 +40,29 @@ pub enum PolicySpec {
     TrackerOnly,
     /// Engineered locality: at most `cross_isp_quota` connected neighbors
     /// outside the peer's own ISP ("Pushing BitTorrent Locality to the
-    /// Limit"). `usize::MAX` disables the gate — behaviourally identical
-    /// to [`PolicySpec::GossipRace`], the frontier's no-bias anchor.
+    /// Limit"). Same-ISP candidates are always admitted. The quota counts
+    /// *connected* neighbors, so a candidate learned from both a tracker
+    /// reply and a gossip payload consumes one slot, not two. `usize::MAX`
+    /// disables the gate — behaviourally identical to
+    /// [`PolicySpec::GossipRace`], the frontier's no-bias anchor.
     BiasedLocality {
         /// Maximum simultaneous cross-ISP neighbors per peer.
         cross_isp_quota: usize,
     },
     /// Delay-based locality: refuse neighbors whose base RTT exceeds
-    /// `cutoff` (unless starving). A decentralized proxy for ISP
-    /// boundaries that needs no oracle.
+    /// `cutoff`, unless the peer is starving (below four neighbors it takes
+    /// what it can get — a viewer with an empty table must not refuse
+    /// bootstrap help). A decentralized proxy for ISP boundaries that needs
+    /// no oracle.
     RttThreshold {
         /// Maximum acceptable base RTT to a new neighbor.
         cutoff: SimTime,
     },
     /// ISP-managed locality ("Deep Diving into BitTorrent Locality"): the
     /// tracker — which the ISP operates or fronts — serves same-ISP
-    /// members first; clients stay unmodified and topology-blind.
+    /// members first; clients stay unmodified and topology-blind. Locality
+    /// is injected at the membership database, exactly where the paper
+    /// puts the oracle.
     DeepDivingOracle,
 }
 
@@ -80,18 +87,39 @@ impl PolicySpec {
         }
     }
 
-    /// Instantiates the behaviour object this spec describes.
+    /// Rewrites the peer configuration before the world is built:
+    /// [`PolicySpec::TrackerOnly`] runs the tracker-only baseline (keeping
+    /// the caller's `latency_bias`); every other policy keeps `cfg`.
     #[must_use]
-    pub fn build(&self) -> Arc<dyn SelectionPolicy> {
-        match *self {
-            PolicySpec::GossipRace => Arc::new(GossipRace),
-            PolicySpec::TrackerOnly => Arc::new(TrackerOnly),
-            PolicySpec::BiasedLocality { cross_isp_quota } => {
-                Arc::new(BiasedLocality { cross_isp_quota })
-            }
-            PolicySpec::RttThreshold { cutoff } => Arc::new(RttThreshold { cutoff }),
-            PolicySpec::DeepDivingOracle => Arc::new(DeepDivingOracle),
+    pub fn adapt_config(&self, cfg: PeerConfig) -> PeerConfig {
+        match self {
+            PolicySpec::TrackerOnly => PeerConfig {
+                latency_bias: cfg.latency_bias,
+                ..PeerConfig::tracker_only_baseline()
+            },
+            _ => cfg,
         }
+    }
+
+    /// Whether the peer may connect to / accept this candidate. Only the
+    /// quota and RTT policies gate; every other policy admits everyone.
+    #[must_use]
+    pub fn admits(&self, link: &CandidateLink) -> bool {
+        match *self {
+            PolicySpec::BiasedLocality { cross_isp_quota } => {
+                link.same_isp || link.cross_isp_neighbors < cross_isp_quota
+            }
+            PolicySpec::RttThreshold { cutoff } => {
+                link.base_rtt <= cutoff || link.neighbors < STARVATION_FLOOR
+            }
+            PolicySpec::GossipRace | PolicySpec::TrackerOnly | PolicySpec::DeepDivingOracle => true,
+        }
+    }
+
+    /// Whether the peer asks trackers for ISP-biased samples.
+    #[must_use]
+    pub fn wants_isp_hint(&self) -> bool {
+        *self == PolicySpec::DeepDivingOracle
     }
 }
 
@@ -110,125 +138,6 @@ pub struct CandidateLink {
     pub neighbors: usize,
 }
 
-/// A neighbor-selection strategy. All hooks are pure (no RNG, no
-/// mutation), so policies never perturb actor random streams and every
-/// policy is deterministic under sharded and pooled execution. The
-/// defaults encode [`GossipRace`]: admit everyone, change nothing.
-pub trait SelectionPolicy: Debug + Send + Sync {
-    /// Short identifier for logs and metrics.
-    fn name(&self) -> &'static str;
-
-    /// Rewrites the peer configuration before the world is built (e.g.
-    /// [`TrackerOnly`] disables referral). Identity by default.
-    fn adapt_config(&self, cfg: PeerConfig) -> PeerConfig {
-        cfg
-    }
-
-    /// Whether the peer may connect to / accept this candidate. `true` by
-    /// default (the emergent-locality race admits everyone).
-    fn admits(&self, link: &CandidateLink) -> bool {
-        let _ = link;
-        true
-    }
-
-    /// Whether the peer should ask trackers for ISP-biased samples
-    /// ([`DeepDivingOracle`]). `false` by default.
-    fn wants_isp_hint(&self) -> bool {
-        false
-    }
-}
-
-/// The paper's behaviour: topology-blind, timing-driven. All trait
-/// defaults — the peer executes the identical pre-policy code path.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GossipRace;
-
-impl SelectionPolicy for GossipRace {
-    fn name(&self) -> &'static str {
-        "gossip_race"
-    }
-}
-
-/// Tracker-driven swarm: no referral gossip, delayed-random connects,
-/// uniform chunk scheduling. Mirrors [`PeerConfig::tracker_only_baseline`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TrackerOnly;
-
-impl SelectionPolicy for TrackerOnly {
-    fn name(&self) -> &'static str {
-        "tracker_only"
-    }
-
-    fn adapt_config(&self, cfg: PeerConfig) -> PeerConfig {
-        PeerConfig {
-            referral: false,
-            connect_policy: ConnectPolicy::DelayedRandom,
-            data_selection: DataSelection::Uniform,
-            tracker_interval_hungry: SimTime::from_secs(30),
-            tracker_interval_satisfied: SimTime::from_secs(60),
-            ..cfg
-        }
-    }
-}
-
-/// Quota-capped cross-ISP admission. Same-ISP candidates are always
-/// admitted; a cross-ISP candidate only while the peer holds fewer than
-/// `cross_isp_quota` cross-ISP neighbors. The quota counts *connected*
-/// neighbors, so a candidate learned from both a tracker reply and a
-/// gossip payload consumes one slot, not two.
-#[derive(Debug, Clone, Copy)]
-pub struct BiasedLocality {
-    /// Maximum simultaneous cross-ISP neighbors.
-    pub cross_isp_quota: usize,
-}
-
-impl SelectionPolicy for BiasedLocality {
-    fn name(&self) -> &'static str {
-        "biased_locality"
-    }
-
-    fn admits(&self, link: &CandidateLink) -> bool {
-        link.same_isp || link.cross_isp_neighbors < self.cross_isp_quota
-    }
-}
-
-/// Delay-based admission: refuse links slower than `cutoff`, unless the
-/// peer is starving (below `STARVATION_FLOOR`, four neighbors, it takes
-/// what it can get — a viewer with an empty table must not refuse bootstrap
-/// help).
-#[derive(Debug, Clone, Copy)]
-pub struct RttThreshold {
-    /// Maximum acceptable base RTT.
-    pub cutoff: SimTime,
-}
-
-impl SelectionPolicy for RttThreshold {
-    fn name(&self) -> &'static str {
-        "rtt_threshold"
-    }
-
-    fn admits(&self, link: &CandidateLink) -> bool {
-        link.base_rtt <= self.cutoff || link.neighbors < STARVATION_FLOOR
-    }
-}
-
-/// ISP-managed locality: clients stay unmodified (all admission defaults)
-/// but request ISP-biased tracker samples; the tracker serves same-ISP
-/// members first. Locality is injected at the membership database, exactly
-/// where "Deep Diving into BitTorrent Locality" puts the oracle.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DeepDivingOracle;
-
-impl SelectionPolicy for DeepDivingOracle {
-    fn name(&self) -> &'static str {
-        "deep_diving"
-    }
-
-    fn wants_isp_hint(&self) -> bool {
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,7 +153,7 @@ mod tests {
 
     #[test]
     fn gossip_race_admits_everything() {
-        let p = PolicySpec::GossipRace.build();
+        let p = PolicySpec::GossipRace;
         assert!(p.admits(&link(false, 400, 100, 100)));
         assert!(!p.wants_isp_hint());
         let cfg = PeerConfig::default();
@@ -253,13 +162,13 @@ mod tests {
 
     #[test]
     fn biased_locality_enforces_quota_but_not_same_isp() {
-        let p = BiasedLocality { cross_isp_quota: 2 };
+        let p = PolicySpec::BiasedLocality { cross_isp_quota: 2 };
         assert!(p.admits(&link(false, 250, 1, 10)));
         assert!(!p.admits(&link(false, 250, 2, 10)));
         // Same-ISP candidates never count against the quota.
         assert!(p.admits(&link(true, 30, 2, 10)));
         // An unlimited quota admits everything — the no-bias anchor.
-        let unlimited = BiasedLocality {
+        let unlimited = PolicySpec::BiasedLocality {
             cross_isp_quota: usize::MAX,
         };
         assert!(unlimited.admits(&link(false, 250, usize::MAX - 1, 10)));
@@ -267,7 +176,7 @@ mod tests {
 
     #[test]
     fn rtt_threshold_gates_slow_links_unless_starving() {
-        let p = RttThreshold {
+        let p = PolicySpec::RttThreshold {
             cutoff: SimTime::from_millis(100),
         };
         assert!(p.admits(&link(false, 100, 0, 10)));
@@ -277,16 +186,25 @@ mod tests {
     }
 
     #[test]
-    fn tracker_only_rewrites_config() {
-        let cfg = TrackerOnly.adapt_config(PeerConfig::default());
-        assert!(!cfg.referral);
-        assert_eq!(cfg.connect_policy, ConnectPolicy::DelayedRandom);
-        assert_eq!(cfg.data_selection, DataSelection::Uniform);
+    fn tracker_only_runs_the_baseline_with_the_callers_bias() {
+        let cfg = PeerConfig {
+            latency_bias: 2.5,
+            ..PeerConfig::default()
+        };
+        let adapted = PolicySpec::TrackerOnly.adapt_config(cfg);
+        assert_eq!(
+            adapted,
+            PeerConfig {
+                latency_bias: 2.5,
+                ..PeerConfig::tracker_only_baseline()
+            }
+        );
+        assert!(PolicySpec::TrackerOnly.admits(&link(false, 400, 50, 50)));
     }
 
     #[test]
     fn deep_diving_wants_hint_only() {
-        let p = DeepDivingOracle;
+        let p = PolicySpec::DeepDivingOracle;
         assert!(p.wants_isp_hint());
         assert!(p.admits(&link(false, 400, 50, 50)));
         let cfg = PeerConfig::default();

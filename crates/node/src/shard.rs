@@ -68,9 +68,7 @@
 //! Fault timelines fire for real on shard 0 only (so fault counters and
 //! capture markers fire once); the other shards mirror them as *shadow
 //! faults* applied to their media at the same points of the global pop
-//! order. `Context::halt` is not supported in sharded worlds (a halt is
-//! local to the shard that requested it) and panics with the shard id; no
-//! node behaviour uses it.
+//! order.
 
 use crate::outbox::ShardExchange;
 use crate::world::{materialize, ShardRole, WorldConfig, WorldLayout, WorldOutput};

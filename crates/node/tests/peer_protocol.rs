@@ -3,7 +3,8 @@
 
 use plsim_des::{Actor, Context, NodeId, SimTime, Simulation};
 use plsim_net::{BandwidthClass, Isp, LinkModel, TopologyBuilder, Underlay};
-use plsim_node::{PeerConfig, PeerNode, StatsSink};
+use plsim_node::config::{CHUNK_SUBPIECES, LIVE_WINDOW, MAINTENANCE_INTERVAL};
+use plsim_node::{PeerConfig, PeerNode, PolicySpec, StatsSink};
 use plsim_proto::{ChannelId, ChunkId, Message, PeerEntry, SharedPeerList, TimerKind};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -49,6 +50,7 @@ fn world() -> TestWorld {
     let sink = StatsSink::new();
     let source = PeerNode::source(
         PeerConfig::default(),
+        PolicySpec::GossipRace,
         ChannelId(1),
         PeerEntry::new(source_id, topology.host(source_id).ip),
         Vec::new(),
@@ -177,11 +179,10 @@ fn malformed_data_requests_are_rejected_without_serving() {
     // range can be what is refused.
     let mut w = world();
     w.sim.run_until(SimTime::from_secs(31));
-    let subpieces = PeerConfig::default().stream.chunk_subpieces;
     let hostile = [
         (0, 0),
-        (0, subpieces + 1),
-        (subpieces - 1, 2),
+        (0, CHUNK_SUBPIECES + 1),
+        (CHUNK_SUBPIECES - 1, 2),
         (0, 128),
         (0, 200),
         (64, 1),
@@ -234,10 +235,10 @@ fn malformed_data_replies_are_ignored_and_the_request_times_out() {
     let topology = Arc::new(topo.build());
     let mut sim: Simulation<Message> =
         Simulation::new(11, Underlay::new(Arc::clone(&topology), LinkModel::ideal()));
-    let cfg = PeerConfig::default();
     let sink = StatsSink::new();
     let viewer = PeerNode::viewer(
-        cfg,
+        PeerConfig::default(),
+        PolicySpec::GossipRace,
         ChannelId(1),
         PeerEntry::new(viewer_id, topology.host(viewer_id).ip),
         collector_id,
@@ -297,7 +298,7 @@ fn malformed_data_replies_are_ignored_and_the_request_times_out() {
         (chunk, 0, 200),
         (chunk, 64, 1),
         (chunk, 70, 5),
-        (chunk, cfg.stream.chunk_subpieces - 1, 2),
+        (chunk, CHUNK_SUBPIECES - 1, 2),
         (chunk, offset, 0),
         (chunk + 1_000_000_000_000, offset, count),
     ] {
@@ -335,7 +336,7 @@ fn malformed_data_replies_are_ignored_and_the_request_times_out() {
         sim.run_until(now);
     }
     // Let the last answers land and a maintenance round publish the stats.
-    sim.run_until(now + cfg.maintenance_interval + at(1));
+    sim.run_until(now + MAINTENANCE_INTERVAL + at(1));
 
     // The ignored replies left the first request to time out, so its range
     // was asked for again under a newer seq; only well-formed replies count.
@@ -356,9 +357,8 @@ fn malformed_data_replies_are_ignored_and_the_request_times_out() {
 #[test]
 fn source_evicts_chunks_behind_the_live_window() {
     let mut w = world();
-    let live_window = PeerConfig::default().stream.live_window;
     // Run long enough that chunk 5 has fallen out of the live window.
-    let horizon = live_window + 60;
+    let horizon = LIVE_WINDOW + 60;
     w.sim.run_until(SimTime::from_secs(horizon));
     let msg = Message::DataRequest {
         channel: ChannelId(1),
@@ -398,6 +398,7 @@ fn nat_peer_ignores_unsolicited_handshake() {
 
     let nat_peer = PeerNode::viewer(
         PeerConfig::default(),
+        PolicySpec::GossipRace,
         ChannelId(1),
         PeerEntry::new(nat_id, topology.host(nat_id).ip),
         // A dedicated (never-answering) bootstrap node, distinct from the

@@ -50,9 +50,6 @@ use std::net::Ipv4Addr;
 /// 690 bytes each").
 pub const SUB_PIECE_BYTES: u32 = 1380;
 
-/// Size of the small sub-piece variant in bytes.
-pub const SMALL_SUB_PIECE_BYTES: u32 = 690;
-
 /// Approximate UDP/IP + application framing overhead per message, in bytes.
 pub const HEADER_BYTES: u32 = 46;
 
