@@ -10,16 +10,22 @@
 //! `#[ignore]`d test regenerates the full 28-day
 //! `studies/fig6_tiny_output.txt` (56 sessions — run it with
 //! `cargo test --release -- --ignored` when touching the protocol path).
+//! `probe_reports_are_pinned` pins the analysis layer on top of the gossip
+//! race's run: each probe's whole `ProbeReport`, as a digest of its
+//! `Debug` rendering, beside the overlay, contribution and response-time
+//! fields no other test reads.
 //!
 //! Nothing here depends on the process environment: `Scenario::new` is a
 //! pure function of its arguments and defaults to the gossip race.
 
-use plsim_node::PeerConfig;
+use plsim_analysis::ProbeReport;
+use plsim_node::{Fnv1a, PeerConfig};
 use plsim_workload::ChannelClass;
 use pplive_locality::{
     ablation_variants, fig_6, frontier_policies, pct, JobPool, PolicySpec, ProbeSite, Scale,
     Scenario, ScenarioRun,
 };
+use std::hash::Hasher;
 
 const FIG6_GOLDEN: &str = include_str!("../studies/fig6_tiny_output.txt");
 
@@ -171,3 +177,80 @@ fn tracker_only_policy_equals_tracker_only_config() {
     assert_eq!(a.sim, b.sim);
     assert!(a.records == b.records, "captures differ");
 }
+
+/// What one probe's [`ProbeReport`] is pinned by: an FNV-1a digest of its
+/// whole `Debug` rendering (every field, every f64 to its last bit), and
+/// beside it the fields no other golden reads — the overlay's size,
+/// triangles, clustering and assortativity (as bits), the number of
+/// connected peers in the contribution analysis, and the peer-list and
+/// data response-time sample counts.
+#[derive(Debug, PartialEq)]
+struct ReportPin {
+    site: ProbeSite,
+    digest: u64,
+    nodes: usize,
+    edges: usize,
+    triangles: u64,
+    clustering_bits: u64,
+    assortativity_bits: u64,
+    contribution_peers: usize,
+    peer_list_samples: usize,
+    data_samples: usize,
+}
+
+fn report_pin(site: ProbeSite, report: &ProbeReport) -> ReportPin {
+    let mut hasher = Fnv1a::default();
+    hasher.write(format!("{report:?}").as_bytes());
+    ReportPin {
+        site,
+        digest: hasher.finish(),
+        nodes: report.overlay.nodes,
+        edges: report.overlay.edges,
+        triangles: report.overlay.triangles,
+        clustering_bits: report.overlay.clustering_coefficient.to_bits(),
+        assortativity_bits: report.overlay.isp_assortativity.to_bits(),
+        contribution_peers: report.contributions.peers.len(),
+        peer_list_samples: report.peer_list_rt.samples.len(),
+        data_samples: report.data_rt.samples.len(),
+    }
+}
+
+#[test]
+fn probe_reports_are_pinned() {
+    // The analysis layer's own golden: the canonical Tiny popular session
+    // (seed 7) as all three probes' reports see it. A change to how the
+    // folds key, match or order what they accumulate shows up here even
+    // when the simulation above it is untouched.
+    let run = tiny_popular().run();
+    let got: Vec<ReportPin> = run
+        .reports
+        .iter()
+        .map(|(site, report)| report_pin(*site, report))
+        .collect();
+    assert_eq!(got, REPORT_PINS);
+}
+
+/// The pins of [`probe_reports_are_pinned`], in probe order. Clustering
+/// reads 0.346248 / 0.382002 / 0.380122 and assortativity 0.184475 /
+/// 0.189880 / 0.155461 (TELE / CNC / Mason).
+#[rustfmt::skip]
+const REPORT_PINS: [ReportPin; 3] = [
+    ReportPin {
+        site: ProbeSite::Tele, digest: 0x9f0c_aaaa_2833_0f5f,
+        nodes: 80, edges: 682, triangles: 1_356,
+        clustering_bits: 0x3fd6_28ee_6492_7387, assortativity_bits: 0x3fc7_9ce2_3d28_881d,
+        contribution_peers: 22, peer_list_samples: 139, data_samples: 1_212,
+    },
+    ReportPin {
+        site: ProbeSite::Cnc, digest: 0xdddf_055d_eb34_1297,
+        nodes: 81, edges: 682, triangles: 1_529,
+        clustering_bits: 0x3fd8_72b6_a365_be6c, assortativity_bits: 0x3fc8_4df9_412d_e0a3,
+        contribution_peers: 26, peer_list_samples: 141, data_samples: 1_200,
+    },
+    ReportPin {
+        site: ProbeSite::Mason, digest: 0xe7d6_a7b8_7287_3c69,
+        nodes: 80, edges: 785, triangles: 1_982,
+        clustering_bits: 0x3fd8_53eb_c964_f206, assortativity_bits: 0x3fc3_e625_c712_8a65,
+        contribution_peers: 21, peer_list_samples: 149, data_samples: 1_198,
+    },
+];
