@@ -4,13 +4,12 @@
 use crate::fold::{fold_records, RecordFold};
 use crate::PerIsp;
 use plsim_capture::{Direction, KindRef, RecordRef};
-use plsim_des::{NodeId, SimTime};
+use plsim_des::{DetHashMap, DetHashSet, NodeId, SimTime};
 use plsim_net::{AsnDirectory, Isp};
 use plsim_stats::{
     log_log_correlation, stretched_exp_fit, top_share, zipf_fit, StretchedExpFit, ZipfFit,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// Everything measured about one peer the probe exchanged data with.
@@ -101,13 +100,15 @@ struct PeerAcc {
 
 /// Streaming fold behind [`contribution_analysis`]: state is O(peers
 /// exchanged with + outstanding requests + unique listed addresses) — the
-/// analysis' own output size, never the record count.
+/// analysis' own output size, never the record count. Its maps are only
+/// probed, never walked in a way the output can see (`finish` sorts the
+/// peers totally), and hash with the deterministic FNV-1a.
 #[derive(Debug)]
 pub struct ContributionFold<'d> {
     dir: &'d AsnDirectory,
-    acc: HashMap<NodeId, PeerAcc>,
-    pending: HashMap<u64, (NodeId, SimTime)>,
-    listed: std::collections::HashSet<Ipv4Addr>,
+    acc: DetHashMap<NodeId, PeerAcc>,
+    pending: DetHashMap<u64, (NodeId, SimTime)>,
+    listed: DetHashSet<Ipv4Addr>,
 }
 
 impl<'d> ContributionFold<'d> {
@@ -116,9 +117,9 @@ impl<'d> ContributionFold<'d> {
     pub fn new(dir: &'d AsnDirectory) -> Self {
         ContributionFold {
             dir,
-            acc: HashMap::new(),
-            pending: HashMap::new(),
-            listed: std::collections::HashSet::new(),
+            acc: DetHashMap::default(),
+            pending: DetHashMap::default(),
+            listed: DetHashSet::default(),
         }
     }
 }

@@ -9,10 +9,9 @@
 use crate::fold::{fold_records, RecordFold};
 use crate::PerGroup;
 use plsim_capture::{Direction, KindRef, RecordRef, RemoteKind};
-use plsim_des::SimTime;
+use plsim_des::{DetHashMap, SimTime};
 use plsim_net::{AsnDirectory, IspGroup};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// One matched request/response pair.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -100,12 +99,13 @@ enum RtMode {
 }
 
 /// Shared request/response matcher: the streaming core of both response
-/// time analyses. State is O(outstanding requests), not O(records).
+/// time analyses. State is O(outstanding requests), not O(records), in a
+/// deterministic FNV-1a map that is only probed, never walked.
 #[derive(Debug)]
 struct RtMatcher<'d> {
     mode: RtMode,
     dir: &'d AsnDirectory,
-    pending: HashMap<u64, SimTime>,
+    pending: DetHashMap<u64, SimTime>,
 }
 
 impl<'d> RtMatcher<'d> {
@@ -113,7 +113,7 @@ impl<'d> RtMatcher<'d> {
         RtMatcher {
             mode,
             dir,
-            pending: HashMap::new(),
+            pending: DetHashMap::default(),
         }
     }
 

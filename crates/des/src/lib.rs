@@ -10,7 +10,9 @@
 //! * [`Medium`] — the pluggable network model (propagation + serialization +
 //!   loss), implemented by `plsim-net`;
 //! * [`Monitor`] — a traffic tap, implemented by `plsim-capture` to play the
-//!   role Wireshark played in the original measurement study.
+//!   role Wireshark played in the original measurement study;
+//! * [`DetHashMap`] / [`DetHashSet`] — FNV-1a-hashed containers whose
+//!   order is the same in every run, for every layer above.
 //!
 //! Two properties matter for the reproduction and are enforced by tests:
 //! events are delivered in non-decreasing time order with deterministic
@@ -52,9 +54,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
+mod det;
 mod sched;
 mod sim;
 mod time;
+
+pub use det::{DetHashMap, DetHashSet, Fnv1a};
 
 pub use sched::{CalendarScheduler, EventKey, HeapScheduler, Scheduler, SchedulerKind};
 pub use sim::{

@@ -250,6 +250,19 @@ const PREFIX_PLAN: &[(u8, AsnRecord)] = &[
     ),
 ];
 
+/// [`PREFIX_PLAN`] indexed by first octet, built at compile time: a lookup
+/// is one load, whatever the plan's length.
+static BY_FIRST_OCTET: [Option<AsnRecord>; 256] = {
+    let mut table = [None; 256];
+    let mut i = 0;
+    while i < PREFIX_PLAN.len() {
+        let (octet, rec) = PREFIX_PLAN[i];
+        table[octet as usize] = Some(rec);
+        i += 1;
+    }
+    table
+};
+
 /// The IP→ASN mapping oracle, standing in for the Team Cymru service the
 /// paper used to classify peers.
 ///
@@ -281,11 +294,7 @@ impl AsnDirectory {
     /// belong to any planned block (unroutable / bogon).
     #[must_use]
     pub fn lookup(&self, ip: Ipv4Addr) -> Option<AsnRecord> {
-        let octet = ip.octets()[0];
-        PREFIX_PLAN
-            .iter()
-            .find(|(first, _)| *first == octet)
-            .map(|&(_, rec)| rec)
+        BY_FIRST_OCTET[usize::from(ip.octets()[0])]
     }
 
     /// Convenience: maps an address directly to its ISP bucket.
@@ -358,6 +367,22 @@ mod tests {
         let mut seen = HashSet::new();
         for (first, _) in PREFIX_PLAN {
             assert!(seen.insert(*first), "octet {first} assigned twice");
+        }
+    }
+
+    #[test]
+    fn octet_table_equals_a_scan_of_the_plan() {
+        let dir = AsnDirectory::new();
+        for octet in 0..=255u8 {
+            let scan = PREFIX_PLAN
+                .iter()
+                .find(|(first, _)| *first == octet)
+                .map(|&(_, rec)| rec);
+            assert_eq!(
+                dir.lookup(Ipv4Addr::new(octet, 1, 2, 3)),
+                scan,
+                "octet {octet}"
+            );
         }
     }
 

@@ -1,42 +1,16 @@
-//! Deterministic hashing containers.
+//! Deterministic containers for node state.
 //!
-//! `std::collections::HashMap`'s default hasher is randomly seeded per
-//! process, which would make iteration order — and therefore any behaviour
-//! derived from it — vary between runs and destroy the simulator's
-//! seed-determinism guarantee. All node state uses FNV-1a-hashed maps
-//! instead: arbitrary but *stable* order.
+//! Node state is keyed through the FNV-1a-hashed [`DetHashMap`] that
+//! `plsim-des` defines for every layer (and the crate root re-exports),
+//! never through `std`'s randomly seeded hasher: arbitrary but *stable*
+//! order.
 //!
 //! A set that is only ever asked about membership and size has no order to
 //! keep stable, so it may change representation freely: [`NodeSet`] is a
 //! dense bitmap over node ids.
 
+pub(crate) use plsim_des::DetHashMap;
 use plsim_des::NodeId;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// FNV-1a, 64-bit. Small keys (node ids, sequence numbers) only.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct Fnv1a(u64);
-
-impl Hasher for Fnv1a {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = if self.0 == 0 { OFFSET } else { self.0 };
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-        self.0 = h;
-    }
-}
-
-/// A `HashMap` with deterministic (per-build) iteration order.
-pub type DetHashMap<K, V> = HashMap<K, V, BuildHasherDefault<Fnv1a>>;
 
 /// A set of node ids as a bitmap indexed by [`NodeId::index`], with a
 /// member count. It has no iteration, so it cannot leak an order into the
@@ -153,28 +127,5 @@ mod tests {
         let set = NodeSet::default();
         assert_eq!(set.words.capacity(), 0);
         assert!(!set.contains(NodeId(u32::MAX)));
-    }
-
-    #[test]
-    fn iteration_order_is_reproducible() {
-        let build = || {
-            let mut m = DetHashMap::default();
-            for i in 0..1000u64 {
-                m.insert(i * 7919, i);
-            }
-            m.keys().copied().collect::<Vec<_>>()
-        };
-        assert_eq!(build(), build());
-    }
-
-    #[test]
-    fn hasher_distinguishes_values() {
-        let h = |x: u64| {
-            let mut hasher = Fnv1a::default();
-            hasher.write(&x.to_le_bytes());
-            hasher.finish()
-        };
-        assert_ne!(h(1), h(2));
-        assert_ne!(h(0), h(u64::MAX));
     }
 }

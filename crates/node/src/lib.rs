@@ -64,12 +64,13 @@ mod world;
 
 pub use bootstrap::BootstrapServer;
 pub use config::{ConnectPolicy, DataSelection, PeerConfig};
-pub use det::{DetHashMap, Fnv1a};
 pub use fault::{Fault, FaultBoundary, FaultPlan};
 pub use invariants::{check_world, InvariantReport, InvariantViolation};
 pub use outbox::ShardExchange;
 pub use peer::{PeerNode, Role};
 pub use plsim_capture::{CaptureAggregates, CaptureConfig};
+/// Re-exported from `plsim-des`, where the deterministic hasher lives.
+pub use plsim_des::{DetHashMap, Fnv1a};
 pub use policy::{CandidateLink, PolicySpec};
 pub use shard::{partition_preview, PartitionReport};
 pub use stats::{PeerStats, PlaybackSummary, StatsSink};

@@ -33,7 +33,6 @@ use plsim_net::{Isp, Topology};
 use plsim_proto::{
     ChannelId, ChunkId, Message, PeerEntry, PeerListArena, SharedPeerList, TimerKind,
 };
-use plsim_telemetry::MetricsRegistry;
 use rand::rngs::SmallRng;
 use rand::Rng;
 use std::collections::VecDeque;
@@ -289,12 +288,12 @@ impl PeerNode {
         }
     }
 
-    /// Binds this peer's population-wide counters (`node.*`) to `registry`,
-    /// replacing the detached defaults. The per-node [`PeerStats`] ledger
-    /// is unaffected; the registry carries cross-layer aggregates over the
-    /// whole population.
-    pub fn attach_metrics(&mut self, registry: &MetricsRegistry) {
-        self.metrics = NodeMetrics::attached(registry);
+    /// Binds this peer's population-wide counters (`node.*`) to handles
+    /// interned in a registry, replacing the detached defaults. The
+    /// per-node [`PeerStats`] ledger is unaffected; the registry carries
+    /// cross-layer aggregates over the whole population.
+    pub(crate) fn attach_metrics(&mut self, metrics: &NodeMetrics) {
+        self.metrics = metrics.clone();
     }
 
     /// Replaces this peer's private peer-list arena with the world-shared

@@ -13,6 +13,7 @@
 //! global sequence number, and [`materialize`] turns that layout into a
 //! concrete [`Simulation`] — either the whole world, or one shard of it.
 
+use crate::stats::NodeMetrics;
 use crate::{
     BootstrapServer, Fault, FaultPlan, PeerConfig, PeerNode, PeerStats, PolicySpec, StatsSink,
     TrackerServer,
@@ -447,6 +448,11 @@ pub(crate) fn materialize(
         tap.mark_remote(tid, RemoteKind::Tracker);
     }
 
+    // The `node.*` handles every peer shares, interned by the first local
+    // peer (so the registry's order is what it would be if each peer
+    // interned its own) and cloned into the rest.
+    let mut node_metrics: Option<NodeMetrics> = None;
+
     // Source: bigger neighbor budget (set by its `Role`), same protocol.
     if is_local(layout.source) {
         let mut src = PeerNode::source(
@@ -458,7 +464,7 @@ pub(crate) fn materialize(
             Arc::clone(topology),
             sink.clone(),
         );
-        src.attach_metrics(&registry);
+        src.attach_metrics(node_metrics.get_or_insert_with(|| NodeMetrics::attached(&registry)));
         src.attach_arena(&arena);
         let id = sim.add_actor(Box::new(src));
         debug_assert_eq!(id, layout.source);
@@ -486,7 +492,9 @@ pub(crate) fn materialize(
                 Arc::clone(topology),
                 sink.clone(),
             );
-            peer.attach_metrics(&registry);
+            peer.attach_metrics(
+                node_metrics.get_or_insert_with(|| NodeMetrics::attached(&registry)),
+            );
             peer.attach_arena(&arena);
             if nat {
                 peer = peer.behind_nat();
