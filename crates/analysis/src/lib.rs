@@ -29,6 +29,14 @@
 //! cursor and only the fold's own accumulator state is retained, so peak
 //! memory stays bounded even when the store has spilled pages to disk.
 //! [`ProbeReport::new`] multiplexes one cursor pass into all seven folds.
+//!
+//! A fold's per-row cost does not grow with what it has accumulated:
+//! [`OverlayFold`] interns each address once to a dense `u32` id and
+//! keeps per-id neighbour lists, building its sorted adjacency only in
+//! `finish`; the request matchers and the contribution ledger key their
+//! state by [`plsim_des::DetHashMap`] (FNV-1a, the same in every run, and
+//! only probed, never walked in an order the output can see); and
+//! [`plsim_net::AsnDirectory::lookup`] is one table load per address.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]

@@ -96,10 +96,7 @@ impl RecordFold for OverlayFold<'_> {
             if ip == r.remote_ip {
                 continue;
             }
-            let a = match replier {
-                Some(a) => a,
-                None => *replier.insert(self.intern(r.remote_ip)),
-            };
+            let a = *replier.get_or_insert_with(|| self.intern(r.remote_ip));
             let b = self.intern(ip);
             self.lists[a as usize].push(b);
             self.lists[b as usize].push(a);
@@ -107,9 +104,7 @@ impl RecordFold for OverlayFold<'_> {
     }
 
     fn finish(self) -> OverlayStats {
-        let graph = Adjacency::new(&self.addrs, self.lists);
-        let isps: Vec<Option<Isp>> = graph.addrs.iter().map(|&ip| self.dir.isp_of(ip)).collect();
-        graph.stats(&isps)
+        Adjacency::new(&self.addrs, self.lists).stats(self.dir)
     }
 }
 
@@ -156,8 +151,8 @@ impl Adjacency {
         &self.adj[self.offsets[v]..self.offsets[v + 1]]
     }
 
-    /// Every metric of [`OverlayStats`]; `isps[v]` is node `v`'s ISP.
-    fn stats(&self, isps: &[Option<Isp>]) -> OverlayStats {
+    /// Every metric of [`OverlayStats`], classifying nodes with `dir`.
+    fn stats(&self, dir: &AsnDirectory) -> OverlayStats {
         let nodes = self.addrs.len();
         let edges = self.adj.len() / 2;
 
@@ -198,7 +193,8 @@ impl Adjacency {
         };
 
         // ISP mixing: same-ISP edge fraction and categorical assortativity,
-        // over each undirected edge once.
+        // over each undirected edge once, each node classified once.
+        let isps: Vec<Option<Isp>> = self.addrs.iter().map(|&ip| dir.isp_of(ip)).collect();
         let mut same = 0usize;
         let mut classified_edges = 0usize;
         let mut within: PerIsp<u64> = PerIsp::default();

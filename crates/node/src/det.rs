@@ -1,15 +1,11 @@
-//! Deterministic containers for node state.
+//! A membership-only set of node ids.
 //!
-//! Node state is keyed through the FNV-1a-hashed [`DetHashMap`] that
-//! `plsim-des` defines for every layer (and the crate root re-exports),
-//! never through `std`'s randomly seeded hasher: arbitrary but *stable*
-//! order.
-//!
-//! A set that is only ever asked about membership and size has no order to
-//! keep stable, so it may change representation freely: [`NodeSet`] is a
-//! dense bitmap over node ids.
+//! Node-state maps are `plsim_des::DetHashMap`s, whose FNV-1a order is
+//! the same in every run, because their iteration order reaches the
+//! simulation. A set that is only ever asked about membership and size
+//! has no order to keep stable, so it may change representation freely:
+//! [`NodeSet`] is a dense bitmap over node ids.
 
-pub(crate) use plsim_des::DetHashMap;
 use plsim_des::NodeId;
 
 /// A set of node ids as a bitmap indexed by [`NodeId::index`], with a

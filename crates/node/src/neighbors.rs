@@ -6,8 +6,7 @@
 //! Nothing here looks at ISP or topology information: a neighbour is
 //! known only by what its replies, rejects and silences reveal.
 
-use crate::det::DetHashMap;
-use plsim_des::{NodeId, SimTime};
+use plsim_des::{DetHashMap, NodeId, SimTime};
 use plsim_proto::PeerEntry;
 
 const MICROS: i64 = 1_000_000;

@@ -24,11 +24,11 @@ use crate::config::{
     PER_NEIGHBOR_OUTSTANDING, REQUEST_TIMEOUT, SCHEDULER_INTERVAL, SERVE_WINDOW, STARTUP_CHUNKS,
     STARTUP_JITTER,
 };
-use crate::det::{DetHashMap, NodeSet};
+use crate::det::NodeSet;
 use crate::neighbors::{lag, NeighborTable};
 use crate::policy::{CandidateLink, PolicySpec};
 use crate::stats::{NodeMetrics, PeerStats, StatsSink};
-use plsim_des::{Actor, Context, NodeId, SimTime};
+use plsim_des::{Actor, Context, DetHashMap, NodeId, SimTime};
 use plsim_net::{Isp, Topology};
 use plsim_proto::{
     ChannelId, ChunkId, Message, PeerEntry, PeerListArena, SharedPeerList, TimerKind,

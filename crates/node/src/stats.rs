@@ -1,8 +1,7 @@
 //! Per-peer quality-of-experience and traffic counters.
 
-use crate::det::DetHashMap;
 use parking_lot::Mutex;
-use plsim_des::{NodeId, SimTime};
+use plsim_des::{DetHashMap, NodeId, SimTime};
 use plsim_net::Isp;
 use plsim_telemetry::{Counter, MetricsRegistry};
 use serde::{Deserialize, Serialize};

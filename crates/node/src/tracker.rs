@@ -6,8 +6,7 @@
 //! gossip supplies enough neighbors. This implementation does exactly that:
 //! register on query/announce, lazily expire, sample uniformly.
 
-use crate::det::DetHashMap;
-use plsim_des::{Actor, Context, NodeId, SimTime};
+use plsim_des::{Actor, Context, DetHashMap, NodeId, SimTime};
 use plsim_net::Topology;
 use plsim_proto::{
     ChannelId, Message, PeerEntry, PeerList, PeerListArena, SharedPeerList, TimerKind,
