@@ -4,7 +4,7 @@ use plsim_net::{Isp, IspGroup};
 use serde::{Deserialize, Serialize};
 use std::ops::{Index, IndexMut};
 
-/// A value per ISP category, in [`Isp::ALL`] order.
+/// A value per ISP category, in [`Isp::ALL`] order (slot `isp as usize`).
 ///
 /// # Examples
 ///
@@ -25,15 +25,13 @@ impl<T> Index<Isp> for PerIsp<T> {
     type Output = T;
 
     fn index(&self, isp: Isp) -> &T {
-        let i = Isp::ALL.iter().position(|&x| x == isp).expect("known isp");
-        &self.0[i]
+        &self.0[isp as usize]
     }
 }
 
 impl<T> IndexMut<Isp> for PerIsp<T> {
     fn index_mut(&mut self, isp: Isp) -> &mut T {
-        let i = Isp::ALL.iter().position(|&x| x == isp).expect("known isp");
-        &mut self.0[i]
+        &mut self.0[isp as usize]
     }
 }
 
@@ -64,7 +62,7 @@ impl PerIsp<u64> {
 }
 
 /// A value per coarse ISP group (TELE / CNC / OTHER), in
-/// [`IspGroup::ALL`] order.
+/// [`IspGroup::ALL`] order (slot `group as usize`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct PerGroup<T>(pub [T; 3]);
 
@@ -72,15 +70,13 @@ impl<T> Index<IspGroup> for PerGroup<T> {
     type Output = T;
 
     fn index(&self, g: IspGroup) -> &T {
-        let i = IspGroup::ALL.iter().position(|&x| x == g).expect("group");
-        &self.0[i]
+        &self.0[g as usize]
     }
 }
 
 impl<T> IndexMut<IspGroup> for PerGroup<T> {
     fn index_mut(&mut self, g: IspGroup) -> &mut T {
-        let i = IspGroup::ALL.iter().position(|&x| x == g).expect("group");
-        &mut self.0[i]
+        &mut self.0[g as usize]
     }
 }
 

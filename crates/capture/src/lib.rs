@@ -52,6 +52,8 @@ mod store;
 
 pub use store::{RecordRef, Rows, RowsFor, TraceStore};
 
+use store::PageDrain;
+
 use plsim_des::{EventStamp, FaultEvent, Monitor, NodeId, SimTime};
 use plsim_net::Topology;
 use plsim_proto::{ChunkId, Message};
@@ -381,95 +383,102 @@ struct TapState {
     window: Option<SimTime>,
     faults: Vec<FaultMark>,
     remote_kinds: HashMap<NodeId, RemoteKind>,
-    /// When stamping is enabled (sharded worlds), one `(pop stamp, index
-    /// within the pop)` sort key per captured record, parallel to
-    /// `records`. Merging shard captures on this key reconstructs the
-    /// global record order.
+    /// When stamping is enabled (sharded worlds), one `(pop stamp, rows)`
+    /// entry per pop that captured rows, in capture order. Merging shard
+    /// captures on the pop stamp reconstructs the global record order.
     stamps: Option<Vec<(EventStamp, u32)>>,
     /// The stamp of the pop currently being processed.
     current_pop: EventStamp,
-    /// Records captured so far within the current pop.
-    idx_in_pop: u32,
     /// Reused buffer for the addresses of the peer list being recorded.
     ips: Vec<Ipv4Addr>,
 }
 
 /// One shard's captured traffic in thread-handoff form: the drained store
-/// plus the per-record sort keys. Produced by [`ProbeTap::drain_stamped`],
-/// consumed by [`merge_stamped`].
+/// plus the pop stamps that order it. Produced by
+/// [`ProbeTap::drain_stamped`], consumed by [`merge_stamped`].
 #[derive(Debug)]
 pub struct StampedTrace {
     /// The shard's captured records, in shard-local capture order.
     pub store: TraceStore,
-    /// `(pop stamp, index within pop)` per record, parallel to `store`.
+    /// `(pop stamp, rows)` for each pop that captured rows, in capture
+    /// order: the pop's rows are the next `rows` records of `store`. A
+    /// pop's rows are contiguous because they are all captured while the
+    /// popped actor's shard processes it.
     pub stamps: Vec<(EventStamp, u32)>,
 }
 
 /// Merges per-shard stamped captures into the global trace: every record of
 /// one event pop is captured by exactly one shard (delivery and the
 /// resulting sends all happen where the popped actor lives), so ordering
-/// records by `(pop stamp, index within pop)` reproduces the exact record
-/// sequence of the single-shard run, and rebuilding the store from that
-/// sequence reproduces it bit for bit. `budget` is the resident-byte
-/// budget of the merged store.
+/// the shards' pops by stamp, each pop's rows kept in capture order,
+/// reproduces the exact record sequence of the single-shard run, and
+/// rebuilding the store from that sequence reproduces it bit for bit.
+/// `budget` is the resident-byte budget of the merged store.
 ///
-/// The merge streams: each shard sees its pops in increasing stamp order,
-/// so its stamp sequence is already sorted and a k-way merge over the
-/// shards' row cursors rebuilds the global order record by record. Spilled
-/// shard traces are therefore decoded one page at a time — never
+/// The merge consumes its parts and holds one copy of the capture: each
+/// shard sees its pops in increasing stamp order, so a k-way merge over the
+/// shards' pop stamps moves one pop's rows at a time into the output, and
+/// every resident shard page it finishes is cleared and reused as an
+/// output page. The output's address arena is reserved once, at the parts'
+/// total. Spilled shard pages are decoded one page at a time — never
 /// re-materialized as owned rows — and the output store spills under its
 /// own budget as it grows, keeping the merge itself bounded-memory.
 ///
 /// # Panics
 ///
-/// Panics when a part's record count and stamp count disagree, or when a
-/// part's stamps are not in increasing order (the message names the shard).
+/// Panics when a part's record count and its pops' row counts disagree, or
+/// when a part's pop stamps are not in increasing order (the message names
+/// the shard).
 #[must_use]
 pub fn merge_stamped(
     parts: impl IntoIterator<Item = StampedTrace>,
     budget: Option<u64>,
 ) -> TraceStore {
-    struct Head<'a> {
-        rows: Rows<'a>,
-        stamps: &'a [(EventStamp, u32)],
+    struct Head {
+        rows: PageDrain,
+        stamps: Vec<(EventStamp, u32)>,
         pos: usize,
     }
     let parts: Vec<StampedTrace> = parts.into_iter().collect();
     for (shard, part) in parts.iter().enumerate() {
         assert_eq!(
             part.store.len(),
-            part.stamps.len(),
+            part.stamps.iter().map(|&(_, n)| n as usize).sum::<usize>(),
             "stamped trace lost sync between records and sort keys"
         );
         assert!(
-            part.stamps.is_sorted(),
+            part.stamps.is_sorted_by_key(|&(stamp, _)| stamp),
             "shard {shard} captured its pops out of stamp order"
         );
     }
     let mut out = TraceStore::with_budget(budget);
-    let mut heads: Vec<Head<'_>> = parts
-        .iter()
+    out.reserve_ips(parts.iter().map(|p| p.store.arena_len()).sum());
+    let mut heads: Vec<Head> = parts
+        .into_iter()
+        .filter(|p| !p.stamps.is_empty())
         .map(|p| Head {
-            rows: p.store.rows(),
-            stamps: &p.stamps,
+            rows: PageDrain::new(p.store),
+            stamps: p.stamps,
             pos: 0,
         })
         .collect();
-    loop {
-        let mut best: Option<usize> = None;
-        for (i, h) in heads.iter().enumerate() {
-            if h.pos < h.stamps.len()
-                && best.is_none_or(|b| h.stamps[h.pos] < heads[b].stamps[heads[b].pos])
-            {
-                best = Some(i);
+    while !heads.is_empty() {
+        let mut b = 0;
+        for (i, h) in heads.iter().enumerate().skip(1) {
+            if h.stamps[h.pos].0 < heads[b].stamps[heads[b].pos].0 {
+                b = i;
             }
         }
-        let Some(b) = best else { break };
         let head = &mut heads[b];
+        head.rows
+            .move_rows(head.stamps[head.pos].1 as usize, &mut out);
         head.pos += 1;
-        let r = head.rows.next().expect("cursor in sync with stamps");
-        out.push_ref(r);
+        if head.pos == head.stamps.len() {
+            // Exhausted: its pages are all in `out` already; drop the rest.
+            heads.remove(b);
+        }
     }
+    out.release_spares();
     out
 }
 
@@ -562,8 +571,8 @@ impl ProbeTap {
         std::mem::take(&mut self.state.borrow_mut().aggregates)
     }
 
-    /// Turns on record stamping: every subsequent record also logs its
-    /// `(pop stamp, index within pop)` sort key, so shard captures can be
+    /// Turns on record stamping: every subsequent pop that captures rows
+    /// also logs its stamp and row count, so shard captures can be
     /// merged into the global order with [`merge_stamped`]. Sharded worlds
     /// enable this on each shard's tap before the run starts.
     pub fn enable_stamps(&self) {
@@ -573,7 +582,7 @@ impl ProbeTap {
         }
     }
 
-    /// Moves out the captured records together with their sort keys
+    /// Moves out the captured records together with their pop stamps
     /// (requires [`ProbeTap::enable_stamps`]), leaving the tap empty.
     ///
     /// # Panics
@@ -671,8 +680,12 @@ impl ProbeTap {
             return;
         }
         if let Some(stamps) = &mut state.stamps {
-            stamps.push((state.current_pop, state.idx_in_pop));
-            state.idx_in_pop += 1;
+            // Pop stamps are unique, so a row continues the last entry
+            // exactly when it was captured in the same pop.
+            match stamps.last_mut() {
+                Some((stamp, rows)) if *stamp == state.current_pop => *rows += 1,
+                _ => stamps.push((state.current_pop, 1)),
+            }
         }
         state.records.push_ref(RecordRef {
             t: now,
@@ -709,9 +722,7 @@ impl Monitor<Message> for ProbeTap {
     }
 
     fn on_pop(&mut self, stamp: EventStamp) {
-        let mut state = self.state.borrow_mut();
-        state.current_pop = stamp;
-        state.idx_in_pop = 0;
+        self.state.borrow_mut().current_pop = stamp;
     }
 }
 
@@ -720,6 +731,9 @@ mod tests {
     use super::*;
     use plsim_net::{BandwidthClass, Isp, TopologyBuilder};
     use plsim_proto::{ChannelId, PeerEntry, SharedPeerList};
+    use proptest::prelude::{
+        any, collection, prop_assert, prop_assert_eq, prop_oneof, proptest, Just, Strategy,
+    };
     use rand::{rngs::SmallRng, SeedableRng};
 
     fn tap() -> ProbeTap {
@@ -1127,6 +1141,168 @@ mod tests {
         let merged = merge_stamped(spilled_parts, Some(1));
         assert!(merged.spilled_pages() > 0, "merged store must spill too");
         assert_eq!(merged, reference);
+    }
+
+    /// One generated capture for the merge tests: pops in global stamp
+    /// order, each assigned to a shard and capturing `rows` records.
+    struct Pops(Vec<(EventStamp, usize, usize)>);
+
+    impl Pops {
+        /// `n` pops over `shards` shards (shard 0 takes about half, so
+        /// its part crosses page boundaries first; a shard may get none),
+        /// each capturing 0–4 rows. Stamps share times, so pops at one
+        /// time order by origin: the global order is the stamp sort, not
+        /// the generation order.
+        fn generate(n: usize, shards: usize, seed: u64) -> Pops {
+            use rand::Rng;
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut pops: Vec<_> = (0..n)
+                .map(|i| {
+                    let shard = if rng.random_bool(0.5) {
+                        0
+                    } else {
+                        rng.random_range(0..shards)
+                    };
+                    let stamp = EventStamp {
+                        at: SimTime::from_micros(i as u64 / 4),
+                        origin: shard as u32,
+                        seq: i as u64,
+                    };
+                    (stamp, shard, [0, 1, 1, 2, 4][rng.random_range(0..5usize)])
+                })
+                .collect();
+            pops.sort_by_key(|&(stamp, ..)| stamp);
+            Pops(pops)
+        }
+
+        /// The `j`-th row of the pop stamped `stamp`: data requests,
+        /// goodbyes and peer lists of 0–3 addresses (arena spans of every
+        /// length, empty included), both directions.
+        fn capture(t: &mut ProbeTap, stamp: EventStamp, j: usize) {
+            let n = stamp.seq as u32;
+            let at = stamp.at;
+            match (n as usize + j) % 3 {
+                0 => t.on_deliver(
+                    at,
+                    NodeId(1 + n % 7),
+                    NodeId(0),
+                    &Message::DataRequest {
+                        channel: ChannelId(1),
+                        seq: u64::from(n),
+                        chunk: ChunkId(j as u64),
+                        offset: 0,
+                        count: 1,
+                    },
+                    64,
+                ),
+                1 => t.on_send(at, NodeId(0), NodeId(1 + n % 5), &Message::Goodbye, 46),
+                _ => t.on_deliver(
+                    at,
+                    NodeId(2),
+                    NodeId(0),
+                    &Message::PeerListResponse {
+                        channel: ChannelId(1),
+                        peers: (0..(n + j as u32) % 4)
+                            .map(|k| {
+                                PeerEntry::new(NodeId(k), Ipv4Addr::new(58, 0, k as u8, n as u8))
+                            })
+                            .collect(),
+                        req_id: u64::from(n),
+                    },
+                    80,
+                ),
+            }
+        }
+
+        /// One stamped part per shard, each under its own capture config,
+        /// plus the oracle: every row of every part, sorted by the
+        /// per-row `(pop stamp, index within the pop)` key.
+        fn parts(&self, configs: &[CaptureConfig]) -> (Vec<StampedTrace>, TraceStore) {
+            let taps: Vec<ProbeTap> = configs
+                .iter()
+                .map(|&c| {
+                    let t = ProbeTap::with_config([NodeId(0)], tap().topology.clone(), c);
+                    t.enable_stamps();
+                    t
+                })
+                .collect();
+            let mut keys: Vec<Vec<(EventStamp, usize)>> = vec![Vec::new(); taps.len()];
+            for &(stamp, shard, rows) in &self.0 {
+                let mut t = taps[shard].clone();
+                t.on_pop(stamp);
+                for j in 0..rows {
+                    Pops::capture(&mut t, stamp, j);
+                    keys[shard].push((stamp, j));
+                }
+            }
+            let parts: Vec<StampedTrace> = taps.iter().map(ProbeTap::drain_stamped).collect();
+            let mut keyed: Vec<((EventStamp, usize), TraceRecord)> = Vec::new();
+            for (part, keys) in parts.iter().zip(keys) {
+                keyed.extend(keys.into_iter().zip(part.store.to_records()));
+            }
+            keyed.sort_by_key(|&(key, _)| key);
+            let oracle = keyed.iter().map(|(_, r)| r.clone()).collect();
+            (parts, oracle)
+        }
+    }
+
+    /// Per-part budgets: resident, every sealed page spilled, or spilling
+    /// only past one and a half pages.
+    fn part_config(code: u64) -> CaptureConfig {
+        let page = (crate::store::PAGE_ROWS * 48) as u64;
+        CaptureConfig {
+            budget: [None, Some(1), Some(page * 3 / 2)][code as usize],
+            aggregate_window: None,
+        }
+    }
+
+    proptest! {
+        /// Merging pop runs equals sorting every row by its per-row key:
+        /// multi-row and empty pops, empty parts, parts that cross page
+        /// boundaries, resident and spilled parts mixed, under a budget
+        /// on the output or not.
+        #[test]
+        fn pop_run_merge_equals_the_per_row_sort(
+            pops in 0usize..20_000,
+            shards in 1usize..5,
+            seed in any::<u64>(),
+            budgets in collection::vec(0u64..3, 4..5),
+            out_budget in prop_oneof![Just(None), (1u64..2 * 393_216).prop_map(Some)],
+        ) {
+            let pops = Pops::generate(pops, shards, seed);
+            let configs: Vec<_> = budgets[..shards].iter().map(|&c| part_config(c)).collect();
+            let (parts, oracle) = pops.parts(&configs);
+            let merged = merge_stamped(parts, out_budget);
+            prop_assert_eq!(merged.len(), oracle.len());
+            prop_assert!(merged == oracle, "seed {seed}: merge diverged from the per-row sort");
+            prop_assert_eq!(merged.budget(), out_budget);
+        }
+    }
+
+    #[test]
+    fn merging_resident_parts_reuses_their_pages() {
+        use crate::store::PAGE_ROWS;
+        // Three resident parts, each past two pages (shard 0 takes about
+        // two thirds of the rows).
+        let pops = Pops::generate(10 * PAGE_ROWS, 3, 7);
+        let (parts, oracle) = pops.parts(&[CaptureConfig::default(); 3]);
+        assert!(parts.iter().all(|p| p.store.len() > 2 * PAGE_ROWS));
+        let theirs: std::collections::HashSet<_> =
+            parts.iter().flat_map(|p| p.store.page_buffers()).collect();
+        let merged = merge_stamped(parts, None);
+        assert_eq!(merged, oracle);
+        let buffers = merged.page_buffers();
+        assert_eq!(buffers.len(), merged.len().div_ceil(PAGE_ROWS));
+        let fresh = buffers.iter().filter(|b| !theirs.contains(b)).count();
+        assert!(
+            fresh <= 3,
+            "the merge allocated {fresh} pages beyond its 3 parts' own"
+        );
+        // Whole pages and an arena reserved once, at exactly the parts' total.
+        assert_eq!(
+            merged.approx_heap_bytes(),
+            buffers.len() * PAGE_ROWS * 48 + merged.arena_len() * 4
+        );
     }
 
     #[test]

@@ -300,6 +300,10 @@ pub struct TraceStore {
     spill: Option<Arc<SpillFile>>,
     /// High-water resident heap, sampled at page-seal boundaries.
     peak_resident: usize,
+    /// Cleared page buffers (`PAGE_ROWS` capacity) that the next pages
+    /// take before allocating: a merge hands its parts' finished pages here
+    /// ([`PageDrain`]). Empty outside a merge.
+    spare: Vec<Vec<Row>>,
 }
 
 impl TraceStore {
@@ -362,6 +366,16 @@ impl TraceStore {
         self.ips.reserve(additional);
     }
 
+    /// Entries in the address arena.
+    pub(crate) fn arena_len(&self) -> usize {
+        self.ips.len()
+    }
+
+    /// Drops the spare page buffers a merge left over.
+    pub(crate) fn release_spares(&mut self) {
+        self.spare = Vec::new();
+    }
+
     fn intern_ips(&mut self, ips: impl Iterator<Item = Ipv4Addr>) -> u64 {
         let offset = self.ips.len() as u64;
         self.ips.extend(ips);
@@ -371,7 +385,11 @@ impl TraceStore {
 
     fn push_row(&mut self, row: Row) {
         if self.len.is_multiple_of(PAGE_ROWS) {
-            self.pages.push(Vec::with_capacity(PAGE_ROWS));
+            let page = self
+                .spare
+                .pop()
+                .unwrap_or_else(|| Vec::with_capacity(PAGE_ROWS));
+            self.pages.push(page);
         }
         self.pages
             .last_mut()
@@ -464,10 +482,21 @@ impl TraceStore {
         self.push_ref(record.as_ref());
     }
 
+    /// Appends a row taken from another store whose address arena is
+    /// `ips`: a peer-list span is copied into this store's arena, every
+    /// other payload word carries over as it is.
+    fn push_moved(&mut self, mut row: Row, ips: &[Ipv4Addr]) {
+        if matches!(
+            row.tag,
+            KindTag::TrackerResponse | KindTag::PeerListResponse
+        ) {
+            row.aux = self.intern_ips(span_in(ips, row.aux).iter().copied());
+        }
+        self.push_row(row);
+    }
+
     fn span(&self, aux: u64) -> &[Ipv4Addr] {
-        let offset = (aux >> 32) as usize;
-        let len = (aux & 0xFFFF_FFFF) as usize;
-        &self.ips[offset..offset + len]
+        span_in(&self.ips, aux)
     }
 
     /// The borrowed view of `row`. The scalars are copied and peer-list
@@ -559,6 +588,17 @@ impl TraceStore {
         self.rows().map(|r| r.to_owned()).collect()
     }
 
+    /// Addresses of the resident page buffers, so tests can tell which
+    /// buffers a merge reused.
+    #[cfg(test)]
+    pub(crate) fn page_buffers(&self) -> Vec<*const u8> {
+        self.pages
+            .iter()
+            .filter(|p| p.capacity() > 0)
+            .map(|p| p.as_ptr().cast())
+            .collect()
+    }
+
     /// Bytes of heap *resident* in the row pages and the address arena.
     /// Spilled pages have released their heap and do not count.
     #[must_use]
@@ -566,6 +606,13 @@ impl TraceStore {
         let rows: usize = self.pages.iter().map(Vec::capacity).sum();
         rows * std::mem::size_of::<Row>() + self.ips.capacity() * std::mem::size_of::<Ipv4Addr>()
     }
+}
+
+/// The addresses `aux` (`(offset << 32) | len`) spans in the arena `ips`.
+fn span_in(ips: &[Ipv4Addr], aux: u64) -> &[Ipv4Addr] {
+    let offset = (aux >> 32) as usize;
+    let len = (aux & 0xFFFF_FFFF) as usize;
+    &ips[offset..offset + len]
 }
 
 /// Content equality, independent of spill state and budget: two stores
@@ -703,6 +750,74 @@ impl<'a> Iterator for RowsFor<'a> {
             }
         }
         None
+    }
+}
+
+/// Owning cursor over a store's rows in capture order, for
+/// [`merge_stamped`](crate::merge_stamped): it moves rows into another
+/// store and hands each resident page it finishes to that store as a spare
+/// page buffer, so a merge reuses its parts' pages rather than allocating
+/// a second copy (and rather than freeing them: the allocator need not
+/// hand freed pages back). Spilled pages are decoded one at a time into a
+/// reused buffer, as [`Rows`] does.
+#[derive(Debug)]
+pub(crate) struct PageDrain {
+    store: TraceStore,
+    /// Global index of the next row.
+    index: usize,
+    /// The current spilled page, decoded.
+    decoded: Vec<Row>,
+    /// Reused raw-frame buffer for spilled pages.
+    scratch: Vec<u8>,
+}
+
+impl PageDrain {
+    pub(crate) fn new(store: TraceStore) -> PageDrain {
+        PageDrain {
+            store,
+            index: 0,
+            decoded: Vec::new(),
+            scratch: Vec::new(),
+        }
+    }
+
+    /// Moves the next `n` rows into `out`, in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than `n` rows are left.
+    pub(crate) fn move_rows(&mut self, n: usize, out: &mut TraceStore) {
+        let end = self.index + n;
+        assert!(end <= self.store.len, "drained past the end of the store");
+        while self.index < end {
+            let page = self.index / PAGE_ROWS;
+            let off = self.index % PAGE_ROWS;
+            let spilled = page < self.store.spilled.len();
+            if spilled && off == 0 {
+                self.store.read_frame_bytes(page, &mut self.scratch);
+                decode_frame(&self.scratch, &mut self.decoded);
+            }
+            let rows = if spilled {
+                &self.decoded[..]
+            } else {
+                &self.store.pages[page][..]
+            };
+            let stop = rows.len().min(off + (end - self.index));
+            for &row in &rows[off..stop] {
+                out.push_moved(row, &self.store.ips);
+            }
+            let finished = stop == rows.len();
+            self.index += stop - off;
+            if finished && !spilled {
+                let mut buf = std::mem::take(&mut self.store.pages[page]);
+                // A cloned store's open page is short; only a whole page
+                // can serve as another store's page.
+                if buf.capacity() == PAGE_ROWS {
+                    buf.clear();
+                    out.spare.push(buf);
+                }
+            }
+        }
     }
 }
 

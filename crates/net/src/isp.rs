@@ -31,6 +31,21 @@ pub enum Isp {
     Foreign,
 }
 
+// Per-ISP and per-group arrays are indexed by `isp as usize` and
+// `group as usize`: each discriminant is the variant's position in `ALL`.
+const _: () = {
+    let mut i = 0;
+    while i < Isp::ALL.len() {
+        assert!(Isp::ALL[i] as usize == i);
+        i += 1;
+    }
+    let mut g = 0;
+    while g < IspGroup::ALL.len() {
+        assert!(IspGroup::ALL[g] as usize == g);
+        g += 1;
+    }
+};
+
 impl Isp {
     /// All five categories, in the order the paper's figures use.
     pub const ALL: [Isp; 5] = [Isp::Tele, Isp::Cnc, Isp::Cer, Isp::OtherCn, Isp::Foreign];
@@ -338,9 +353,8 @@ impl IpAllocator {
     /// Panics if the ISP's address space is exhausted (>2^24 hosts per
     /// block), which no realistic scenario approaches.
     pub fn allocate(&mut self, isp: Isp) -> Ipv4Addr {
-        let slot = Isp::ALL.iter().position(|&i| i == isp).expect("known isp");
-        let n = self.counters[slot];
-        self.counters[slot] += 1;
+        let n = self.counters[isp as usize];
+        self.counters[isp as usize] += 1;
         let blocks = self.directory.blocks_of(isp);
         assert!(!blocks.is_empty(), "no blocks for {isp}");
         let block = blocks[(n as usize) % blocks.len()];

@@ -362,10 +362,6 @@ impl Underlay {
         )
     }
 
-    fn isp_index(isp: Isp) -> usize {
-        Isp::ALL.iter().position(|&x| x == isp).expect("known isp")
-    }
-
     /// Capacity of the (a, b) interconnect relative to the configured
     /// TELE↔CNC capacity; `None` = uncapped.
     fn pair_capacity_mbps(&self, a: Isp, b: Isp) -> Option<f64> {
@@ -401,7 +397,7 @@ impl Underlay {
             return SimTime::ZERO;
         };
         let capacity_bps = (capacity_mbps * capacity_scale).max(1e-6) * 1e6;
-        let (i, j) = (Self::isp_index(a), Self::isp_index(b));
+        let (i, j) = (a as usize, b as usize);
         let (backlog_bits, last) = &mut self.xlink_backlog[i][j];
         // Drain at line rate since the last accounting instant. Departure
         // times are not strictly monotone (sender-side holds), so guard
@@ -445,7 +441,7 @@ impl Underlay {
         let mut edge_min = vec![vec![SimTime::MAX; n_isp]; shards];
         for (id, host) in self.topology.iter() {
             let s = shard_of[id.index()];
-            let i = Self::isp_index(host.isp);
+            let i = host.isp as usize;
             edge_min[s][i] = edge_min[s][i].min(host.edge_delay);
         }
         let mut best: Option<SimTime> = None;

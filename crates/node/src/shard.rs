@@ -59,8 +59,9 @@
 //!   single-shard run would have pushed). The shared window makes rounds
 //!   partition the stamp space — every round-`r` pop outstamps every
 //!   earlier round's — so each round's fold consumes the whole buffer.
-//! * probe captures — per-shard traces carry `(pop stamp, index-in-pop)`
-//!   sort keys and are merged into the global capture order.
+//! * probe captures — per-shard traces carry one `(pop stamp, rows)` entry
+//!   per pop that captured rows and are merged, a pop's run of rows at a
+//!   time, into the global capture order.
 //! * metrics — per-shard registry snapshots are summed (counters,
 //!   histogram buckets), peak-maxed (gauges), and the queue-depth gauge is
 //!   overridden with the replayed value.
@@ -96,7 +97,7 @@ pub(crate) fn partition(topology: &Topology, weight: &[u64], want: usize) -> (Ve
     let mut counts = [0usize; 5];
     let mut isp_weight = [0u64; 5];
     for (id, host) in topology.iter() {
-        let i = isp_index(host.isp);
+        let i = host.isp as usize;
         counts[i] += 1;
         isp_weight[i] += weight[id.index()];
     }
@@ -118,7 +119,7 @@ pub(crate) fn partition(topology: &Topology, weight: &[u64], want: usize) -> (Ve
 
     let shard_of = topology
         .iter()
-        .map(|(_, host)| group_of_isp[isp_index(host.isp)])
+        .map(|(_, host)| group_of_isp[host.isp as usize])
         .collect();
     (shard_of, shards)
 }
@@ -136,13 +137,6 @@ fn rate_imbalance_of(shard_of: &[usize], shards: usize, rates: &[u64]) -> f64 {
     }
     let max = load.into_iter().max().unwrap_or(0);
     max as f64 / (total as f64 / shards as f64)
-}
-
-fn isp_index(isp: Isp) -> usize {
-    Isp::ALL
-        .iter()
-        .position(|&i| i == isp)
-        .expect("Isp::ALL is total")
 }
 
 /// How a sharded run was partitioned — the honest-reporting companion to
@@ -199,7 +193,7 @@ impl PartitionReport {
         for (id, host) in topology.iter() {
             let s = shard_of[id.index()];
             hosts[s] += 1;
-            isp_on[s][isp_index(host.isp)] = true;
+            isp_on[s][host.isp as usize] = true;
         }
         let isps: Vec<usize> = isp_on
             .iter()
@@ -317,8 +311,13 @@ impl DepthReplay {
     /// Replays every buffered record in global stamp order. Rounds of the
     /// shared window partition the stamp space, so the buffer is always a
     /// complete, settled stretch of the global pop sequence.
+    ///
+    /// The buffer is a concatenation of per-shard pop logs, each already in
+    /// stamp order, so the stable sort (which merges existing runs rather
+    /// than re-sorting them) does little more than merge; stamps are
+    /// unique, so its order is the unstable sort's.
     fn fold(&mut self) {
-        self.buf.sort_unstable_by_key(|r| r.stamp);
+        self.buf.sort_by_key(|r| r.stamp);
         for r in self.buf.drain(..) {
             // The pop removes one event; its pushes then grow the queue
             // monotonically, so the high-water mark within the pop is the

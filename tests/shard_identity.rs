@@ -3,13 +3,13 @@
 //! One `Scale::Tiny` unpopular session over a grid of shard and thread
 //! counts — past the five populated ISPs at 8, which the partitioner
 //! clamps to 5 because shards are whole ISPs — plus one faulted session at
-//! 8 shards. Every output must equal the `shards = 1` run at the same
-//! seed. The
+//! 8 shards and one budgeted session whose capture spills. Every output
+//! must equal the `shards = 1` run at the same seed. The
 //! property-based version of this contract lives in
 //! `crates/node/tests/shard_equivalence.rs`; this file exists so that the
 //! root package's `cargo test` notices a broken window loop.
 
-use plsim_node::{run_world, WorldConfig, WorldOutput};
+use plsim_node::{run_world, CaptureConfig, WorldConfig, WorldOutput};
 use plsim_workload::ChannelClass;
 use pplive_locality::{combined_chaos, FaultPlan, Scale, Scenario};
 
@@ -70,4 +70,30 @@ fn faulted_sharded_session_is_byte_equal_to_the_single_shard_run() {
     let sharded = run_world(&world(faults, 8, 2));
     assert!(sharded.partition.is_some());
     assert_identical(&sharded, &reference, "combined-chaos, 8 shards / 2 threads");
+}
+
+/// Under a capture budget smaller than one page, every shard spills its
+/// sealed pages and the merge streams them back; the merged store, itself
+/// spilling, must hold the budgeted monolithic run's records.
+#[test]
+fn budgeted_sharded_session_matches_the_budgeted_single_shard_run() {
+    let budgeted = |shards, threads| {
+        let mut cfg = world(FaultPlan::new(), shards, threads);
+        cfg.capture = CaptureConfig {
+            budget: Some(256 * 1024),
+            aggregate_window: None,
+        };
+        run_world(&cfg)
+    };
+    let reference = budgeted(1, 1);
+    assert!(
+        reference.records.spilled_pages() > 0,
+        "reference never spilled"
+    );
+    for threads in [1, 2] {
+        let sharded = budgeted(5, threads);
+        let what = format!("budgeted, 5 shards / {threads} threads");
+        assert!(sharded.records.spilled_pages() > 0, "{what}: never spilled");
+        assert_identical(&sharded, &reference, &what);
+    }
 }
