@@ -205,6 +205,58 @@ impl Row {
     }
 }
 
+impl Row {
+    /// Packs `r`, copying a peer list's addresses onto the end of the
+    /// arena `ips`.
+    fn from_ref(r: RecordRef<'_>, ips: &mut Vec<Ipv4Addr>) -> Row {
+        let (tag, seq, aux, payload) = match r.kind {
+            KindRef::Bootstrap => (KindTag::Bootstrap, 0, 0, 0),
+            KindRef::TrackerQuery => (KindTag::TrackerQuery, 0, 0, 0),
+            KindRef::TrackerResponse { peer_ips } => {
+                (KindTag::TrackerResponse, 0, intern(ips, peer_ips), 0)
+            }
+            KindRef::PeerListRequest { req_id } => (KindTag::PeerListRequest, req_id, 0, 0),
+            KindRef::PeerListResponse { req_id, peer_ips } => {
+                (KindTag::PeerListResponse, req_id, intern(ips, peer_ips), 0)
+            }
+            KindRef::Handshake => (KindTag::Handshake, 0, 0, 0),
+            KindRef::HandshakeAck { accepted } => {
+                (KindTag::HandshakeAck, 0, u64::from(accepted), 0)
+            }
+            KindRef::DataRequest { seq, chunk } => (KindTag::DataRequest, seq, chunk.0, 0),
+            KindRef::DataReply {
+                seq,
+                chunk,
+                payload_bytes,
+            } => (KindTag::DataReply, seq, chunk.0, payload_bytes),
+            KindRef::DataReject { seq, busy } => (KindTag::DataReject, seq, u64::from(busy), 0),
+            KindRef::Announce => (KindTag::Announce, 0, 0, 0),
+            KindRef::Goodbye => (KindTag::Goodbye, 0, 0, 0),
+        };
+        Row {
+            t: r.t,
+            seq,
+            aux,
+            probe: r.probe,
+            remote: r.remote,
+            remote_ip: r.remote_ip,
+            wire_bytes: r.wire_bytes,
+            payload,
+            remote_kind: r.remote_kind,
+            direction: r.direction,
+            tag,
+        }
+    }
+}
+
+/// Copies `addrs` onto the end of the arena `ips` and returns their span,
+/// `(offset << 32) | len`.
+fn intern(ips: &mut Vec<Ipv4Addr>, addrs: &[Ipv4Addr]) -> u64 {
+    let offset = ips.len() as u64;
+    ips.extend_from_slice(addrs);
+    (offset << 32) | addrs.len() as u64
+}
+
 /// Serializes a page as a spill frame: its rows back to back.
 fn encode_frame(rows: &[Row]) -> Vec<u8> {
     let mut frame = Vec::with_capacity(rows.len() * SPILL_ROW_BYTES);
@@ -360,27 +412,9 @@ impl TraceStore {
         self.len == 0
     }
 
-    /// Pre-reserves the address arena (the only part of the store that
-    /// grows by reallocation; the row pages never move).
-    pub fn reserve_ips(&mut self, additional: usize) {
-        self.ips.reserve(additional);
-    }
-
-    /// Entries in the address arena.
-    pub(crate) fn arena_len(&self) -> usize {
-        self.ips.len()
-    }
-
     /// Drops the spare page buffers a merge left over.
     pub(crate) fn release_spares(&mut self) {
         self.spare = Vec::new();
-    }
-
-    fn intern_ips(&mut self, ips: impl Iterator<Item = Ipv4Addr>) -> u64 {
-        let offset = self.ips.len() as u64;
-        self.ips.extend(ips);
-        let len = self.ips.len() as u64 - offset;
-        (offset << 32) | len
     }
 
     fn push_row(&mut self, row: Row) {
@@ -436,45 +470,8 @@ impl TraceStore {
     /// Appends a record (by borrowed view; list payloads are copied into
     /// the shared arena).
     pub fn push_ref(&mut self, r: RecordRef<'_>) {
-        let (tag, seq, aux, payload) = match r.kind {
-            KindRef::Bootstrap => (KindTag::Bootstrap, 0, 0, 0),
-            KindRef::TrackerQuery => (KindTag::TrackerQuery, 0, 0, 0),
-            KindRef::TrackerResponse { peer_ips } => {
-                let span = self.intern_ips(peer_ips.iter().copied());
-                (KindTag::TrackerResponse, 0, span, 0)
-            }
-            KindRef::PeerListRequest { req_id } => (KindTag::PeerListRequest, req_id, 0, 0),
-            KindRef::PeerListResponse { req_id, peer_ips } => {
-                let span = self.intern_ips(peer_ips.iter().copied());
-                (KindTag::PeerListResponse, req_id, span, 0)
-            }
-            KindRef::Handshake => (KindTag::Handshake, 0, 0, 0),
-            KindRef::HandshakeAck { accepted } => {
-                (KindTag::HandshakeAck, 0, u64::from(accepted), 0)
-            }
-            KindRef::DataRequest { seq, chunk } => (KindTag::DataRequest, seq, chunk.0, 0),
-            KindRef::DataReply {
-                seq,
-                chunk,
-                payload_bytes,
-            } => (KindTag::DataReply, seq, chunk.0, payload_bytes),
-            KindRef::DataReject { seq, busy } => (KindTag::DataReject, seq, u64::from(busy), 0),
-            KindRef::Announce => (KindTag::Announce, 0, 0, 0),
-            KindRef::Goodbye => (KindTag::Goodbye, 0, 0, 0),
-        };
-        self.push_row(Row {
-            t: r.t,
-            seq,
-            aux,
-            probe: r.probe,
-            remote: r.remote,
-            remote_ip: r.remote_ip,
-            wire_bytes: r.wire_bytes,
-            payload,
-            remote_kind: r.remote_kind,
-            direction: r.direction,
-            tag,
-        });
+        let row = Row::from_ref(r, &mut self.ips);
+        self.push_row(row);
     }
 
     /// Appends an owned record.
@@ -490,7 +487,7 @@ impl TraceStore {
             row.tag,
             KindTag::TrackerResponse | KindTag::PeerListResponse
         ) {
-            row.aux = self.intern_ips(span_in(ips, row.aux).iter().copied());
+            row.aux = intern(&mut self.ips, span_in(ips, row.aux));
         }
         self.push_row(row);
     }
@@ -753,18 +750,62 @@ impl<'a> Iterator for RowsFor<'a> {
     }
 }
 
+/// The order a capture is kept in: capture time, then probe.
+pub(crate) type RowKey = (SimTime, NodeId);
+
+/// The rows a tap captured at the current instant, held back until the
+/// clock moves on and then appended to its store in probe order, each
+/// probe's rows in capture order: so a store fed through it is ordered by
+/// [`RowKey`] as it is taken. Peer lists wait in a small arena of their
+/// own, so the store's arena receives them in final row order, exactly as
+/// [`merge_traces`](crate::merge_traces) writes its output's.
+#[derive(Debug, Default)]
+pub(crate) struct InstantRows {
+    rows: Vec<Row>,
+    ips: Vec<Ipv4Addr>,
+}
+
+impl InstantRows {
+    /// Number of rows held.
+    pub(crate) fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Holds `r`, first appending the rows held to `out` if `r` was
+    /// captured later than they were.
+    pub(crate) fn push(&mut self, r: RecordRef<'_>, out: &mut TraceStore) {
+        if self.rows.first().is_some_and(|held| held.t != r.t) {
+            self.flush(out);
+        }
+        self.rows.push(Row::from_ref(r, &mut self.ips));
+    }
+
+    /// Appends the rows held to `out` in probe order (a stable sort, so
+    /// each probe's rows keep their capture order).
+    pub(crate) fn flush(&mut self, out: &mut TraceStore) {
+        self.rows.sort_by_key(|row| row.probe);
+        for &row in &self.rows {
+            out.push_moved(row, &self.ips);
+        }
+        self.rows.clear();
+        self.ips.clear();
+    }
+}
+
 /// Owning cursor over a store's rows in capture order, for
-/// [`merge_stamped`](crate::merge_stamped): it moves rows into another
-/// store and hands each resident page it finishes to that store as a spare
-/// page buffer, so a merge reuses its parts' pages rather than allocating
-/// a second copy (and rather than freeing them: the allocator need not
-/// hand freed pages back). Spilled pages are decoded one at a time into a
+/// [`merge_traces`](crate::merge_traces): it moves rows into another store
+/// and hands each resident page it finishes to that store as a spare page
+/// buffer, so a merge reuses its parts' pages rather than allocating a
+/// second copy (and rather than freeing them: the allocator need not hand
+/// freed pages back). Spilled pages are decoded one at a time into a
 /// reused buffer, as [`Rows`] does.
 #[derive(Debug)]
 pub(crate) struct PageDrain {
     store: TraceStore,
     /// Global index of the next row.
     index: usize,
+    /// Which spilled page `decoded` holds.
+    decoded_page: Option<usize>,
     /// The current spilled page, decoded.
     decoded: Vec<Row>,
     /// Reused raw-frame buffer for spilled pages.
@@ -776,39 +817,52 @@ impl PageDrain {
         PageDrain {
             store,
             index: 0,
+            decoded_page: None,
             decoded: Vec::new(),
             scratch: Vec::new(),
         }
     }
 
-    /// Moves the next `n` rows into `out`, in order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than `n` rows are left.
-    pub(crate) fn move_rows(&mut self, n: usize, out: &mut TraceStore) {
-        let end = self.index + n;
-        assert!(end <= self.store.len, "drained past the end of the store");
-        while self.index < end {
-            let page = self.index / PAGE_ROWS;
-            let off = self.index % PAGE_ROWS;
-            let spilled = page < self.store.spilled.len();
-            if spilled && off == 0 {
-                self.store.read_frame_bytes(page, &mut self.scratch);
-                decode_frame(&self.scratch, &mut self.decoded);
+    /// The next row, if any; a spilled page is decoded on its first visit.
+    fn next_row(&mut self) -> Option<Row> {
+        if self.index == self.store.len {
+            return None;
+        }
+        let (page, off) = (self.index / PAGE_ROWS, self.index % PAGE_ROWS);
+        if page >= self.store.spilled.len() {
+            return Some(self.store.pages[page][off]);
+        }
+        if self.decoded_page != Some(page) {
+            self.store.read_frame_bytes(page, &mut self.scratch);
+            decode_frame(&self.scratch, &mut self.decoded);
+            self.decoded_page = Some(page);
+        }
+        Some(self.decoded[off])
+    }
+
+    /// The key of the next row; `None` once drained.
+    pub(crate) fn head(&mut self) -> Option<RowKey> {
+        self.next_row().map(|row| (row.t, row.probe))
+    }
+
+    /// Moves rows into `out`, in order, while their key is at most `bound`
+    /// (all of them when `None`), and returns the key of the first row it
+    /// leaves; `None` once drained.
+    pub(crate) fn move_through(
+        &mut self,
+        bound: Option<RowKey>,
+        out: &mut TraceStore,
+    ) -> Option<RowKey> {
+        while let Some(row) = self.next_row() {
+            let key = (row.t, row.probe);
+            if bound.is_some_and(|b| key > b) {
+                return Some(key);
             }
-            let rows = if spilled {
-                &self.decoded[..]
-            } else {
-                &self.store.pages[page][..]
-            };
-            let stop = rows.len().min(off + (end - self.index));
-            for &row in &rows[off..stop] {
-                out.push_moved(row, &self.store.ips);
-            }
-            let finished = stop == rows.len();
-            self.index += stop - off;
-            if finished && !spilled {
+            out.push_moved(row, &self.store.ips);
+            self.index += 1;
+            let page = (self.index - 1) / PAGE_ROWS;
+            let finished = self.index.is_multiple_of(PAGE_ROWS) || self.index == self.store.len;
+            if finished && page >= self.store.spilled.len() {
                 let mut buf = std::mem::take(&mut self.store.pages[page]);
                 // A cloned store's open page is short; only a whole page
                 // can serve as another store's page.
@@ -818,6 +872,7 @@ impl PageDrain {
                 }
             }
         }
+        None
     }
 }
 
@@ -1130,6 +1185,37 @@ mod tests {
             store.approx_heap_bytes(),
             2 * PAGE_ROWS * 48 + store.ips.capacity() * 4
         );
+    }
+
+    #[test]
+    fn instant_rows_go_in_by_probe_and_leave_nothing_behind() {
+        let list = |i| RecordKind::PeerListResponse {
+            req_id: i,
+            peer_ips: vec![Ipv4Addr::new(58, 0, 0, i as u8)],
+        };
+        let at = |mut r: TraceRecord, probe, ms| {
+            r.probe = NodeId(probe);
+            r.t = SimTime::from_millis(ms);
+            r
+        };
+        // Probes 2, 0, 1, 0 at one instant, then probe 2 later.
+        let captured = [
+            at(record(1, list(1)), 2, 5),
+            at(record(2, RecordKind::Goodbye), 0, 5),
+            at(record(3, list(3)), 1, 5),
+            at(record(4, list(4)), 0, 5),
+            at(record(5, list(5)), 2, 6),
+        ];
+        let mut held = InstantRows::default();
+        let mut store = TraceStore::new();
+        for r in &captured {
+            held.push(r.as_ref(), &mut store);
+        }
+        assert_eq!((store.len(), held.len()), (4, 1));
+        held.flush(&mut store);
+        assert!(held.rows.is_empty() && held.ips.is_empty());
+        let want = [1, 3, 2, 0, 4].map(|i| captured[i].clone());
+        assert_eq!(store.to_records(), want);
     }
 
     /// The encoded bytes of a valid row, for the corruption tests to damage.

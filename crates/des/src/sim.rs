@@ -131,8 +131,8 @@ impl<P> Medium<P> for FixedDelay {
 /// The scheduling identity of one popped event: its firing time plus the
 /// `(origin, seq)` pair that tie-breaks equal timestamps. Stamps from
 /// different shards of the same world interleave into the global pop order
-/// by simple comparison, which is what lets per-shard captures and queue
-/// depths be merged bit-identically.
+/// by simple comparison, which is what lets per-shard queue depths be
+/// replayed bit-identically ([`PopRecord`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct EventStamp {
     /// Firing time.
@@ -145,6 +145,11 @@ pub struct EventStamp {
 
 /// Observer of traffic crossing the medium. The capture layer implements this
 /// to play the role Wireshark played in the paper's methodology.
+///
+/// Callbacks carry the simulated time and the hosts involved, not the
+/// scheduling identity of the event behind them: like a packet capture on
+/// a probe host, a monitor orders what it records by time, not by the
+/// kernel's pop order.
 pub trait Monitor<P> {
     /// Called when a node hands a message to the network (at send time).
     fn on_send(&mut self, _now: SimTime, _from: NodeId, _to: NodeId, _payload: &P, _size: u32) {}
@@ -156,11 +161,6 @@ pub trait Monitor<P> {
     /// been notified), so captures can interleave fault markers with
     /// traffic in timestamp order.
     fn on_fault(&mut self, _now: SimTime, _fault: &FaultEvent) {}
-    /// Called at the start of every pop with the event's scheduling
-    /// identity, before any other callback for that event. Sharded
-    /// captures use the stamp to merge per-shard records back into the
-    /// global pop order; the default ignores it.
-    fn on_pop(&mut self, _stamp: EventStamp) {}
 }
 
 /// A monitor that observes nothing.
@@ -824,7 +824,6 @@ impl<P> Simulation<P> {
             self.now = key.at;
             self.events_processed.inc();
             self.pop_pushes = 0;
-            self.monitor.on_pop(stamp);
 
             let payload = match ev.payload {
                 EventPayload::Fault(fault) => {

@@ -59,9 +59,10 @@
 //!   single-shard run would have pushed). The shared window makes rounds
 //!   partition the stamp space — every round-`r` pop outstamps every
 //!   earlier round's — so each round's fold consumes the whole buffer.
-//! * probe captures — per-shard traces carry one `(pop stamp, rows)` entry
-//!   per pop that captured rows and are merged, a pop's run of rows at a
-//!   time, into the global capture order.
+//! * probe captures — every tap keeps its capture ordered by `(t, probe)`,
+//!   and a probe's rows are all captured on its home shard in the
+//!   monolithic order, so merging the shards' drained stores by that key
+//!   (`plsim_capture::merge_traces`) gives the monolithic store.
 //! * metrics — per-shard registry snapshots are summed (counters,
 //!   histogram buckets), peak-maxed (gauges), and the queue-depth gauge is
 //!   overridden with the replayed value.
@@ -74,7 +75,7 @@
 use crate::outbox::ShardExchange;
 use crate::world::{materialize, ShardRole, WorldConfig, WorldLayout, WorldOutput};
 use crate::StatsSink;
-use plsim_capture::{merge_stamped, CaptureAggregates, FaultMark, StampedTrace};
+use plsim_capture::{merge_traces, CaptureAggregates, FaultMark, TraceStore};
 use plsim_des::{PopRecord, RemoteEvent, SimStats, SimTime};
 use plsim_net::{Isp, Topology, Underlay};
 use plsim_proto::{Message, WireMessage};
@@ -417,7 +418,7 @@ impl Drop for PoisonOnPanic<'_> {
 struct ShardResult {
     stats: SimStats,
     snapshot: MetricsSnapshot,
-    trace: StampedTrace,
+    trace: TraceStore,
     aggregates: CaptureAggregates,
     fault_marks: Vec<FaultMark>,
 }
@@ -466,7 +467,6 @@ pub(crate) fn run_sharded(cfg: &WorldConfig) -> WorldOutput {
                     .map(|s| {
                         let role = ShardRole {
                             index: s,
-                            count: shards,
                             local: &locals[s],
                         };
                         (s, materialize(cfg, layout, sink, Some(role)))
@@ -542,7 +542,7 @@ pub(crate) fn run_sharded(cfg: &WorldConfig) -> WorldOutput {
                     *results[s].lock().expect("result slot poisoned") = Some(ShardResult {
                         stats: stats.expect("every shard runs a final slice"),
                         snapshot: shard.registry.snapshot(),
-                        trace: shard.tap.drain_stamped(),
+                        trace: shard.tap.drain(),
                         aggregates: shard.tap.drain_aggregates(),
                         fault_marks: shard.tap.drain_faults(),
                     });
@@ -591,10 +591,10 @@ pub(crate) fn run_sharded(cfg: &WorldConfig) -> WorldOutput {
     let mut results = results;
     let fault_marks = std::mem::take(&mut results[0].fault_marks);
     // Each probe's records (and aggregates) live wholly on its home shard:
-    // traces merge by global stamp under the run's budget, aggregates union
-    // disjoint probe maps.
+    // traces merge by `(t, probe)` under the run's budget, and aggregates
+    // union disjoint probe maps.
     let mut aggregates = CaptureAggregates::default();
-    let records = merge_stamped(
+    let records = merge_traces(
         results.into_iter().map(|r| {
             aggregates.absorb(r.aggregates);
             r.trace

@@ -111,9 +111,9 @@ pub struct WorldConfig {
     /// How capture bounds its memory: an optional resident-byte budget
     /// (sealed trace pages spill to disk past it) and an optional
     /// capture-time aggregation window. Defaults to no budget and no
-    /// aggregation. Sharded runs split the budget
-    /// evenly across shards ([`CaptureConfig::shard_share`]); every setting
-    /// yields bit-identical analysis output — only peak memory changes.
+    /// aggregation. A sharded run gives every shard's store, and the
+    /// store it merges them into, the whole budget. Every setting yields
+    /// bit-identical analysis output — only peak memory changes.
     pub capture: CaptureConfig,
 }
 
@@ -360,8 +360,6 @@ pub(crate) struct ShardRole<'a> {
     /// counters and capture markers fire exactly once); the others mirror
     /// it as shadow faults.
     pub(crate) index: usize,
-    /// Total shard count (splits the capture budget evenly).
-    pub(crate) count: usize,
     /// `local[node]` — whether the node lives on this shard.
     pub(crate) local: &'a [bool],
 }
@@ -388,18 +386,13 @@ pub(crate) fn materialize(
     role: Option<ShardRole<'_>>,
 ) -> ShardSim {
     let topology = &layout.topology;
-    // A shard's tap gets an even slice of the capture budget, so the
-    // shards together stay within the configured bound.
-    let capture = role.map_or(cfg.capture, |r| cfg.capture.shard_share(r.count));
-    let tap = ProbeTap::with_config(layout.probes.iter().copied(), Arc::clone(topology), capture);
-    if role.is_some() {
-        tap.enable_stamps();
-    }
-    // Each probe produces a steady stream of data requests/replies and
-    // gossip; seeding capacity from run length avoids repeated growth
-    // reallocations on the capture path.
-    let expected_records = layout.probes.len() * (cfg.duration.as_secs_f64() as usize) * 8;
-    tap.reserve(expected_records);
+    // Every shard's tap watches every probe: a probe's traffic all passes
+    // through its home shard, so the other shards capture none of it.
+    let tap = ProbeTap::with_config(
+        layout.probes.iter().copied(),
+        Arc::clone(topology),
+        cfg.capture,
+    );
 
     // One registry per materialized world: the kernel, the interconnect
     // queue and every peer intern their instruments here; sharded runs

@@ -1,8 +1,8 @@
 //! Property test: capture under a tight resident-byte budget — sealed
 //! trace pages spilling to a per-run file — is bit-identical to unbounded
 //! capture. Same records, same metrics snapshot, same per-probe analysis
-//! reports; sharded runs (budget split across shards, spilled shard traces
-//! merged by stamp) and fault plans included. The budget is set through
+//! reports; sharded runs (every shard's store under the budget, spilled
+//! shard traces merged by `(t, probe)`) and fault plans included. The budget is set through
 //! `WorldConfig::capture`, not the environment, so the reference run in
 //! the same process stays unbounded.
 
@@ -139,9 +139,9 @@ fn budgeted_capture_is_bit_identical() {
     }
 }
 
-/// Sharded runs: each shard's tap gets an even share of the budget and the
-/// stamp merge streams spilled shard pages; the merged store (itself under
-/// budget) must equal the unbounded single-shard capture.
+/// Sharded runs: each shard's tap spills under the budget and the merge
+/// streams spilled shard pages; the merged store (itself under budget)
+/// must equal the unbounded single-shard capture.
 #[test]
 fn sharded_budgeted_capture_matches_unbounded_single_shard() {
     for (shards, faulted) in [(2usize, false), (4, true)] {
