@@ -49,7 +49,6 @@
 //! # let topo = std::sync::Arc::new(b.build());
 //! let tap = ProbeTap::new([NodeId(0)], topo);
 //! tap.mark_remote(NodeId(9), RemoteKind::Tracker);
-//! assert!(tap.is_empty());
 //! assert_eq!(tap.drain().len(), 0);
 //! ```
 
@@ -519,19 +518,6 @@ impl ProbeTap {
         std::mem::take(&mut self.state.borrow_mut().faults)
     }
 
-    /// Number of records captured so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        let state = self.state.borrow();
-        state.records.len() + state.instant.len()
-    }
-
-    /// Whether nothing has been captured.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     fn is_probe(&self, node: NodeId) -> bool {
         self.probes.get(node.index()).copied().unwrap_or(false)
     }
@@ -669,7 +655,7 @@ mod tests {
             t.on_deliver(SimTime::ZERO, NodeId(5), to, &msg, 46);
             t.on_send(SimTime::ZERO, to, NodeId(5), &msg, 46);
         }
-        assert!(t.is_empty());
+        assert_eq!(t.drain().len(), 0);
         t.on_deliver(SimTime::ZERO, NodeId(5), NodeId(2), &msg, 46);
         let store = t.drain();
         assert_eq!(store.len(), 1);
@@ -687,7 +673,6 @@ mod tests {
         t.on_deliver(at(1), NodeId(5), NodeId(2), &Message::Goodbye, 46);
         t.on_send(at(1), NodeId(2), NodeId(6), &Message::Goodbye, 46);
         t.on_deliver(at(1), NodeId(8), NodeId(0), &Message::Goodbye, 46);
-        assert_eq!(t.len(), 4);
         let store = t.drain();
         assert!(store.rows().map(|r| (r.t, r.probe, r.remote)).eq([
             (at(0), NodeId(0), NodeId(7)),
@@ -719,7 +704,7 @@ mod tests {
         let msg = Message::Goodbye;
         t.on_send(SimTime::ZERO, NodeId(0), NodeId(1), &msg, 46);
         assert_eq!(t.drain().len(), 1);
-        assert!(t.is_empty());
+        assert_eq!(t.drain().len(), 0);
     }
 
     #[test]
@@ -727,7 +712,7 @@ mod tests {
         let t1 = tap();
         let mut t2 = t1.clone();
         t2.on_send(SimTime::ZERO, NodeId(0), NodeId(1), &Message::Goodbye, 46);
-        assert_eq!(t1.len(), 1);
+        assert_eq!(t1.drain().len(), 1);
     }
 
     #[test]
@@ -739,7 +724,7 @@ mod tests {
         );
         t.on_fault(SimTime::from_secs(200), &FaultEvent::end("tracker-outage"));
         // Markers live apart from packet records.
-        assert!(t.is_empty());
+        assert_eq!(t.drain().len(), 0);
         let marks = t.drain_faults();
         assert_eq!(marks.len(), 2);
         assert_eq!(marks[0].label, "tracker-outage");
@@ -1109,7 +1094,7 @@ mod tests {
             req_id: 2,
         };
         t.on_deliver(SimTime::from_secs(12), NodeId(3), NodeId(0), &gossip, 64);
-        assert!(t.is_empty(), "aggregate mode records no rows");
+        assert_eq!(t.drain().len(), 0, "aggregate mode records no rows");
         let aggs = t.drain_aggregates();
         let probe = &aggs.probes[&NodeId(0)];
         assert_eq!(probe.windows.len(), 2);

@@ -766,11 +766,6 @@ pub(crate) struct InstantRows {
 }
 
 impl InstantRows {
-    /// Number of rows held.
-    pub(crate) fn len(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Holds `r`, first appending the rows held to `out` if `r` was
     /// captured later than they were.
     pub(crate) fn push(&mut self, r: RecordRef<'_>, out: &mut TraceStore) {
@@ -1211,7 +1206,7 @@ mod tests {
         for r in &captured {
             held.push(r.as_ref(), &mut store);
         }
-        assert_eq!((store.len(), held.len()), (4, 1));
+        assert_eq!((store.len(), held.rows.len()), (4, 1));
         held.flush(&mut store);
         assert!(held.rows.is_empty() && held.ips.is_empty());
         let want = [1, 3, 2, 0, 4].map(|i| captured[i].clone());

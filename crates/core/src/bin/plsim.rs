@@ -127,7 +127,7 @@ fn parse_seed(s: Option<&str>) -> Result<u64, String> {
 }
 
 fn parse_days(s: Option<&str>) -> Result<u32, String> {
-    parse_num(s, 7, "day count (a non-negative integer)", |_| true)
+    parse_num(s, 7, "day count (a positive integer)", |&d| d >= 1)
 }
 
 /// The value of `--threads`, `--shards` or `--seeds`.
@@ -541,6 +541,8 @@ mod tests {
         let err = parse_days(Some("abc")).unwrap_err();
         assert!(err.contains("\"abc\""), "{err}");
         assert!(parse_days(Some("-1")).is_err());
+        let err = parse_days(Some("0")).unwrap_err();
+        assert!(err.contains("\"0\""), "{err}");
     }
 
     #[test]

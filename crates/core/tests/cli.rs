@@ -63,6 +63,7 @@ fn bad_values_exit_2_naming_the_token() {
         (&["--threads", "0", "run", "popular", "tiny", "42"], "\"0\""),
         (&["run", "popular", "tiny", "42", "--shards", "0"], "\"0\""),
         (&["fig6", "abc"], "abc"),
+        (&["fig6", "0", "tiny", "42"], "\"0\""),
         (
             &[
                 "locality_frontier",

@@ -534,8 +534,12 @@ impl<P> Medium<P> for Underlay {
         // capacity keeps this independent of fault state, so the
         // single-shard run and every shard of a partitioned run settle
         // their disjoint queue sets identically and the merged gauge
-        // (sum of currents, max of peaks) reproduces the reference.
-        let mut residual_bits = 0.0;
+        // (sum of currents, max of peaks) reproduces the reference. Each
+        // queue's residual is truncated to whole bits before it is added:
+        // truncating the sum instead would make the total depend on how
+        // the queues are grouped into shards whenever residuals are
+        // fractional (a capacity that is not a whole number of Mbit/s).
+        let mut residual_bits = 0u64;
         for (i, &a) in Isp::ALL.iter().enumerate() {
             for (j, &b) in Isp::ALL.iter().enumerate() {
                 let Some(capacity_mbps) = self.pair_capacity_mbps(a, b) else {
@@ -547,10 +551,10 @@ impl<P> Medium<P> for Underlay {
                 if horizon > *last {
                     *last = horizon;
                 }
-                residual_bits += *backlog_bits;
+                residual_bits += *backlog_bits as u64;
             }
         }
-        self.xlink_backlog_bits.finalize(residual_bits as u64);
+        self.xlink_backlog_bits.finalize(residual_bits);
     }
 }
 
