@@ -621,7 +621,7 @@ pub(crate) fn run_sharded(cfg: &WorldConfig) -> WorldOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_world, ProbeSpec};
+    use crate::ProbeSpec;
     use plsim_workload::{ChannelClass, PopulationSpec, SessionPlan};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -792,27 +792,5 @@ mod tests {
         let payload = waiter.expect_err("the waiter must panic, not return");
         let message = payload.downcast_ref::<&str>().copied().unwrap_or_default();
         assert!(message.contains("round barrier poisoned"), "{message:?}");
-    }
-
-    #[test]
-    fn sharded_world_is_bit_identical_to_single_shard() {
-        let reference = run_world(&small_world(42, 1, 1));
-        for (shards, threads) in [(2, 2), (4, 2), (4, 1)] {
-            let sharded = run_world(&small_world(42, shards, threads));
-            assert_eq!(
-                sharded.sim, reference.sim,
-                "{shards} shards / {threads} threads"
-            );
-            assert_eq!(
-                sharded.metrics, reference.metrics,
-                "{shards} shards / {threads} threads"
-            );
-            assert_eq!(
-                sharded.records, reference.records,
-                "{shards} shards / {threads} threads"
-            );
-            assert_eq!(sharded.peer_stats, reference.peer_stats);
-            assert_eq!(sharded.fault_marks, reference.fault_marks);
-        }
     }
 }
