@@ -27,12 +27,12 @@
 use plsim_telemetry::parse_byte_budget;
 use plsim_workload::{ChannelClass, SeWorkloadSpec};
 use pplive_locality::{
-    ablation_on, export_suite, fig_6_on, figs_11_to_14, figs_15_to_18, figs_2_to_5, frontier_bands,
-    frontier_bands_csv, frontier_csv, locality_frontier_on, locality_frontier_seeds, pct,
+    ablation_grid, export_suite, fig_6_on, figs_11_to_14, figs_15_to_18, figs_2_to_5,
+    frontier_bands, frontier_bands_csv, frontier_csv, locality_frontier_seeds, pct,
     render_ablation, render_fig11_14, render_fig15_18, render_fig7_10, render_frontier,
     render_frontier_bands, render_table1, render_underlay_ablation, response_times,
-    suite_metrics_json, underlay_ablation_on, workload_round_trip, JobPool, ProbeSite, Scale,
-    Scenario, Suite,
+    suite_metrics_json, sweep, underlay_ablation_grid, workload_round_trip, AblationResult,
+    JobPool, ProbeSite, Scale, Scenario, Suite,
 };
 use std::io::{ErrorKind, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -421,9 +421,13 @@ fn cmd_fig6(args: &[String], pool: &JobPool) {
 
 fn cmd_ablation(args: &[String], pool: &JobPool) {
     let (scale, seed) = scale_and_seed(args, 0);
-    outln!("{}", render_ablation(&ablation_on(pool, scale, seed)));
-    let underlay = underlay_ablation_on(pool, scale, seed);
-    outln!("{}", render_underlay_ablation(&underlay));
+    let mut rows = ablation_grid(scale, seed);
+    let protocol = rows.len();
+    rows.extend(underlay_ablation_grid(scale, seed));
+    let results = sweep(pool, rows, |label, _, run| AblationResult::of(label, &run));
+    let (protocol, underlay) = results.split_at(protocol);
+    outln!("{}", render_ablation(protocol));
+    outln!("{}", render_underlay_ablation(underlay));
 }
 
 fn cmd_workload(args: &[String]) {
@@ -464,14 +468,14 @@ fn cmd_frontier(args: &[String], pool: &JobPool, opts: &Options) {
     let last_seed = or_usage(seed.checked_add(seeds - 1).ok_or_else(|| {
         format!("seed {seed} is too large for --seeds {seeds}: the last seed overflows")
     }));
-    let sweep = if smoke { "smoke" } else { "full" };
+    let set = if smoke { "smoke" } else { "full" };
     let (table, csv) = if seeds == 1 {
-        outln!("sweeping {sweep} selection policies at {scale:?} scale, seed {seed}...");
-        let points = locality_frontier_on(pool, scale, seed, smoke);
-        (render_frontier(&points), frontier_csv(&points))
+        outln!("sweeping {set} selection policies at {scale:?} scale, seed {seed}...");
+        let sweeps = locality_frontier_seeds(pool, scale, seed, smoke, 1);
+        (render_frontier(&sweeps[0]), frontier_csv(&sweeps[0]))
     } else {
         outln!(
-            "sweeping {sweep} selection policies at {scale:?} scale, seeds {seed}..{last_seed}..."
+            "sweeping {set} selection policies at {scale:?} scale, seeds {seed}..{last_seed}..."
         );
         let bands = frontier_bands(&locality_frontier_seeds(pool, scale, seed, smoke, seeds));
         (render_frontier_bands(&bands), frontier_bands_csv(&bands))

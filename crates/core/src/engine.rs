@@ -20,7 +20,11 @@
 //!
 //! The pool size is whatever the caller passes to [`JobPool::new`];
 //! [`JobPool::default`] uses [`std::thread::available_parallelism`].
+//!
+//! Every artifact driver is a grid of labelled [`Scenario`] rows and a
+//! reducer, run through the one fan-out, [`sweep`].
 
+use crate::scenario::{Scenario, ScenarioRun};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -170,6 +174,27 @@ impl JobPool {
             })
             .collect()
     }
+}
+
+/// Runs each row's scenario on `pool` and folds the finished session
+/// with `reduce(label, scenario, run)` inside the row's job, so a session
+/// is dropped before its worker takes the next row: at most
+/// `pool.threads()` sessions are resident at a time, unless `reduce`
+/// keeps them. Results come back in row order, whatever the pool size.
+///
+/// # Panics
+///
+/// Propagates a panic from any session or reducer.
+#[must_use]
+pub fn sweep<T, F>(pool: &JobPool, rows: Vec<(String, Scenario)>, reduce: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(&str, &Scenario, ScenarioRun) -> T + Sync,
+{
+    pool.map(rows, |(label, scenario)| {
+        let run = scenario.run();
+        reduce(&label, &scenario, run)
+    })
 }
 
 #[cfg(test)]

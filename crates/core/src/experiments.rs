@@ -1,21 +1,27 @@
 //! One reproduction per table and figure of the paper's evaluation.
 //!
-//! All multi-run artifacts (the popular/unpopular suite, the ablations,
-//! the Figure 6 day series, seed sweeps) fan out through the shared
-//! [`JobPool`], so they use every available core while producing output
-//! bit-identical to a sequential run at the same seed.
+//! Every multi-run artifact (the popular/unpopular suite, the ablations,
+//! the Figure 6 day series, seed sweeps) is a grid of labelled
+//! [`Scenario`] rows and a reducer, run through [`sweep`], so it uses
+//! every core of the [`JobPool`] while producing output bit-identical to
+//! a sequential run at the same seed.
 
-use crate::engine::JobPool;
+use crate::engine::{sweep, JobPool};
 use crate::render::{pct, render_table, secs};
 use crate::scenario::{ProbeSite, Scale, Scenario, ScenarioRun};
 use plsim_analysis::{PerIsp, ProbeReport};
-use plsim_net::{Isp, IspGroup};
+use plsim_net::{Isp, IspGroup, LinkModel};
 use plsim_node::{ConnectPolicy, DataSelection, PeerConfig};
 use plsim_stats::{stretched_exp_fit, top_share, zipf_fit};
 use plsim_workload::{se_workload, ChannelClass, DayFactor, SeWorkloadSpec};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+
+/// A suite's unpopular session runs at world seed `seed ^
+/// UNPOPULAR_SEED_SALT`, so its world differs from the popular one's:
+/// seed 42 → world seed 20,859.
+const UNPOPULAR_SEED_SALT: u64 = 0x5151;
 
 /// The two channel sessions (popular + unpopular) every §3 figure draws
 /// from — the equivalent of one measurement day with all probes attached.
@@ -42,31 +48,15 @@ impl Suite {
     /// Panics if a session simulation panics.
     #[must_use]
     pub fn run_on(pool: &JobPool, scale: Scale, seed: u64) -> Suite {
-        let mut runs = pool
-            .map(Suite::session_scenarios(scale, seed), |s| s.run())
-            .into_iter();
-        Suite {
-            popular: runs.next().expect("popular session missing"),
-            unpopular: runs.next().expect("unpopular session missing"),
-        }
+        Suite::run_seeds_on(pool, scale, &[seed]).remove(0)
     }
 
     /// Multi-seed replication: one [`Suite`] per seed, all individual
     /// channel sessions flattened through one pool for maximum overlap.
     /// Use the per-seed suites to compute variance bands across replicas.
     #[must_use]
-    pub fn run_seeds(scale: Scale, seeds: &[u64]) -> Vec<Suite> {
-        Suite::run_seeds_on(&JobPool::default(), scale, seeds)
-    }
-
-    /// [`Suite::run_seeds`] on an explicit pool.
-    #[must_use]
     pub fn run_seeds_on(pool: &JobPool, scale: Scale, seeds: &[u64]) -> Vec<Suite> {
-        let scenarios: Vec<Scenario> = seeds
-            .iter()
-            .flat_map(|&seed| Suite::session_scenarios(scale, seed))
-            .collect();
-        let mut runs = pool.map(scenarios, |s| s.run()).into_iter();
+        let mut runs = sweep(pool, Suite::grid(scale, seeds), |_, _, run| run).into_iter();
         seeds
             .iter()
             .map(|_| Suite {
@@ -76,23 +66,26 @@ impl Suite {
             .collect()
     }
 
-    /// The two independent sessions a suite consists of, in merge order.
-    fn session_scenarios(scale: Scale, seed: u64) -> Vec<Scenario> {
-        vec![
-            Scenario::new(ChannelClass::Popular, scale, seed),
-            Scenario::new(ChannelClass::Unpopular, scale, seed ^ 0x5151),
-        ]
-    }
-
-    fn session(&self, class: ChannelClass) -> &ScenarioRun {
-        match class {
-            ChannelClass::Popular => &self.popular,
-            ChannelClass::Unpopular => &self.unpopular,
-        }
+    /// The suites' sessions, popular then unpopular for each seed in turn.
+    #[must_use]
+    pub fn grid(scale: Scale, seeds: &[u64]) -> Vec<(String, Scenario)> {
+        seeds
+            .iter()
+            .flat_map(|&seed| {
+                [
+                    Scenario::new(ChannelClass::Popular, scale, seed),
+                    Scenario::new(ChannelClass::Unpopular, scale, seed ^ UNPOPULAR_SEED_SALT),
+                ]
+            })
+            .map(|s| (s.class.label().to_string(), s))
+            .collect()
     }
 
     fn report(&self, class: ChannelClass, site: ProbeSite) -> &ProbeReport {
-        self.session(class).report(site)
+        match class {
+            ChannelClass::Popular => self.popular.report(site),
+            ChannelClass::Unpopular => self.unpopular.report(site),
+        }
     }
 }
 
@@ -240,52 +233,49 @@ pub struct FourWeeks {
     pub unpopular: Vec<DayLocality>,
 }
 
-/// Runs `days` daily sessions per channel with day-to-day population
-/// variation, in parallel on the default [`JobPool`].
+/// The Figure 6 grid: one session per channel and day (popular days
+/// `1..=days`, then unpopular), each at world seed `seed + 7919·day` with
+/// that day's population variation, drawn from `seed ^ (day << 16)`. Two
+/// concurrent hosts per site, averaged — the paper's methodology.
 #[must_use]
-pub fn fig_6(days: u32, scale: Scale, seed: u64) -> FourWeeks {
-    fig_6_on(&JobPool::default(), days, scale, seed)
+pub fn fig_6_grid(days: u32, scale: Scale, seed: u64) -> Vec<(String, Scenario)> {
+    [ChannelClass::Popular, ChannelClass::Unpopular]
+        .into_iter()
+        .flat_map(|class| {
+            (1..=days).map(move |day| {
+                let mut day_rng = SmallRng::seed_from_u64(seed ^ (u64::from(day) << 16));
+                let mut scenario =
+                    Scenario::new(class, scale, seed.wrapping_add(u64::from(day) * 7919));
+                scenario.probes = ProbeSite::ALL.iter().flat_map(|&p| [p, p]).collect();
+                scenario.day = Some(DayFactor::sample(&mut day_rng));
+                (format!("{} day {day}", class.label()), scenario)
+            })
+        })
+        .collect()
 }
 
-/// [`fig_6`] on an explicit pool.
+/// Runs the [`fig_6_grid`] on `pool`: `days` daily sessions per channel
+/// with day-to-day population variation.
 ///
-/// All `2 × days` sessions go through one work queue, so at most
-/// `pool.threads()` day simulations (each holding its full trace) are
-/// resident at a time — the same memory bound the old chunked
-/// `crossbeam` scopes enforced, without their end-of-batch barrier.
+/// All `2 × days` sessions go through one work queue, and each is reduced
+/// to its three localities inside its job, so at most `pool.threads()`
+/// day simulations (each holding its full trace) are resident at a time.
 #[must_use]
 pub fn fig_6_on(pool: &JobPool, days: u32, scale: Scale, seed: u64) -> FourWeeks {
-    let run_day = |(class, day): (ChannelClass, u32)| -> DayLocality {
-        let mut day_rng = SmallRng::seed_from_u64(seed ^ (u64::from(day) << 16));
-        let factor = DayFactor::sample(&mut day_rng);
-        let mut scenario = Scenario::new(class, scale, seed.wrapping_add(u64::from(day) * 7919));
-        // Two concurrent hosts per site, averaged — the paper's Fig. 6
-        // methodology.
-        scenario.probes = vec![
-            ProbeSite::Tele,
-            ProbeSite::Tele,
-            ProbeSite::Cnc,
-            ProbeSite::Cnc,
-            ProbeSite::Mason,
-            ProbeSite::Mason,
-        ];
-        scenario.day = Some(factor);
-        let run = scenario.run();
-        DayLocality {
+    let localities = sweep(pool, fig_6_grid(days, scale, seed), |_, _, run| {
+        [ProbeSite::Cnc, ProbeSite::Tele, ProbeSite::Mason].map(|site| run.locality_avg(site))
+    });
+    let mut popular: Vec<DayLocality> = (1..=days)
+        .chain(1..=days)
+        .zip(localities)
+        .map(|(day, [cnc, tele, mason])| DayLocality {
             day,
-            cnc: run.locality_avg(ProbeSite::Cnc),
-            tele: run.locality_avg(ProbeSite::Tele),
-            mason: run.locality_avg(ProbeSite::Mason),
-        }
-    };
-
-    let jobs: Vec<(ChannelClass, u32)> = [ChannelClass::Popular, ChannelClass::Unpopular]
-        .into_iter()
-        .flat_map(|class| (1..=days).map(move |day| (class, day)))
+            cnc,
+            tele,
+            mason,
+        })
         .collect();
-    let mut results = pool.map(jobs, run_day).into_iter();
-    let popular: Vec<DayLocality> = results.by_ref().take(days as usize).collect();
-    let unpopular: Vec<DayLocality> = results.collect();
+    let unpopular = popular.split_off(days as usize);
     FourWeeks { popular, unpopular }
 }
 
@@ -532,8 +522,8 @@ pub fn render_fig15_18(cells: &[RttCell]) -> String {
 
 // ------------------------------------------------------------- Ablations
 
-/// Result of the strategy ablation (experiments A1/A2): locality per
-/// protocol variant.
+/// One ablation row's result (experiments A1/A2): the popular channel's
+/// locality under one protocol or underlay variant.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AblationResult {
     /// Variant label.
@@ -542,61 +532,59 @@ pub struct AblationResult {
     pub tele_locality: f64,
     /// TELE probe mean stall-free throughput proxy: received bytes.
     pub tele_bytes: u64,
+    /// Mason probe home (Foreign) share.
+    pub mason_locality: f64,
 }
 
-/// The protocol variants compared by the ablation.
+impl AblationResult {
+    /// Measures one finished ablation session.
+    #[must_use]
+    pub fn of(variant: &str, run: &ScenarioRun) -> AblationResult {
+        let tele = run.report(ProbeSite::Tele);
+        AblationResult {
+            variant: variant.to_string(),
+            tele_locality: tele.locality(),
+            tele_bytes: tele.data.bytes.total(),
+            mason_locality: run.report(ProbeSite::Mason).locality(),
+        }
+    }
+}
+
+/// The protocol ablation's grid (A1): the popular channel under each
+/// protocol variant, PPLive itself first.
 #[must_use]
-pub fn ablation_variants() -> Vec<(String, PeerConfig)> {
-    vec![
+pub fn ablation_grid(scale: Scale, seed: u64) -> Vec<(String, Scenario)> {
+    [
+        ("PPLive (referral+latency)", PeerConfig::default()),
         (
-            "PPLive (referral+latency)".to_string(),
-            PeerConfig::default(),
-        ),
-        (
-            "No latency race (delayed-random connect)".to_string(),
+            "No latency race (delayed-random connect)",
             PeerConfig {
                 connect_policy: ConnectPolicy::DelayedRandom,
                 ..PeerConfig::default()
             },
         ),
         (
-            "Uniform data scheduling".to_string(),
+            "Uniform data scheduling",
             PeerConfig {
                 data_selection: DataSelection::Uniform,
                 ..PeerConfig::default()
             },
         ),
         (
-            "Tracker-only (BitTorrent-like)".to_string(),
+            "Tracker-only (BitTorrent-like)",
             PeerConfig::tracker_only_baseline(),
         ),
     ]
-}
-
-/// Runs the ablation at the given scale (popular channel), one variant
-/// per pool worker.
-#[must_use]
-pub fn ablation(scale: Scale, seed: u64) -> Vec<AblationResult> {
-    ablation_on(&JobPool::default(), scale, seed)
-}
-
-/// [`ablation`] on an explicit pool.
-#[must_use]
-pub fn ablation_on(pool: &JobPool, scale: Scale, seed: u64) -> Vec<AblationResult> {
-    pool.map(ablation_variants(), move |(variant, cfg)| {
+    .into_iter()
+    .map(|(label, cfg)| {
         let mut scenario = Scenario::new(ChannelClass::Popular, scale, seed);
         scenario.peer_config = cfg;
-        let run = scenario.run();
-        let rep = run.report(ProbeSite::Tele);
-        AblationResult {
-            variant,
-            tele_locality: rep.locality(),
-            tele_bytes: rep.data.bytes.total(),
-        }
+        (label.to_string(), scenario)
     })
+    .collect()
 }
 
-/// Renders the ablation table.
+/// Renders the protocol ablation table.
 #[must_use]
 pub fn render_ablation(results: &[AblationResult]) -> String {
     let mut rows = vec![vec![
@@ -614,37 +602,15 @@ pub fn render_ablation(results: &[AblationResult]) -> String {
     render_table(&rows)
 }
 
-/// Result of the underlay-mechanism ablation: which latency structure the
-/// emergent locality depends on.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct UnderlayAblationResult {
-    /// Variant label.
-    pub variant: String,
-    /// TELE probe locality on the popular channel.
-    pub tele_locality: f64,
-    /// Mason probe home (Foreign) share.
-    pub mason_locality: f64,
-}
-
-/// Runs the popular channel under progressively weakened underlays: the
-/// full calibrated model, one without the load-dependent interconnect
-/// queue, one without the static interconnect congestion, and one with
-/// neither. The protocol is identical in all four — any locality drop
-/// isolates the latency structure that produced it.
+/// The underlay ablation's grid (A2): the popular channel under
+/// progressively weakened underlays — the full calibrated model, one
+/// without the load-dependent interconnect queue, one without the static
+/// interconnect congestion, and one with neither. The protocol is
+/// identical in all four, so any locality drop isolates the latency
+/// structure that produced it.
 #[must_use]
-pub fn underlay_ablation(scale: Scale, seed: u64) -> Vec<UnderlayAblationResult> {
-    underlay_ablation_on(&JobPool::default(), scale, seed)
-}
-
-/// [`underlay_ablation`] on an explicit pool.
-#[must_use]
-pub fn underlay_ablation_on(
-    pool: &JobPool,
-    scale: Scale,
-    seed: u64,
-) -> Vec<UnderlayAblationResult> {
-    use plsim_net::LinkModel;
-    let variants: Vec<(&str, LinkModel)> = vec![
+pub fn underlay_ablation_grid(scale: Scale, seed: u64) -> Vec<(String, Scenario)> {
+    [
         ("calibrated 2008 underlay", LinkModel::default()),
         (
             "no interconnect queue",
@@ -668,22 +634,19 @@ pub fn underlay_ablation_on(
                 ..LinkModel::default()
             },
         ),
-    ];
-    pool.map(variants, move |(label, link)| {
+    ]
+    .into_iter()
+    .map(|(label, link)| {
         let mut scenario = Scenario::new(ChannelClass::Popular, scale, seed);
         scenario.link = link;
-        let run = scenario.run();
-        UnderlayAblationResult {
-            variant: label.to_string(),
-            tele_locality: run.report(ProbeSite::Tele).locality(),
-            mason_locality: run.report(ProbeSite::Mason).locality(),
-        }
+        (label.to_string(), scenario)
     })
+    .collect()
 }
 
 /// Renders the underlay ablation table.
 #[must_use]
-pub fn render_underlay_ablation(results: &[UnderlayAblationResult]) -> String {
+pub fn render_underlay_ablation(results: &[AblationResult]) -> String {
     let mut rows = vec![vec![
         "underlay variant".to_string(),
         "TELE locality".to_string(),
@@ -749,10 +712,10 @@ mod tests {
 
     #[test]
     fn ablation_variants_are_distinct() {
-        let variants = ablation_variants();
-        assert_eq!(variants.len(), 4);
-        assert!(!variants[3].1.referral);
-        assert!(variants[0].1.referral);
+        let grid = ablation_grid(Scale::Tiny, 42);
+        assert_eq!(grid.len(), 4);
+        assert!(!grid[3].1.peer_config.referral);
+        assert!(grid[0].1.peer_config.referral);
     }
 
     #[test]
@@ -784,19 +747,16 @@ mod tests {
         let f7 = render_fig7_10(std::slice::from_ref(&cell));
         assert!(f7.contains("0.500") && f7.contains("10") && f7.contains('2'));
 
-        let ab = render_ablation(&[AblationResult {
+        let ab = AblationResult {
             variant: "X".into(),
             tele_locality: 0.5,
             tele_bytes: 123,
-        }]);
-        assert!(ab.contains("50.0%") && ab.contains("123"));
-
-        let ua = render_underlay_ablation(&[UnderlayAblationResult {
-            variant: "Y".into(),
-            tele_locality: 0.25,
             mason_locality: 0.75,
-        }]);
-        assert!(ua.contains("25.0%") && ua.contains("75.0%"));
+        };
+        let protocol = render_ablation(std::slice::from_ref(&ab));
+        assert!(protocol.contains("50.0%") && protocol.contains("123"));
+        let underlay = render_underlay_ablation(&[ab]);
+        assert!(underlay.contains("50.0%") && underlay.contains("75.0%"));
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //! every viewer outside the source's ISP and is *meant* to look bad — that
 //! cliff is the frontier's whole point.
 
-use crate::engine::JobPool;
+use crate::engine::{sweep, JobPool};
 use crate::render::{pct, render_table, secs};
-use crate::scenario::{ProbeSite, Scale, Scenario};
+use crate::scenario::{ProbeSite, Scale, Scenario, ScenarioRun};
 use plsim_des::SimTime;
 use plsim_node::{PlaybackSummary, PolicySpec};
 use plsim_workload::ChannelClass;
@@ -55,8 +55,7 @@ pub struct FrontierPoint {
 /// `smoke` keeps three points (anchor, the default quota, and the starving
 /// quota-zero extreme) for CI; the full sweep adds the non-quota policies
 /// and walks the quota axis.
-#[must_use]
-pub fn frontier_policies(smoke: bool) -> Vec<PolicySpec> {
+fn frontier_policies(smoke: bool) -> Vec<PolicySpec> {
     if smoke {
         return vec![
             PolicySpec::GossipRace,
@@ -79,34 +78,9 @@ pub fn frontier_policies(smoke: bool) -> Vec<PolicySpec> {
     ]
 }
 
-/// Runs the frontier sweep on the default [`JobPool`].
-#[must_use]
-pub fn locality_frontier(scale: Scale, seed: u64, smoke: bool) -> Vec<FrontierPoint> {
-    locality_frontier_on(&JobPool::default(), scale, seed, smoke)
-}
-
-/// [`locality_frontier`] on an explicit pool: one popular-channel session
-/// per policy, all at the same seed, merged back in policy order so the
-/// sweep is bit-identical however many workers ran it.
-#[must_use]
-pub fn locality_frontier_on(
-    pool: &JobPool,
-    scale: Scale,
-    seed: u64,
-    smoke: bool,
-) -> Vec<FrontierPoint> {
-    let mut points = pool.map(frontier_policies(smoke), move |policy| {
-        let mut scenario = Scenario::new(ChannelClass::Popular, scale, seed);
-        scenario.policy = policy;
-        frontier_point(policy, &scenario.run())
-    });
-    fill_savings(&mut points);
-    points
-}
-
 /// Measures one finished session into its frontier point (savings are
 /// filled later, against the sweep's anchor).
-fn frontier_point(policy: PolicySpec, run: &crate::scenario::ScenarioRun) -> FrontierPoint {
+fn frontier_point(policy: PolicySpec, run: &ScenarioRun) -> FrontierPoint {
     let m = run.metrics();
     let same = m.counter("node.bytes_down_same_isp").unwrap_or(0);
     let cross = m.counter("node.bytes_down_cross_isp").unwrap_or(0);
@@ -147,11 +121,26 @@ fn fill_savings(points: &mut [FrontierPoint]) {
     }
 }
 
-/// Runs the frontier sweep at `seeds` consecutive seeds (`seed`,
-/// `seed + 1`, …) and returns one complete per-seed sweep each, in seed
-/// order. All `seeds × policies` sessions fan out over `pool` in one
-/// batch; savings are computed against each seed's own gossip-race anchor.
-/// `seeds = 1` reproduces [`locality_frontier_on`] bit for bit.
+/// The frontier grid: one popular-channel session per policy (three for
+/// `smoke`, nine otherwise; the gossip-race anchor first) at each of
+/// `seeds` consecutive seeds (`seed`, `seed + 1`, …), seed-major, each
+/// row labelled by its policy.
+#[must_use]
+pub fn frontier_grid(scale: Scale, seed: u64, smoke: bool, seeds: u64) -> Vec<(String, Scenario)> {
+    (0..seeds.max(1))
+        .flat_map(|off| {
+            frontier_policies(smoke).into_iter().map(move |policy| {
+                let mut scenario = Scenario::new(ChannelClass::Popular, scale, seed + off);
+                scenario.policy = policy;
+                (policy.label(), scenario)
+            })
+        })
+        .collect()
+}
+
+/// Runs the [`frontier_grid`] on `pool` and returns one complete per-seed
+/// sweep each, in seed order, bit-identical however many workers ran it.
+/// Savings are computed against each seed's own gossip-race anchor.
 #[must_use]
 pub fn locality_frontier_seeds(
     pool: &JobPool,
@@ -160,21 +149,16 @@ pub fn locality_frontier_seeds(
     smoke: bool,
     seeds: u64,
 ) -> Vec<Vec<FrontierPoint>> {
-    let policies = frontier_policies(smoke);
-    let jobs: Vec<(u64, PolicySpec)> = (0..seeds.max(1))
-        .flat_map(|off| policies.iter().map(move |&p| (seed + off, p)))
-        .collect();
-    let points = pool.map(jobs, move |(seed, policy)| {
-        let mut scenario = Scenario::new(ChannelClass::Popular, scale, seed);
-        scenario.policy = policy;
-        frontier_point(policy, &scenario.run())
+    let grid = frontier_grid(scale, seed, smoke, seeds);
+    let points = sweep(pool, grid, |_, scenario, run| {
+        frontier_point(scenario.policy, &run)
     });
     points
-        .chunks(policies.len())
-        .map(|sweep| {
-            let mut sweep = sweep.to_vec();
-            fill_savings(&mut sweep);
-            sweep
+        .chunks(frontier_policies(smoke).len())
+        .map(|one_seed| {
+            let mut one_seed = one_seed.to_vec();
+            fill_savings(&mut one_seed);
+            one_seed
         })
         .collect()
 }
@@ -391,7 +375,8 @@ mod tests {
 
     #[test]
     fn smoke_sweep_produces_consistent_points() {
-        let points = locality_frontier(Scale::Tiny, 42, true);
+        let points =
+            locality_frontier_seeds(&JobPool::default(), Scale::Tiny, 42, true, 1).remove(0);
         assert_eq!(points.len(), 3);
         let anchor = &points[0];
         assert_eq!(anchor.policy, PolicySpec::GossipRace);
@@ -416,22 +401,6 @@ mod tests {
         for p in &points {
             assert!(csv.contains(&p.label) && table.contains(&p.label));
         }
-    }
-
-    #[test]
-    fn single_seed_sweep_matches_the_classic_path() {
-        let classic = locality_frontier(Scale::Tiny, 42, true);
-        let sweeps = locality_frontier_seeds(&JobPool::default(), Scale::Tiny, 42, true, 1);
-        assert_eq!(sweeps.len(), 1);
-        for (a, b) in sweeps[0].iter().zip(&classic) {
-            assert_eq!(a.label, b.label);
-            assert_eq!(a.cross_isp_bytes, b.cross_isp_bytes);
-            assert_eq!(a.total_bytes, b.total_bytes);
-            assert_eq!(a.transit_savings.to_bits(), b.transit_savings.to_bits());
-            assert_eq!(a.tele_locality.to_bits(), b.tele_locality.to_bits());
-        }
-        // And the single-seed CSV is byte-identical to today's format.
-        assert_eq!(frontier_csv(&sweeps[0]), frontier_csv(&classic));
     }
 
     #[test]

@@ -8,18 +8,20 @@
 //!   substrate crates (DES kernel, underlay, protocol, nodes, capture,
 //!   analysis);
 //! * [`Suite`] — the popular + unpopular pair every figure draws from;
-//! * one function per paper artifact: [`figs_2_to_5`], [`fig_6`],
+//! * one function per paper artifact: [`figs_2_to_5`], [`fig_6_on`],
 //!   [`response_times`] (Figures 7–10 + Table 1), [`figs_11_to_14`],
 //!   [`figs_15_to_18`];
-//! * the design ablations ([`ablation`]) and the stretched-exponential
-//!   workload round trip ([`workload_round_trip`]);
+//! * the design ablations ([`ablation_grid`], [`underlay_ablation_grid`])
+//!   and the stretched-exponential workload round trip
+//!   ([`workload_round_trip`]);
 //! * the selection-policy transit-savings frontier
-//!   ([`locality_frontier`]) — what engineered locality saves in transit
-//!   traffic and costs in startup delay/stalls, per [`PolicySpec`];
-//! * [`JobPool`] — the deterministic parallel experiment engine every
-//!   multi-run artifact fans out through (the caller picks the thread
-//!   count; `plsim --threads N` on the command line), with job-order
-//!   merging so parallel output is bit-identical to sequential output;
+//!   ([`locality_frontier_seeds`]) — what engineered locality saves in
+//!   transit traffic and costs in startup delay/stalls, per [`PolicySpec`];
+//! * [`sweep`] over a [`JobPool`] — the one deterministic fan-out every
+//!   multi-run artifact is a grid of labelled scenarios over (the caller
+//!   picks the thread count; `plsim --threads N` on the command line),
+//!   with row-order merging so parallel output is bit-identical to
+//!   sequential output;
 //! * plain-text rendering ([`render_table`] and per-figure `render`
 //!   helpers) used by the examples and the benchmark harness.
 //!
@@ -45,13 +47,13 @@ mod frontier;
 mod render;
 mod scenario;
 
-pub use engine::{DispatchStats, JobPool};
+pub use engine::{sweep, DispatchStats, JobPool};
 pub use experiments::{
-    ablation, ablation_on, ablation_variants, fig_6, fig_6_on, figs_11_to_14, figs_15_to_18,
-    figs_2_to_5, render_ablation, render_fig11_14, render_fig15_18, render_fig7_10, render_table1,
-    render_underlay_ablation, response_times, underlay_ablation, underlay_ablation_on,
-    workload_round_trip, AblationResult, ContributionCell, DayLocality, FourWeeks, LocalityFigure,
-    ResponseCell, RttCell, Suite, UnderlayAblationResult, WorkloadRoundTrip, CELLS,
+    ablation_grid, fig_6_grid, fig_6_on, figs_11_to_14, figs_15_to_18, figs_2_to_5,
+    render_ablation, render_fig11_14, render_fig15_18, render_fig7_10, render_table1,
+    render_underlay_ablation, response_times, underlay_ablation_grid, workload_round_trip,
+    AblationResult, ContributionCell, DayLocality, FourWeeks, LocalityFigure, ResponseCell,
+    RttCell, Suite, WorkloadRoundTrip, CELLS,
 };
 pub use export::{
     contributions_csv, export_suite, fault_plan_json, fig6_csv, locality_csv, response_samples_csv,
@@ -62,9 +64,8 @@ pub use faults::{
     tele_cnc_partition, tracker_blackout, tracker_outage_early,
 };
 pub use frontier::{
-    frontier_bands, frontier_bands_csv, frontier_csv, frontier_policies, locality_frontier,
-    locality_frontier_on, locality_frontier_seeds, render_frontier, render_frontier_bands, Band,
-    FrontierBand, FrontierPoint,
+    frontier_bands, frontier_bands_csv, frontier_csv, frontier_grid, locality_frontier_seeds,
+    render_frontier, render_frontier_bands, Band, FrontierBand, FrontierPoint,
 };
 pub use plsim_net::LinkFault;
 pub use plsim_node::{

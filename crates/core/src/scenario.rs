@@ -293,16 +293,6 @@ impl ScenarioRun {
             .1
     }
 
-    /// All reports of a given probe site.
-    #[must_use]
-    pub fn reports_of(&self, site: ProbeSite) -> Vec<&ProbeReport> {
-        self.reports
-            .iter()
-            .filter(|(s, _)| *s == site)
-            .map(|(_, r)| r)
-            .collect()
-    }
-
     /// Mean traffic locality across all probes at `site` — the paper's
     /// Figure 6 "average of two concurrent measuring results".
     ///
@@ -311,9 +301,14 @@ impl ScenarioRun {
     /// Panics if the site was not part of the scenario.
     #[must_use]
     pub fn locality_avg(&self, site: ProbeSite) -> f64 {
-        let reports = self.reports_of(site);
-        assert!(!reports.is_empty(), "no probe at {site:?}");
-        reports.iter().map(|r| r.locality()).sum::<f64>() / reports.len() as f64
+        let at_site: Vec<f64> = self
+            .reports
+            .iter()
+            .filter(|(s, _)| *s == site)
+            .map(|(_, r)| r.locality())
+            .collect();
+        assert!(!at_site.is_empty(), "no probe at {site:?}");
+        at_site.iter().sum::<f64>() / at_site.len() as f64
     }
 }
 

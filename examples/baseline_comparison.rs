@@ -10,7 +10,8 @@
 //! ```
 
 use pplive_locality::{
-    ablation, render_ablation, render_underlay_ablation, underlay_ablation, Scale,
+    ablation_grid, render_ablation, render_underlay_ablation, sweep, underlay_ablation_grid,
+    AblationResult, JobPool, Scale,
 };
 
 fn main() {
@@ -21,7 +22,12 @@ fn main() {
     };
     println!("running the popular channel under 4 protocol variants ({scale:?} scale)...\n");
     let t0 = std::time::Instant::now();
-    let results = ablation(scale, 42);
+    let ablate = |rows| {
+        sweep(&JobPool::default(), rows, |label, _, run| {
+            AblationResult::of(label, &run)
+        })
+    };
+    let results = ablate(ablation_grid(scale, 42));
     println!("{}", render_ablation(&results));
 
     let pplive = results
@@ -41,7 +47,7 @@ fn main() {
     println!("\nunderlay-mechanism ablation (same protocol, weakened underlays):\n");
     println!(
         "{}",
-        render_underlay_ablation(&underlay_ablation(scale, 42))
+        render_underlay_ablation(&ablate(underlay_ablation_grid(scale, 42)))
     );
     println!("(wall time {:.1?})", t0.elapsed());
 }

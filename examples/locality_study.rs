@@ -8,13 +8,15 @@
 //! ```
 //!
 //! `days` controls the Figure 6 series length (default 28, like the
-//! study's four weeks).
+//! study's four weeks). Wall times go to stderr, so stdout is a pure
+//! function of the arguments: `studies/study_suite_output.txt` is
+//! `locality_study paper 0`'s stdout.
 
 use plsim_workload::SeWorkloadSpec;
 use pplive_locality::{
-    ablation, fig_6, figs_11_to_14, figs_15_to_18, figs_2_to_5, render_ablation, render_fig11_14,
-    render_fig15_18, render_fig7_10, render_table1, response_times, workload_round_trip, FourWeeks,
-    Scale, Suite,
+    ablation_grid, fig_6_on, figs_11_to_14, figs_15_to_18, figs_2_to_5, render_ablation,
+    render_fig11_14, render_fig15_18, render_fig7_10, render_table1, response_times, sweep,
+    workload_round_trip, AblationResult, FourWeeks, JobPool, Scale, Suite,
 };
 
 fn main() {
@@ -29,11 +31,12 @@ fn main() {
         .unwrap_or(28);
 
     println!("# PPLive traffic-locality study — full reproduction ({scale:?} scale)\n");
+    let pool = JobPool::default();
     let t0 = std::time::Instant::now();
-    let suite = Suite::run(scale, 42);
+    let suite = Suite::run_on(&pool, scale, 42);
+    eprintln!("(both channel sessions simulated in {:.1?})", t0.elapsed());
     println!(
-        "(both channel sessions simulated in {:.1?}; popular processed {} events)\n",
-        t0.elapsed(),
+        "(popular processed {} events)\n",
         suite.popular.output.sim.events_processed
     );
 
@@ -44,15 +47,15 @@ fn main() {
 
     println!("## Figure 6: locality over {days} days\n");
     let t6 = std::time::Instant::now();
-    let weeks = fig_6(days, scale, 42);
+    let weeks = fig_6_on(&pool, days, scale, 42);
     println!("{}", weeks.render());
     println!(
-        "volatility (std dev): popular Mason {:.3} vs popular TELE {:.3} (paper: Mason varies much more)",
+        "volatility (std dev): popular Mason {:.3} vs popular TELE {:.3} (paper: Mason varies much more)\n",
         FourWeeks::volatility(&weeks.popular, |d| d.mason),
         FourWeeks::volatility(&weeks.popular, |d| d.tele),
     );
-    println!(
-        "({days} days x 2 channels simulated in {:.1?})\n",
+    eprintln!(
+        "({days} days x 2 channels simulated in {:.1?})",
         t6.elapsed()
     );
 
@@ -87,8 +90,11 @@ fn main() {
 
     println!("## Ablations (A1/A2): what creates the locality\n");
     let t_a = std::time::Instant::now();
-    println!("{}", render_ablation(&ablation(scale, 42)));
-    println!("(4 variants simulated in {:.1?})\n", t_a.elapsed());
+    let ablation = sweep(&pool, ablation_grid(scale, 42), |label, _, run| {
+        AblationResult::of(label, &run)
+    });
+    println!("{}", render_ablation(&ablation));
+    eprintln!("(4 variants simulated in {:.1?})", t_a.elapsed());
 
     println!("## W1: stretched-exponential workload generator round trip\n");
     for sigma in [0.0, 0.3] {
@@ -110,5 +116,5 @@ fn main() {
         );
     }
 
-    println!("\ntotal wall time: {:.1?}", t0.elapsed());
+    eprintln!("total wall time: {:.1?}", t0.elapsed());
 }

@@ -3,25 +3,29 @@
 
 use plsim_node::PeerConfig;
 use plsim_workload::ChannelClass;
-use pplive_locality::{ProbeSite, Scale, Scenario};
-
-/// Average TELE-probe locality over a few seeds under a peer config.
-fn mean_locality(cfg: PeerConfig, seeds: &[u64]) -> f64 {
-    let mut total = 0.0;
-    for &seed in seeds {
-        let mut scenario = Scenario::new(ChannelClass::Popular, Scale::Tiny, seed);
-        scenario.peer_config = cfg;
-        let run = scenario.run();
-        total += run.report(ProbeSite::Tele).locality();
-    }
-    total / seeds.len() as f64
-}
+use pplive_locality::{sweep, JobPool, ProbeSite, Scale, Scenario};
 
 #[test]
 fn referral_beats_tracker_only_on_locality() {
+    // One grid of ten worlds: the PPLive config at seeds 1–5, then the
+    // tracker-only baseline at the same seeds.
     let seeds = [1, 2, 3, 4, 5];
-    let pplive = mean_locality(PeerConfig::default(), &seeds);
-    let baseline = mean_locality(PeerConfig::tracker_only_baseline(), &seeds);
+    let rows = [PeerConfig::default(), PeerConfig::tracker_only_baseline()]
+        .into_iter()
+        .flat_map(|cfg| {
+            seeds.map(|seed| {
+                let mut scenario = Scenario::new(ChannelClass::Popular, Scale::Tiny, seed);
+                scenario.peer_config = cfg;
+                (format!("seed {seed}"), scenario)
+            })
+        })
+        .collect();
+    let tele = sweep(&JobPool::new(2), rows, |_, _, run| {
+        run.report(ProbeSite::Tele).locality()
+    });
+    // Average TELE-probe locality over the seeds, per config.
+    let mean = |arm: &[f64]| arm.iter().sum::<f64>() / seeds.len() as f64;
+    let (pplive, baseline) = (mean(&tele[..seeds.len()]), mean(&tele[seeds.len()..]));
     assert!(
         pplive > baseline,
         "PPLive locality {pplive:.3} should beat tracker-only {baseline:.3}"

@@ -1,84 +1,118 @@
 //! Integration tests: the parallel experiment engine is a pure
-//! reordering of work — every artifact driver's output is byte-identical
-//! to a sequential run of the same artifacts at the same seed — and one
-//! world's output does not depend on the kernel scheduler or on the pool,
-//! shards and reruns that run it under any fault plan, checked as cells
-//! of the equivalence lattice (`tests/lattice/mod.rs`).
+//! reordering of work — every artifact driver is a grid of labelled
+//! scenarios through one fan-out, `sweep`, whose rows come back in grid
+//! order and byte-identical to each row's scenario run alone, on any pool
+//! — and one world's output does not depend on the kernel scheduler or on
+//! the pool, shards and reruns that run it under any fault plan, checked
+//! as cells of the equivalence lattice (`tests/lattice/mod.rs`).
 
 mod lattice;
 
 use lattice::{check_within, reference_of, sample_cells, Cell, Shape, LIMIT};
 use plsim_des::SchedulerKind;
+use plsim_workload::ChannelClass::{self, Popular, Unpopular};
 use pplive_locality::{
-    ablation_on, fig_6_on, frontier_csv, locality_frontier_on, underlay_ablation_on, JobPool,
-    Scale, Suite,
+    ablation_grid, fig_6_grid, frontier_grid, sweep, underlay_ablation_grid, JobPool, Scale, Suite,
 };
 
 const SEED: u64 = 42;
 
-fn seq() -> JobPool {
-    JobPool::sequential()
-}
-
-fn par() -> JobPool {
-    JobPool::new(4)
-}
-
+/// One mixed grid with every driver's kind of row — both suite classes
+/// (the unpopular one under the seed salt), a Fig. 6 day with its day
+/// factor, a `PeerConfig` arm, a `LinkModel` arm and a `PolicySpec` arm
+/// at a second seed — run sequentially and on a four-thread pool. Each
+/// row must come back in grid order under its own label, equal on every
+/// output and probe report to its scenario run alone.
 #[test]
-fn suite_parallel_is_bit_identical_to_sequential() {
-    let a = Suite::run_on(&seq(), Scale::Tiny, SEED);
-    let b = Suite::run_on(&par(), Scale::Tiny, SEED);
-    for (s, p) in [(&a.popular, &b.popular), (&a.unpopular, &b.unpopular)] {
-        assert_eq!(s.output.sim, p.output.sim, "kernel counters diverged");
-        assert_eq!(s.output.records, p.output.records, "traces diverged");
-        assert_eq!(s.output.peer_stats, p.output.peer_stats);
-        assert_eq!(s.output.metrics, p.output.metrics, "metrics diverged");
+fn sweep_is_order_stable() {
+    let tiny = Scale::Tiny;
+    let mut rows = Suite::grid(tiny, &[SEED]);
+    rows.push(fig_6_grid(1, tiny, SEED).swap_remove(1)); // unpopular day 1
+    rows.push(ablation_grid(tiny, SEED).swap_remove(1)); // delayed-random connect
+    rows.push(underlay_ablation_grid(tiny, SEED).swap_remove(1)); // no interconnect queue
+    rows.push(frontier_grid(tiny, SEED, true, 2).swap_remove(4)); // biased_locality:2, seed 43
+    let keep = |label: &str, _: &_, run| (label.to_string(), run);
+    // The references run beside the sequential sweep, one core each.
+    let (alone, sequential) = std::thread::scope(|scope| {
+        let alone = scope.spawn(|| rows.iter().map(|(_, s)| s.run()).collect::<Vec<_>>());
+        let sequential = sweep(&JobPool::sequential(), rows.clone(), keep);
+        (alone.join().expect("reference runs"), sequential)
+    });
+    let pooled = sweep(&JobPool::new(4), rows.clone(), keep);
+    for runs in [sequential, pooled] {
+        assert_eq!(runs.len(), rows.len());
+        for ((label, run), ((want, _), reference)) in runs.iter().zip(rows.iter().zip(&alone)) {
+            assert_eq!(label, want, "row out of grid order");
+            let (out, reference_out) = (&run.output, &reference.output);
+            assert_eq!(out.sim, reference_out.sim, "{label}: sim");
+            assert_eq!(out.records, reference_out.records, "{label}: records");
+            assert_eq!(out.metrics, reference_out.metrics, "{label}: metrics");
+            assert_eq!(out.peer_stats, reference_out.peer_stats, "{label}: peers");
+            assert_eq!(
+                format!("{:?}", run.reports),
+                format!("{:?}", reference.reports),
+                "{label}: probe reports"
+            );
+        }
     }
 }
 
+/// Every driver's grid at seed 42, Tiny, as the rows it hands `sweep`:
+/// label, class, world seed and whether a day factor is set. Runs no
+/// session.
 #[test]
-fn multi_seed_sweep_is_order_stable() {
-    let seeds = [1u64, 2, 3];
-    let a = Suite::run_seeds_on(&seq(), Scale::Tiny, &seeds);
-    let b = Suite::run_seeds_on(&par(), Scale::Tiny, &seeds);
-    assert_eq!(a.len(), b.len());
-    for (s, p) in a.iter().zip(&b) {
-        assert_eq!(s.popular.output.records, p.popular.output.records);
-        assert_eq!(s.unpopular.output.records, p.unpopular.output.records);
-    }
+fn driver_grids_are_pinned() {
+    let grid = [
+        Suite::grid(Scale::Tiny, &[SEED, SEED + 1]),
+        fig_6_grid(3, Scale::Tiny, SEED),
+        ablation_grid(Scale::Tiny, SEED),
+        underlay_ablation_grid(Scale::Tiny, SEED),
+        frontier_grid(Scale::Tiny, SEED, true, 2),
+    ]
+    .concat();
+    assert!(grid.iter().all(|(_, s)| s.scale == Scale::Tiny));
+    let got: Vec<(&str, ChannelClass, u64, bool)> = grid
+        .iter()
+        .map(|(label, s)| (label.as_str(), s.class, s.seed, s.day.is_some()))
+        .collect();
+    assert_eq!(got, GRIDS);
 }
 
-#[test]
-fn ablation_parallel_matches_sequential() {
-    let a = ablation_on(&seq(), Scale::Tiny, SEED);
-    let b = ablation_on(&par(), Scale::Tiny, SEED);
-    assert_eq!(format!("{a:?}"), format!("{b:?}"));
-}
-
-#[test]
-fn frontier_sweep_parallel_matches_sequential() {
-    // The policy sweep fans one session per policy through the pool; its
-    // merged output (and the CSV serialization the studies commit) must be
-    // byte-identical to a sequential sweep.
-    let a = locality_frontier_on(&seq(), Scale::Tiny, SEED, true);
-    let b = locality_frontier_on(&par(), Scale::Tiny, SEED, true);
-    assert_eq!(format!("{a:?}"), format!("{b:?}"));
-    assert_eq!(frontier_csv(&a), frontier_csv(&b));
-}
-
-#[test]
-fn underlay_ablation_parallel_matches_sequential() {
-    let a = underlay_ablation_on(&seq(), Scale::Tiny, SEED);
-    let b = underlay_ablation_on(&par(), Scale::Tiny, SEED);
-    assert_eq!(format!("{a:?}"), format!("{b:?}"));
-}
-
-#[test]
-fn fig_6_parallel_matches_sequential() {
-    let a = fig_6_on(&seq(), 2, Scale::Tiny, SEED);
-    let b = fig_6_on(&par(), 2, Scale::Tiny, SEED);
-    assert_eq!(format!("{a:?}"), format!("{b:?}"));
-}
+/// The pins of [`driver_grids_are_pinned`]. The suite's unpopular world
+/// is seed `seed ^ 0x5151` (42 → 20,859, 43 → 20,858), and Fig. 6 day `d`
+/// is seed `42 + 7919·d`.
+#[rustfmt::skip]
+const GRIDS: [(&str, ChannelClass, u64, bool); 24] = [
+    // Suite::grid(Tiny, &[42, 43])
+    ("popular",                                  Popular,   42,     false),
+    ("unpopular",                                Unpopular, 20_859, false),
+    ("popular",                                  Popular,   43,     false),
+    ("unpopular",                                Unpopular, 20_858, false),
+    // fig_6_grid(3, Tiny, 42)
+    ("popular day 1",                            Popular,   7_961,  true),
+    ("popular day 2",                            Popular,   15_880, true),
+    ("popular day 3",                            Popular,   23_799, true),
+    ("unpopular day 1",                          Unpopular, 7_961,  true),
+    ("unpopular day 2",                          Unpopular, 15_880, true),
+    ("unpopular day 3",                          Unpopular, 23_799, true),
+    // ablation_grid(Tiny, 42)
+    ("PPLive (referral+latency)",                Popular,   42,     false),
+    ("No latency race (delayed-random connect)", Popular,   42,     false),
+    ("Uniform data scheduling",                  Popular,   42,     false),
+    ("Tracker-only (BitTorrent-like)",           Popular,   42,     false),
+    // underlay_ablation_grid(Tiny, 42)
+    ("calibrated 2008 underlay",                 Popular,   42,     false),
+    ("no interconnect queue",                    Popular,   42,     false),
+    ("no static congestion",                     Popular,   42,     false),
+    ("neither (propagation only)",               Popular,   42,     false),
+    // frontier_grid(Tiny, 42, smoke, 2 seeds)
+    ("gossip_race",                              Popular,   42,     false),
+    ("biased_locality:2",                        Popular,   42,     false),
+    ("biased_locality:0",                        Popular,   42,     false),
+    ("gossip_race",                              Popular,   43,     false),
+    ("biased_locality:2",                        Popular,   43,     false),
+    ("biased_locality:0",                        Popular,   43,     false),
+];
 
 /// The Tiny unpopular world under the heap scheduler equals its calendar
 /// reference. The schedulers' own equivalence suite lives in `plsim-des`,

@@ -22,7 +22,7 @@ use plsim_analysis::ProbeReport;
 use plsim_node::{Fnv1a, PeerConfig};
 use plsim_workload::ChannelClass;
 use pplive_locality::{
-    ablation_variants, fig_6, frontier_policies, pct, JobPool, PolicySpec, ProbeSite, Scale,
+    ablation_grid, fig_6_on, frontier_grid, pct, sweep, JobPool, PolicySpec, ProbeSite, Scale,
     Scenario, ScenarioRun,
 };
 use std::hash::Hasher;
@@ -72,7 +72,7 @@ fn gossip_race_matches_fig6_golden_prefix() {
     // Day rows of the committed 28-day series are independent runs, so a
     // 3-day regeneration must reproduce the file's first three data rows
     // (plus header) character-for-character.
-    let rendered = fig_6(3, Scale::Tiny, 42).render();
+    let rendered = fig_6_on(&JobPool::default(), 3, Scale::Tiny, 42).render();
     let got: Vec<&str> = rendered.lines().take(5).collect();
     let want: Vec<&str> = FIG6_GOLDEN.lines().take(5).collect();
     assert_eq!(
@@ -84,7 +84,7 @@ fn gossip_race_matches_fig6_golden_prefix() {
 #[test]
 #[ignore = "regenerates 56 sessions; run with --release -- --ignored"]
 fn gossip_race_regenerates_fig6_golden_in_full() {
-    let mut rendered = fig_6(28, Scale::Tiny, 42).render();
+    let mut rendered = fig_6_on(&JobPool::default(), 28, Scale::Tiny, 42).render();
     rendered.push('\n'); // the committed file was `plsim fig6 ... > file`
     assert_eq!(
         rendered, FIG6_GOLDEN,
@@ -97,10 +97,10 @@ fn gossip_race_regenerates_fig6_golden_in_full() {
 /// locality (to six decimals).
 type Pin = (String, u64, u64, u64, u64, String);
 
-fn pin(label: String, run: &ScenarioRun) -> Pin {
+fn pin(label: &str, run: &ScenarioRun) -> Pin {
     let counter = |name| run.metrics().counter(name).expect(name);
     (
-        label,
+        label.to_string(),
         run.output.sim.events_processed,
         run.output.sim.messages_sent,
         counter("node.policy_rejections"),
@@ -110,7 +110,8 @@ fn pin(label: String, run: &ScenarioRun) -> Pin {
 }
 
 /// The pins, in the order [`non_default_protocol_paths_are_pinned`] runs
-/// them: the frontier's policies, then the ablation's variants.
+/// them: the full frontier grid's policies, then the ablation grid's
+/// variants.
 #[rustfmt::skip]
 const PINS: [(&str, u64, u64, u64, u64, &str); 11] = [
     // label                                     events   messages  rejects   cross bytes   TELE
@@ -137,26 +138,12 @@ fn non_default_protocol_paths_are_pinned() {
     // gossip race runs code the digest above never reaches: the policy
     // gate, the biased tracker query, delayed-random connects, uniform
     // data scheduling and the tracker-only cadence.
-    let mut scenarios: Vec<(String, Scenario)> = frontier_policies(false)
-        .into_iter()
-        .filter(|&p| p != PolicySpec::GossipRace)
-        .map(|policy| {
-            let mut s = tiny_popular();
-            s.policy = policy;
-            (policy.label(), s)
-        })
-        .collect();
-    scenarios.extend(
-        ablation_variants()
-            .into_iter()
-            .filter(|(_, cfg)| *cfg != PeerConfig::default())
-            .map(|(variant, cfg)| {
-                let mut s = tiny_popular();
-                s.peer_config = cfg;
-                (variant, s)
-            }),
-    );
-    let got: Vec<Pin> = JobPool::new(2).map(scenarios, |(label, s)| pin(label, &s.run()));
+    let mut rows = frontier_grid(Scale::Tiny, 7, false, 1);
+    rows.extend(ablation_grid(Scale::Tiny, 7));
+    rows.retain(|(_, s)| {
+        s.policy != PolicySpec::GossipRace || s.peer_config != PeerConfig::default()
+    });
+    let got: Vec<Pin> = sweep(&JobPool::new(2), rows, |label, _, run| pin(label, &run));
     let want = PINS.map(|(label, events, messages, rejects, cross, tele)| {
         (label.into(), events, messages, rejects, cross, tele.into())
     });
