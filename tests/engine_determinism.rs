@@ -8,40 +8,74 @@
 
 mod lattice;
 
+use std::ops::Range;
+use std::sync::OnceLock;
+
 use lattice::{check_within, reference_of, sample_cells, Cell, Shape, LIMIT};
 use plsim_des::SchedulerKind;
 use plsim_workload::ChannelClass::{self, Popular, Unpopular};
 use pplive_locality::{
-    ablation_grid, fig_6_grid, frontier_grid, sweep, underlay_ablation_grid, JobPool, Scale, Suite,
+    ablation_grid, fig_6_grid, frontier_grid, sweep, underlay_ablation_grid, JobPool, Scale,
+    Scenario, ScenarioRun, Suite,
 };
 
 const SEED: u64 = 42;
 
-/// One mixed grid with every driver's kind of row — both suite classes
-/// (the unpopular one under the seed salt), a Fig. 6 day with its day
-/// factor, a `PeerConfig` arm, a `LinkModel` arm and a `PolicySpec` arm
-/// at a second seed — run sequentially and on a four-thread pool. Each
-/// row must come back in grid order under its own label, equal on every
-/// output and probe report to its scenario run alone.
-#[test]
-fn sweep_is_order_stable() {
+/// One mixed grid with every driver's kind of row, in this order: the
+/// suite's popular and unpopular rows at seed 42 (the unpopular one under
+/// the seed salt) and its unpopular row at seed 43, a Fig. 6 day with its
+/// day factor, a `PeerConfig` arm, a `LinkModel` arm and a `PolicySpec`
+/// arm at the frontier's second seed.
+fn mixed_grid() -> Vec<(String, Scenario)> {
     let tiny = Scale::Tiny;
-    let mut rows = Suite::grid(tiny, &[SEED]);
+    let mut rows = Suite::grid(tiny, &[SEED, SEED + 1]);
+    rows.remove(2); // popular at seed 43
     rows.push(fig_6_grid(1, tiny, SEED).swap_remove(1)); // unpopular day 1
     rows.push(ablation_grid(tiny, SEED).swap_remove(1)); // delayed-random connect
     rows.push(underlay_ablation_grid(tiny, SEED).swap_remove(1)); // no interconnect queue
     rows.push(frontier_grid(tiny, SEED, true, 2).swap_remove(4)); // biased_locality:2, seed 43
-    let keep = |label: &str, _: &_, run| (label.to_string(), run);
-    // The references run beside the sequential sweep, one core each.
-    let (alone, sequential) = std::thread::scope(|scope| {
-        let alone = scope.spawn(|| rows.iter().map(|(_, s)| s.run()).collect::<Vec<_>>());
-        let sequential = sweep(&JobPool::sequential(), rows.clone(), keep);
-        (alone.join().expect("reference runs"), sequential)
-    });
-    let pooled = sweep(&JobPool::new(4), rows.clone(), keep);
-    for runs in [sequential, pooled] {
+    rows
+}
+
+/// The mixed grid's rows run alone, through `sweep` inline and through
+/// `sweep` on a four-thread pool.
+struct Runs {
+    rows: Vec<(String, Scenario)>,
+    alone: Vec<ScenarioRun>,
+    swept: [Vec<(String, ScenarioRun)>; 2],
+}
+
+/// The mixed grid runs once per test binary; each test below checks the
+/// rows of the driver it names.
+fn runs() -> &'static Runs {
+    static RUNS: OnceLock<Runs> = OnceLock::new();
+    RUNS.get_or_init(|| {
+        let rows = mixed_grid();
+        let keep = |label: &str, _: &_, run| (label.to_string(), run);
+        // The references run beside the sequential sweep, one core each.
+        let (alone, sequential) = std::thread::scope(|scope| {
+            let alone = scope.spawn(|| rows.iter().map(|(_, s)| s.run()).collect::<Vec<_>>());
+            let sequential = sweep(&JobPool::sequential(), rows.clone(), keep);
+            (alone.join().expect("reference runs"), sequential)
+        });
+        let pooled = sweep(&JobPool::new(4), rows.clone(), keep);
+        Runs {
+            rows,
+            alone,
+            swept: [sequential, pooled],
+        }
+    })
+}
+
+/// Rows `range` of the mixed grid come back from both sweeps in grid
+/// order under their own labels, equal on every output and probe report
+/// to their scenarios run alone.
+fn check_rows(range: Range<usize>) {
+    let Runs { rows, alone, swept } = runs();
+    for runs in swept {
         assert_eq!(runs.len(), rows.len());
-        for ((label, run), ((want, _), reference)) in runs.iter().zip(rows.iter().zip(&alone)) {
+        for i in range.clone() {
+            let ((label, run), ((want, _), reference)) = (&runs[i], (&rows[i], &alone[i]));
             assert_eq!(label, want, "row out of grid order");
             let (out, reference_out) = (&run.output, &reference.output);
             assert_eq!(out.sim, reference_out.sim, "{label}: sim");
@@ -55,6 +89,51 @@ fn sweep_is_order_stable() {
             );
         }
     }
+}
+
+/// The whole mixed grid, run sequentially and on a four-thread pool.
+#[test]
+fn sweep_is_order_stable() {
+    check_rows(0..runs().rows.len());
+}
+
+/// The suite's two sessions at one seed.
+#[test]
+fn suite_parallel_is_bit_identical_to_sequential() {
+    check_rows(0..2);
+}
+
+/// The suite's rows at two master seeds keep their order: the two
+/// unpopular worlds differ, so a swap would show.
+#[test]
+fn multi_seed_sweep_is_order_stable() {
+    check_rows(0..3);
+    let alone = &runs().alone;
+    assert_ne!(alone[1].output.records, alone[2].output.records);
+}
+
+/// An unpopular Fig. 6 day with its day seed and day factor.
+#[test]
+fn fig_6_parallel_matches_sequential() {
+    check_rows(3..4);
+}
+
+/// The A1 ablation's delayed-random `PeerConfig` arm.
+#[test]
+fn ablation_parallel_matches_sequential() {
+    check_rows(4..5);
+}
+
+/// The A2 ablation's no-interconnect-queue `LinkModel` arm.
+#[test]
+fn underlay_ablation_parallel_matches_sequential() {
+    check_rows(5..6);
+}
+
+/// The frontier's `biased_locality:2` arm at its second seed.
+#[test]
+fn frontier_sweep_parallel_matches_sequential() {
+    check_rows(6..7);
 }
 
 /// Every driver's grid at seed 42, Tiny, as the rows it hands `sweep`:
